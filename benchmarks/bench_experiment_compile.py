@@ -1,4 +1,4 @@
-"""Experiment-compiler benchmark — fused report vs sequential loop.
+"""Experiment-compiler benchmark — compiled report vs sequential loop.
 
 Times the two ways to regenerate the full smoke-scale report
 (E01–E16):
@@ -6,9 +6,9 @@ Times the two ways to regenerate the full smoke-scale report
 * **sequential** — the historical loop: each experiment's ``run()``
   one after another, single process;
 * **compiled** — ``compile_program`` + ``execute_program``: declared
-  grids merged and dedup'd across experiments, executed as one fused
-  program through the job layer, experiments finalized in parallel
-  worker processes.
+  grid points bound to requests and dedup'd across experiments, run
+  through the job layer one job per point, experiments finalized in
+  parallel worker processes.
 
 Each side executes against its own fresh cache directory, so neither
 borrows the other's results, and the compiled results are asserted
@@ -16,18 +16,18 @@ equal to the sequential ones — the speedup is never bought with a
 different answer.
 
 Gates (``--check``, run in CI) are tiered by core count, because the
-compiled path's wins are parallelism (the merge/dedup stage is a
-no-op at smoke scale, where no grids currently overlap):
+compiled path's wins are parallelism (the dedup stage is a no-op at
+smoke scale, where no two experiments declare the same point):
 
 * >= 4 cores: compiled must be >= 2.0x faster;
 * 2–3 cores: >= 1.3x;
 * 1 core: no material regression (>= 0.8x) — the compiled path still
-  pays its planning/scatter overhead without any cores to spend it on.
+  pays its compile and replay overhead without any cores to spend it on.
 
 Two invariants are gated at every tier:
 
 * **dedup** — recompiling against the warmed cache must mark every
-  merged point cache-satisfied, and re-executing the program must
+  unique point cache-satisfied, and re-executing the program must
   perform zero backend runs (proven via
   :func:`repro.sim.jobs.backend_run_count`);
 * **identity** — every compiled ``ExperimentResult`` equals its
@@ -81,7 +81,7 @@ def run_sequential(cache_dir: str) -> dict:
 
 
 def run_compiled(cache_dir: str, workers: int) -> dict:
-    """The fused program: compile, execute, replay-check the dedup."""
+    """The compiled program: compile, execute, replay-check the dedup."""
     configure_cache(directory=cache_dir)
     specs = [SPEC_REGISTRY[key](SCALE) for key in sorted(SPEC_REGISTRY)]
     started = time.perf_counter()
@@ -101,9 +101,8 @@ def run_compiled(cache_dir: str, workers: int) -> dict:
         "warm_seconds": report.warm_seconds,
         "finalize_seconds": report.finalize_seconds,
         "points_executed": report.points_executed,
-        "scattered_entries": report.scattered_entries,
         "replay_cache_satisfied": replay_program.stats.cache_satisfied,
-        "replay_merged_points": replay_program.stats.merged_points,
+        "replay_unique_points": replay_program.stats.unique_points,
         "replay_backend_runs": backend_run_count() - runs_before,
         "replay_points_executed": replay.points_executed,
     }
@@ -143,11 +142,10 @@ def measure(workers: int) -> dict:
         "required_speedup_x": required_speedup(os.cpu_count() or 1),
         "speedup_tiers": [list(tier) for tier in SPEEDUP_TIERS],
         "declared_points": stats.declared_points,
-        "merged_points": stats.merged_points,
+        "unique_points": stats.unique_points,
         "points_executed": compiled["points_executed"],
-        "scattered_entries": compiled["scattered_entries"],
         "replay_cache_satisfied": compiled["replay_cache_satisfied"],
-        "replay_merged_points": compiled["replay_merged_points"],
+        "replay_unique_points": compiled["replay_unique_points"],
         "replay_backend_runs": compiled["replay_backend_runs"],
         "replay_points_executed": compiled["replay_points_executed"],
         "mismatched_experiments": mismatched,
@@ -165,11 +163,11 @@ def assert_gates(payload: dict) -> None:
         f"{payload['failed_checks']}"
     )
     assert (
-        payload["replay_cache_satisfied"] == payload["replay_merged_points"]
+        payload["replay_cache_satisfied"] == payload["replay_unique_points"]
     ), (
-        f"warm recompile must mark every point cache-satisfied "
+        f"warm recompile must mark every unique point cache-satisfied "
         f"({payload['replay_cache_satisfied']}/"
-        f"{payload['replay_merged_points']})"
+        f"{payload['replay_unique_points']})"
     )
     assert payload["replay_backend_runs"] == 0, (
         f"warm replay must perform zero backend runs, did "
@@ -215,7 +213,7 @@ def main(argv=None) -> int:
         f"experiment-compile gates OK: {payload['speedup_x']}x vs the "
         f"sequential loop (floor {payload['required_speedup_x']}x at "
         f"{payload['cpu_count']} cores), {payload['declared_points']} "
-        f"declared -> {payload['merged_points']} merged points, warm "
+        f"declared -> {payload['unique_points']} unique points, warm "
         f"replay 100% cache-satisfied with 0 backend runs"
     )
     return 0

@@ -8,9 +8,9 @@ from PR to PR.  The acceptance floor — the ``batched`` backend at least
 the JSON (typically two to three orders of magnitude).
 
 Timing runs bypass the result cache (``cache=False``): a cached replay
-would measure the cache, not the backend.  The sweep-compilation
-companion lives in ``bench_sweep_compile.py``; both write disjoint
-sections of the shared JSON record.
+would measure the cache, not the backend.  Other benchmarks write
+their own sections of the shared JSON record through
+:func:`update_record`.
 """
 
 from __future__ import annotations

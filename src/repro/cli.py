@@ -920,15 +920,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_parser.add_argument(
         "--workers", type=int, default=1,
-        help="fused-program submission and finalization parallelism",
+        help="worker processes for the compiled report's point "
+             "simulation and per-experiment finalization",
     )
     report_parser.add_argument(
         "--output", default="", help="write the markdown report here"
     )
     report_parser.add_argument(
         "--no-compile", action="store_true",
-        help="bypass the experiment compiler and run each experiment "
-             "sequentially (byte-identical report, slower)",
+        help="run each experiment in turn instead of through the "
+             "experiment compiler (byte-identical report)",
     )
     report_parser.set_defaults(func=_cmd_report)
 

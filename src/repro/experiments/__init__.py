@@ -11,8 +11,8 @@ experiment:
 * ``spec(scale) -> ExperimentSpec`` — the experiment as data
   (:data:`SPEC_REGISTRY`): declared simulation sweeps plus an analysis
   pass, which is what the experiment compiler
-  (:mod:`repro.experiments.compiler`) merges, dedups, and executes as
-  one fused program.  ``run`` is defined as the uncompiled execution of
+  (:mod:`repro.experiments.compiler`) binds, dedups, and executes as
+  one program.  ``run`` is defined as the uncompiled execution of
   ``spec``, so the two views can never drift apart.
 
 ``python -m repro.experiments`` regenerates EXPERIMENTS.md content

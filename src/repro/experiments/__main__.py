@@ -8,12 +8,14 @@ Usage::
 Prints every experiment's table and check results; with ``--output``
 also writes the full markdown report.  ``--compile`` routes the whole
 selection through the experiment compiler
-(:mod:`repro.experiments.compiler`): every declared sweep grid is
-merged and dedup'd across experiments, executed as one fused program
-through the job layer, and the experiments are finalized in parallel
-worker processes — producing a byte-identical report, faster.  Without
-``--compile``, ``--workers N`` forwards to the experiments whose
-declared sweeps shard grid points across worker processes.
+(:mod:`repro.experiments.compiler`): every declared grid point is bound
+to its request, exact repeats and cached points are dropped, the rest
+run through the job layer one job per point, and with ``--workers N``
+the experiments are finalized in parallel worker processes.  The
+report is byte-identical either way; the gain is the parallel
+finalization, so at one worker the two paths take about the same time.
+Without ``--compile``, ``--workers N`` forwards to the experiments
+whose declared sweeps shard grid points across worker processes.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def generate_report(
 
     Returns ``(report, n_failed_checks)``, or ``None`` when ``only``
     matches nothing.  ``compiled=True`` executes through the experiment
-    compiler (merged IR, fused jobs, parallel finalization);
+    compiler (dedup'd points, one job each, parallel finalization);
     ``compiled=False`` runs each experiment sequentially.  Both paths
     assemble the report with :func:`_render_section`, so their output
     is byte-identical for the same ``(scale, seed)``.
@@ -107,10 +109,9 @@ def generate_report(
         echo(f"[compile] {program.stats.summary()}")
         report = execute_program(program, workers=workers, on_progress=echo)
         echo(
-            f"[compile] simulated {report.points_executed} fused points in "
-            f"{report.warm_seconds:.1f}s, scattered {report.scattered_entries} "
-            f"subscriber entries, finalized {len(report.results)} experiments "
-            f"in {report.finalize_seconds:.1f}s"
+            f"[compile] simulated {report.points_executed} points in "
+            f"{report.warm_seconds:.1f}s, finalized {len(report.results)} "
+            f"experiments in {report.finalize_seconds:.1f}s"
         )
         results = report.results
         for key in sorted(results):
@@ -144,13 +145,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output", default="", help="write the markdown report here")
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes (sweep sharding; with --compile, the "
-        "fused program's submission and finalization parallelism)",
+        help="worker processes (sweep sharding; with --compile, point "
+        "simulation and per-experiment finalization)",
     )
     parser.add_argument(
         "--compile", action="store_true", dest="compiled",
-        help="execute through the experiment compiler (merged grids, "
-        "fused jobs, parallel finalization; byte-identical report)",
+        help="execute through the experiment compiler (dedup'd points, "
+        "one job each, parallel finalization; byte-identical report)",
     )
     args = parser.parse_args(argv)
 

@@ -1,53 +1,31 @@
-"""Experiment compiler: declarative specs -> merged IR -> fused plans.
+"""Experiment compiler: declarative specs -> unique points -> one run.
 
-The sixteen experiment modules used to be sixteen hand-rolled scripts:
-each built its own :class:`~repro.sim.runner.Sweep`, re-simulated its
-own grid points, and ran strictly after the previous one.  This module
-splits that monolith into the classic three compiler stages (the same
-front / IR / backend shape AutoSketch uses for sketch compilation):
+Every experiment module exports ``spec(scale) -> ExperimentSpec``: the
+experiment's simulation workload as data (:class:`SweepSpec` — request
+factory x parameter grid x trial count x seed-key address) plus an
+``analyze`` callback that turns executed rows into the experiment's
+:class:`ExperimentResult` (tables, checks, notes).
+:func:`execute_spec` is the *uncompiled* executor: it runs each sweep
+through its :class:`~repro.sim.runner.Sweep`, then analyzes.
 
-**Front end — declarative specs.**  Every experiment module exports
-``spec(scale) -> ExperimentSpec``: the experiment's simulation workload
-as data (:class:`SweepSpec` — request factory x parameter grid x trial
-count x seed-key address) plus an ``analyze`` callback that turns
-executed rows into the experiment's :class:`ExperimentResult` (tables,
-checks, notes).  :func:`execute_spec` is the *uncompiled* executor: it
-runs each sweep through the exact :class:`~repro.sim.runner.Sweep`
-invocation the historical ``run()`` used — same trial form, grid order,
-trial count, seed keys — so ``run()`` delegating to it is bit-identical
-to the pre-compiler behaviour.
+The compiled path does four things:
 
-**IR — canonical points, merged across experiments.**
-:func:`compile_program` binds every (sweep, grid point) to its concrete
-:class:`~repro.sim.backends.base.SimulationRequest` and canonicalizes
-it to a ``(family/params/seed-address fingerprint, backend)`` key with
-the trial count normalized out.  Points that agree on the key — within
-one experiment or across experiments — merge into one
-:class:`MergedPoint` whose trial count is the *max* over subscribers,
-so one simulation serves every subscriber.  Trial-count merging is only
-legal for **trial-addressed** backends (``reference``,
-``closed_form``), whose trial ``t`` depends only on its own
-``derive_seed`` address — a prefix of a longer run is bit-identical to
-a shorter run.  Stream-anchored backends (``batched``, ``accelerator``)
-pool a request's trials into one stream shaped by the batch size, so
-their points merge only at exactly equal trial counts (where the merge
-is the identity the content-addressed cache already provides).  Points
-whose merged request is already satisfied by the cache are marked and
-never re-executed.
-
-**Backend — lowered fused execution.**  :func:`execute_program` asks
-:func:`repro.sim.selector.plan_request` for each surviving point (the
-backend pinned to the static resolution the uncompiled sweep path uses,
-and stream-anchored backends clamped to one shard, so cache entries and
-outcome streams line up bit-for-bit), submits all points concurrently
-through :meth:`repro.sim.jobs.JobManager.run_many`, and scatters each
-merged result back into every subscriber's row space: the subscriber's
-own request entry is stored in the cache (a trial prefix of the merged
-outcomes where trial counts differ).  Finalization then runs every
-experiment's ``analyze`` over :func:`execute_spec` — whose sweep
-lookups now hit the warmed cache with zero re-simulation — in a worker
-process per experiment when ``workers > 1``, which is what parallelizes
-the bespoke (non-sweep) analysis work across cores.
+1. **bind** — :func:`compile_program` turns every (sweep, grid point)
+   into its concrete :class:`~repro.sim.backends.base.SimulationRequest`
+   under the sweep's seed addressing;
+2. **dedup** — exact repeats (same request, same cache backend) collapse
+   to one :class:`ProgramPoint`, and points the content-addressed cache
+   already holds are marked and never re-executed;
+3. **run** — :func:`execute_program` submits the remaining points
+   through :meth:`repro.sim.jobs.JobManager.run_many`, one job per point
+   with ``workers=1`` — the layout :class:`~repro.sim.runner.SweepJob`
+   uses — so every outcome stream and cache entry is the uncompiled
+   one by construction;
+4. **finalize** — every experiment's ``analyze`` runs over
+   :func:`execute_spec`, whose sweep lookups now hit the warmed cache
+   with zero re-simulation, in a worker process per experiment when
+   ``workers > 1`` (which is what spreads the bespoke, non-sweep
+   analysis work across cores).
 
 The compiled and uncompiled paths therefore produce byte-identical
 ``ExperimentResult`` sections; ``python -m repro.experiments --compile``
@@ -58,16 +36,8 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
 from repro.experiments.base import ExperimentResult, check_scale
@@ -81,15 +51,13 @@ from repro.sim.cache import (
 )
 from repro.sim.jobs import get_manager
 from repro.sim.runner import ExperimentRow, SimulationTrial, Sweep
-from repro.sim.selector import load_profile, plan_request
 
 __all__ = [
     "SweepSpec",
     "ExperimentSpec",
     "SpecContext",
     "execute_spec",
-    "MergedPoint",
-    "Subscriber",
+    "ProgramPoint",
     "CompileStats",
     "CompiledProgram",
     "compile_program",
@@ -107,8 +75,8 @@ class SweepSpec:
 
     The spec is seed-free and worker-free — execution binds the master
     seed and worker count, so the same spec can be executed uncompiled
-    (:func:`execute_spec`) or lowered through the IR
-    (:func:`compile_program`) with identical addressing: trial ``t`` of
+    (:func:`execute_spec`) or bound by :func:`compile_program` with
+    identical addressing: trial ``t`` of
     grid point ``i`` always draws from ``derive_seed(seed, *seed_keys,
     i, t)``.
     """
@@ -187,10 +155,8 @@ def execute_spec(
 ) -> ExperimentResult:
     """The uncompiled executor: run declared sweeps, then analyze.
 
-    Each sweep executes through the exact :class:`Sweep` invocation the
-    historical per-experiment ``run()`` performed, in declaration
-    order, so results are bit-identical to the pre-spec behaviour.
-    After a compiled program has warmed the result cache, the same
+    Each sweep executes through its :class:`Sweep`, in declaration
+    order.  After a compiled program has warmed the result cache, the same
     lookups are served without simulating — which is how the compiled
     path reuses this function for finalization.
     """
@@ -204,37 +170,20 @@ def execute_spec(
     return spec.analyze(context)
 
 
-# -- IR: canonical point keys, merged across experiments ------------------
-
-
-@dataclass(frozen=True)
-class Subscriber:
-    """One (experiment, sweep, grid point) consuming a merged point."""
-
-    experiment_id: str
-    sweep_name: str
-    point_index: int
-    trials: int
-    request: SimulationRequest
+# -- bind and dedup -------------------------------------------------------
 
 
 @dataclass
-class MergedPoint:
+class ProgramPoint:
     """One unique simulation the program must provide.
 
-    ``request`` carries the max trial count over subscribers;
-    ``trial_addressed`` records whether the resolved backend derives
-    each trial from its own seed address (prefix-stable), which is the
-    legality condition for cross-trial-count merging and for scattering
-    trial prefixes back to smaller subscribers.
+    ``backend`` is the declaring sweep's backend name, submitted as is;
+    ``cache_backend`` is the cache namespace it resolves to.
     """
 
     request: SimulationRequest
     backend: str
-    resolved_name: str
     cache_backend: str
-    trial_addressed: bool
-    subscribers: List[Subscriber] = field(default_factory=list)
     cache_satisfied: bool = False
 
     @property
@@ -244,10 +193,10 @@ class MergedPoint:
 
 @dataclass(frozen=True)
 class CompileStats:
-    """What the IR pass did to the declared workload."""
+    """What binding and dedup did to the declared workload."""
 
     declared_points: int
-    merged_points: int
+    unique_points: int
     cache_satisfied: int
     trials_declared: int
     trials_to_run: int
@@ -255,7 +204,7 @@ class CompileStats:
 
     @property
     def to_run(self) -> int:
-        return self.merged_points - self.cache_satisfied
+        return self.unique_points - self.cache_satisfied
 
     def summary(self) -> str:
         families = ", ".join(
@@ -264,7 +213,7 @@ class CompileStats:
         )
         return (
             f"{self.declared_points} declared points -> "
-            f"{self.merged_points} unique -> {self.cache_satisfied} cached "
+            f"{self.unique_points} unique -> {self.cache_satisfied} cached "
             f"-> {self.to_run} to run "
             f"({self.trials_to_run}/{self.trials_declared} trials; {families})"
         )
@@ -272,48 +221,31 @@ class CompileStats:
 
 @dataclass
 class CompiledProgram:
-    """The IR: merged points grouped per family, plus provenance."""
+    """The bound, dedup'd points of a set of specs, plus provenance."""
 
     scale: str
     seed: int
     specs: List[ExperimentSpec]
-    points: List[MergedPoint]
+    points: List[ProgramPoint]
     stats: CompileStats
 
-    def points_to_run(self) -> List[MergedPoint]:
+    def points_to_run(self) -> List[ProgramPoint]:
         return [point for point in self.points if not point.cache_satisfied]
-
-
-def _canonical_key(
-    request: SimulationRequest, cache_backend: str, trial_addressed: bool
-) -> Tuple:
-    """The merge identity of one bound grid point.
-
-    The fingerprint is taken with ``n_trials`` normalized to 1 so that
-    points differing only in repetition count collide; for backends
-    whose stream is anchored to the whole batch the real trial count is
-    appended, restricting the merge to exact repeats.
-    """
-    canonical = request_fingerprint(replace(request, n_trials=1))
-    if trial_addressed:
-        return (canonical, cache_backend)
-    return (canonical, cache_backend, request.n_trials)
 
 
 def compile_program(
     specs: Sequence[ExperimentSpec], scale: str, seed: int
 ) -> CompiledProgram:
-    """IR pass: canonicalize, merge across experiments, dedup vs cache.
+    """Bind every declared point to its request; drop repeats and hits.
 
-    Every declared (sweep, point) becomes a :class:`Subscriber` of
-    exactly one :class:`MergedPoint`; merged trial counts are the max
-    over subscribers.  Points whose merged request the content-addressed
-    cache already satisfies are marked ``cache_satisfied`` and will not
-    be executed (their subscribers are still scattered).
+    A point repeats another when its request fingerprint (trial count
+    included) and cache backend are equal, so the two would read and
+    write the same cache entry.  Points the cache already satisfies are
+    marked ``cache_satisfied`` and will not be executed.
     """
     check_scale(scale)
     cache = get_cache() if cache_enabled() else None
-    merged: Dict[Tuple, MergedPoint] = {}
+    unique: Dict[Tuple[str, str], ProgramPoint] = {}
     declared = 0
     trials_declared = 0
     for spec in specs:
@@ -322,52 +254,30 @@ def compile_program(
                 # A sweep that opts out of the cache has no channel to
                 # receive pre-warmed results; leave it to finalization.
                 continue
-            for index, request in enumerate(sweep_spec.bound_requests(seed)):
+            backend = sweep_spec.trial.backend
+            for request in sweep_spec.bound_requests(seed):
                 declared += 1
                 trials_declared += request.n_trials
-                resolved = resolve_backend(request, sweep_spec.trial.backend)
-                key = _canonical_key(
-                    request, resolved.cache_name(), resolved.trial_addressed
-                )
-                subscriber = Subscriber(
-                    experiment_id=spec.experiment_id,
-                    sweep_name=sweep_spec.name,
-                    point_index=index,
-                    trials=request.n_trials,
-                    request=request,
-                )
-                point = merged.get(key)
-                if point is None:
-                    merged[key] = MergedPoint(
-                        request=request,
-                        backend=sweep_spec.trial.backend,
-                        resolved_name=resolved.name,
-                        cache_backend=resolved.cache_name(),
-                        trial_addressed=resolved.trial_addressed,
-                        subscribers=[subscriber],
-                    )
-                else:
-                    if request.n_trials > point.request.n_trials:
-                        point.request = request  # max trial count wins
-                    point.subscribers.append(subscriber)
-    points = list(merged.values())
-    satisfied = 0
-    if cache is not None:
-        for point in points:
-            if cache.lookup(point.request, point.cache_backend) is not None:
-                point.cache_satisfied = True
-                satisfied += 1
+                cache_backend = resolve_backend(request, backend).cache_name()
+                key = (request_fingerprint(request), cache_backend)
+                if key not in unique:
+                    unique[key] = ProgramPoint(request, backend, cache_backend)
+    points = list(unique.values())
     by_family: Dict[str, int] = {}
     trials_to_run = 0
     for point in points:
+        if cache is not None:
+            point.cache_satisfied = (
+                cache.lookup(point.request, point.cache_backend) is not None
+            )
         if point.cache_satisfied:
             continue
         by_family[point.family] = by_family.get(point.family, 0) + 1
         trials_to_run += point.request.n_trials
     stats = CompileStats(
         declared_points=declared,
-        merged_points=len(points),
-        cache_satisfied=satisfied,
+        unique_points=len(points),
+        cache_satisfied=sum(point.cache_satisfied for point in points),
         trials_declared=trials_declared,
         trials_to_run=trials_to_run,
         points_by_family=by_family,
@@ -377,7 +287,7 @@ def compile_program(
     )
 
 
-# -- backend: lowering and fused execution --------------------------------
+# -- run and finalize -----------------------------------------------------
 
 
 @dataclass
@@ -387,7 +297,6 @@ class ProgramReport:
     results: Dict[str, ExperimentResult]
     stats: CompileStats
     points_executed: int
-    scattered_entries: int
     warm_seconds: float
     finalize_seconds: float
 
@@ -412,83 +321,41 @@ def _finalize_experiment(
     return execute_spec(spec, scale, seed)
 
 
-def _plan_point(point: MergedPoint, workers: int, profile):
-    """Lower one merged point to its execution plan.
-
-    The backend is pinned to the static resolution the uncompiled sweep
-    path uses (the cost model only plans the shard layout), and
-    non-trial-addressed backends are clamped to a single shard — the
-    layout :class:`~repro.sim.runner.SweepJob` executes — so the
-    outcome stream, and therefore every cache entry and table value,
-    is bit-identical to the uncompiled path.
-    """
-    plan = plan_request(
-        point.request,
-        backend=point.resolved_name,
-        workers=workers,
-        profile=profile,
-    )
-    if not point.trial_addressed and plan.n_shards != 1:
-        plan = replace(plan, n_shards=1, workers=1)
-    return plan
-
-
 def execute_program(
     program: CompiledProgram,
     workers: int = 1,
     on_progress: Optional[Callable[[str], None]] = None,
 ) -> ProgramReport:
-    """Execute the IR: fused simulation, scatter, parallel finalize."""
+    """Run the program's uncached points, then finalize every experiment."""
     say = on_progress or (lambda message: None)
     cache = get_cache() if cache_enabled() else None
-    manager = get_manager()
     started = time.perf_counter()
     executed = 0
-    scattered = 0
 
     if cache is not None:
         to_run = program.points_to_run()
-        profile = load_profile()
-        plans = [_plan_point(point, workers, profile) for point in to_run]
         if to_run:
             say(
-                f"simulating {len(to_run)} fused points "
+                f"simulating {len(to_run)} points "
                 f"({program.stats.trials_to_run} trials) "
                 f"across {workers} worker(s)"
             )
-        manager.run_many(
-            [point.request for point in to_run],
-            plans=plans,
-            run_in_pool=workers > 1,
-            pool_size=workers,
-            max_in_flight=max(2 * workers, 2),
-            ledger=False,
-        )
+        # Each point goes in under its sweep's own backend name, as
+        # SweepJob submits it, so run_many is called once per name.
+        by_backend: Dict[str, List[SimulationRequest]] = {}
+        for point in to_run:
+            by_backend.setdefault(point.backend, []).append(point.request)
+        manager = get_manager()
+        for backend, requests in by_backend.items():
+            manager.run_many(
+                requests,
+                backend=backend,
+                run_in_pool=workers > 1,
+                pool_size=workers,
+                max_in_flight=max(2 * workers, 2),
+                ledger=False,
+            )
         executed = len(to_run)
-        # Scatter: store each subscriber's own request entry so the
-        # finalization sweeps hit the cache under their native keys.
-        for point in program.points:
-            prefixes = [
-                subscriber
-                for subscriber in point.subscribers
-                if subscriber.trials < point.request.n_trials
-            ]
-            if not prefixes:
-                continue
-            outcomes = cache.lookup(point.request, point.cache_backend)
-            if outcomes is None:
-                continue  # cache degraded mid-run; finalize re-simulates
-            for subscriber in prefixes:
-                if (
-                    cache.lookup(subscriber.request, point.cache_backend)
-                    is None
-                ):
-                    cache.store(
-                        subscriber.request,
-                        point.cache_backend,
-                        tuple(outcomes[: subscriber.trials]),
-                    )
-                    scattered += 1
     warm_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -520,7 +387,6 @@ def execute_program(
         results=results,
         stats=program.stats,
         points_executed=executed,
-        scattered_entries=scattered,
         warm_seconds=warm_seconds,
         finalize_seconds=finalize_seconds,
     )

@@ -11,9 +11,9 @@ over ``n`` at fixed ``D`` (the speed-up curve, which should track
 
 The experiment is declared as an :class:`ExperimentSpec` — the sweeps
 as data, the table/check construction as the ``analyze`` pass — so the
-experiment compiler can merge its grid points with every other
-experiment's and execute one fused program; ``run()`` executes the same
-spec uncompiled.
+experiment compiler can dedup its grid points against every other
+experiment's and execute them as one program; ``run()`` executes the
+same spec uncompiled.
 """
 
 from __future__ import annotations

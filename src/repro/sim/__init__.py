@@ -77,7 +77,6 @@ from repro.sim.runner import (
     Sweep,
     SweepJob,
     SweepProgress,
-    SweepShard,
     censored_moves,
     rows_to_markdown,
 )
@@ -155,7 +154,6 @@ __all__ = [
     "Sweep",
     "SweepJob",
     "SweepProgress",
-    "SweepShard",
     "censored_moves",
     "rows_to_markdown",
     "Estimate",

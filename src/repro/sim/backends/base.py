@@ -278,15 +278,6 @@ class SimulationBackend(ABC):
     #: Registry key; subclasses override.
     name: str = "abstract"
 
-    #: Whether trial ``t`` of a request draws only from its own
-    #: ``derive_seed`` address, independent of ``n_trials`` and shard
-    #: layout.  When True, a trial prefix of a longer run is
-    #: bit-identical to a standalone shorter run, which is what lets
-    #: the experiment compiler merge grid points across different trial
-    #: counts.  Stream-anchored backends (batched kernels pool a
-    #: request's trials into one generator) leave this False.
-    trial_addressed: bool = False
-
     @abstractmethod
     def supports(self, request: SimulationRequest) -> bool:
         """Whether this backend can serve ``request`` faithfully."""

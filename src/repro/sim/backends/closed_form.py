@@ -107,7 +107,6 @@ class ClosedFormBackend(SimulationBackend):
     """Dispatch to the closed-form ``fast_*`` simulators, one trial at a time."""
 
     name = "closed_form"
-    trial_addressed = True
 
     def supports(self, request: SimulationRequest) -> bool:
         return self.support_reason(request) is None

@@ -22,7 +22,6 @@ class ReferenceBackend(SimulationBackend):
     """Per-trial execution on :class:`~repro.sim.engine.SearchEngine`."""
 
     name = "reference"
-    trial_addressed = True
 
     def supports(self, request: SimulationRequest) -> bool:
         try:

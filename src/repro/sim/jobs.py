@@ -980,7 +980,6 @@ class JobManager:
     def run_many(
         self,
         requests: Sequence[SimulationRequest],
-        plans: Optional[Sequence[Optional[SimulationPlan]]] = None,
         backend: str = AUTO,
         run_in_pool: bool = False,
         pool_size: Optional[int] = None,
@@ -990,19 +989,12 @@ class JobManager:
     ) -> List[SimulationResult]:
         """Submit many requests with bounded concurrency; collect in order.
 
-        The experiment compiler's lowering pass uses this to execute a
-        whole fused program: at most ``max_in_flight`` jobs are live at
-        once (window 1 degenerates to strictly sequential execution),
-        each optionally carrying its own :class:`SimulationPlan` from
-        ``plans`` (parallel list, ``None`` entries fall back to
-        ``backend``).  Results come back in request order; the first
-        failure cancels the not-yet-collected tail and re-raises.
+        The experiment compiler uses this to execute a whole program:
+        at most ``max_in_flight`` single-shard jobs are live at once
+        (window 1 degenerates to strictly sequential execution).
+        Results come back in request order; the first failure cancels
+        the not-yet-collected tail and re-raises.
         """
-        if plans is not None and len(plans) != len(requests):
-            raise InvalidParameterError(
-                f"plans must parallel requests: "
-                f"{len(plans)} plans for {len(requests)} requests"
-            )
         if max_in_flight < 1:
             raise InvalidParameterError(
                 f"max_in_flight must be >= 1, got {max_in_flight}"
@@ -1016,16 +1008,14 @@ class JobManager:
                     submitted < len(requests)
                     and submitted < len(results) + max_in_flight
                 ):
-                    plan = plans[submitted] if plans is not None else None
                     jobs.append(
                         self.submit(
                             requests[submitted],
-                            backend=backend if plan is None else AUTO,
+                            backend=backend,
                             cache=cache,
                             run_in_pool=run_in_pool,
                             pool_size=pool_size,
                             ledger=ledger,
-                            plan=plan,
                         )
                     )
                     submitted += 1

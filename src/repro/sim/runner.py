@@ -1,26 +1,18 @@
 """Experiment sweeps: parameter grids, repetitions, tables.
 
 The benchmark harness and EXPERIMENTS.md both consume this module: a
-:class:`Sweep` runs a trial over a parameter grid x trials square,
-aggregates each grid point into an :class:`ExperimentRow`, and
-:func:`rows_to_markdown` renders the tables recorded in
-EXPERIMENTS.md.
+:class:`Sweep` runs a :class:`SimulationTrial` — a SimulationRequest
+factory — over a parameter grid, aggregates each grid point into an
+:class:`ExperimentRow`, and :func:`rows_to_markdown` renders the tables
+recorded in EXPERIMENTS.md.
 
-Two trial forms exist, with two execution strategies:
+Each grid point becomes **one** backend call, submitted as a child job
+of the process-wide :class:`~repro.sim.jobs.JobManager` (whole points —
+not individual trials — run in parallel worker processes with
+``workers=N``).  Each call also passes through the content-addressed
+result cache, so repeated points and re-run sweeps simulate nothing.
 
-* a plain ``trial(params, rng) -> float`` callable is compiled into
-  :class:`SweepShard` trial slices — serially, or sharded across a
-  :class:`~concurrent.futures.ProcessPoolExecutor` with ``workers=N``;
-* a :class:`SimulationTrial` declares that the trial is *really a
-  SimulationRequest factory*; the sweep then compiles each grid point
-  into **one** batched backend call, submitted as a child job of the
-  process-wide :class:`~repro.sim.jobs.JobManager` (whole points — not
-  individual trials — run in parallel worker processes).  Each
-  compiled call also passes through the content-addressed result
-  cache, so repeated points and re-run sweeps simulate nothing.
-
-Compiled sweeps can also run *asynchronously*: :meth:`Sweep.submit`
-returns a :class:`SweepJob` handle streaming
+:meth:`Sweep.submit` returns a :class:`SweepJob` handle streaming
 :class:`ExperimentRow` objects as grid points complete
 (:meth:`SweepJob.iter_rows`), reporting live point/trial progress
 (:meth:`SweepJob.progress`), and supporting cancellation.  Because
@@ -30,19 +22,16 @@ points on resubmission — zero re-simulation, proven by
 :func:`repro.sim.jobs.backend_run_count`.
 
 Trial ``t`` of point ``i`` always draws from ``derive_seed(seed,
-*seed_keys, i, t)`` regardless of trial form, job partitioning, or
-worker count — for per-trial execution (plain functions, or compiled
-points on a per-trial backend) runs therefore reproduce the serial
-rows bit for bit; compiled points on the ``batched`` backend pool the
-point's trials into one stream anchored at trial 0's address and are
-equal in distribution instead.
+*seed_keys, i, t)`` regardless of worker count — on a per-trial
+backend (``reference``, ``closed_form``) runs therefore reproduce the
+serial rows bit for bit; on the ``batched`` backend a point's trials
+pool into one stream anchored at trial 0's address and are equal in
+distribution instead.
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
@@ -54,10 +43,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
-
-import numpy as np
 
 from repro.errors import InvalidParameterError, JobCancelledError
 from repro.sim.backends.base import SimulationRequest
@@ -69,16 +55,14 @@ from repro.sim.jobs import (
     get_manager,
 )
 from repro.sim.metrics import SearchOutcome
-from repro.sim.rng import derive_seed
 from repro.sim.stats import Estimate, mean_ci
 
-TrialFunction = Callable[[Mapping[str, object], np.random.Generator], float]
 RequestFactory = Callable[[Mapping[str, object]], SimulationRequest]
 OutcomeMetric = Callable[[SearchOutcome], float]
 
 
 def censored_moves(outcome: SearchOutcome) -> float:
-    """The default compiled-sweep metric: per-trial ``moves_or_budget``."""
+    """The default sweep metric: per-trial ``moves_or_budget``."""
     return float(outcome.moves_or_budget)
 
 
@@ -96,9 +80,10 @@ class SimulationTrial:
 
     ``backend`` defaults to ``"auto"``, which resolves trial batches to
     the vectorized ``batched`` backend for every algorithm it covers;
-    name a per-trial backend (``closed_form``, ``reference``) to keep
-    the historical bit-exact per-trial streams.  ``cache`` forwards to
-    :func:`repro.sim.simulate` (``None`` = process default).
+    name a per-trial backend (``closed_form``, ``reference``) for
+    streams addressed trial by trial, bit-exact across worker counts.
+    ``cache`` forwards to :func:`repro.sim.simulate` (``None`` =
+    process default).
     """
 
     factory: RequestFactory
@@ -121,45 +106,6 @@ class ExperimentRow:
 
 
 @dataclass(frozen=True)
-class SweepShard:
-    """One executable shard of a sweep: a trial slice of one grid point."""
-
-    point_index: int
-    params: Dict[str, object]
-    trial_start: int
-    trial_count: int
-
-    @property
-    def trial_indices(self) -> range:
-        """The trial indices this shard covers."""
-        return range(self.trial_start, self.trial_start + self.trial_count)
-
-
-def _execute_job(
-    trial: TrialFunction, job: SweepShard, seed: int, seed_keys: Tuple[int, ...]
-) -> Tuple[int, int, List[float]]:
-    """Run one job; also the worker-process entry point.
-
-    The per-trial stream is derived from the trial's *global* address
-    ``(seed, *seed_keys, point_index, trial_index)``, never from the
-    job boundaries, which is what makes any partitioning reproduce the
-    serial samples.
-    """
-    samples = [
-        float(
-            trial(
-                job.params,
-                np.random.default_rng(
-                    derive_seed(seed, *seed_keys, job.point_index, t)
-                ),
-            )
-        )
-        for t in job.trial_indices
-    ]
-    return job.point_index, job.trial_start, samples
-
-
-@dataclass(frozen=True)
 class SweepProgress:
     """A snapshot of a submitted sweep's completion state."""
 
@@ -178,7 +124,7 @@ class SweepProgress:
 
 
 class SweepJob:
-    """Handle for a submitted compiled sweep.
+    """Handle for a submitted sweep.
 
     Created by :meth:`Sweep.submit`.  Each grid point runs as a child
     :class:`~repro.sim.jobs.SimulationJob` of the process-wide
@@ -377,15 +323,14 @@ class SweepJob:
 
 
 class Sweep:
-    """Run a trial over a parameter grid, trials times per point.
+    """Run a simulation trial over a parameter grid, trials times per point.
 
     Parameters
     ----------
     trial:
-        Either ``trial(params, rng) -> float`` — one measurement,
-        drawing all randomness from ``rng`` — or a
-        :class:`SimulationTrial`, in which case each grid point is
-        compiled into a single batched :func:`repro.sim.simulate` call.
+        A :class:`SimulationTrial`; each grid point is compiled into a
+        single batched :func:`repro.sim.simulate` call.  Anything else
+        raises :class:`~repro.errors.InvalidParameterError`.
     grid:
         Sequence of parameter dictionaries (one per grid point).  Use
         :func:`grid_product` to build Cartesian grids.
@@ -397,17 +342,10 @@ class Sweep:
         trial is reproducible in isolation.
     workers:
         Number of worker processes.  ``1`` (default) executes in
-        process; ``N > 1`` shards the compiled shards (plain trials) or
-        whole grid points (simulation trials) across the job manager's
-        process pool.  Rows are bit-identical either way for per-trial
-        execution.  Plain trial functions that cannot be pickled
-        (lambdas, closures) silently fall back to the serial path;
-        compiled sweeps ship only the requests, so any factory works
-        in parallel.
-    job_size:
-        Trials per compiled job (plain trials only).  Defaults to the
-        whole point serially or to balanced shards (4 jobs per worker)
-        when parallel.
+        process; ``N > 1`` runs whole grid points across the job
+        manager's process pool.  Only the requests cross the process
+        boundary, so any factory works in parallel, and rows on a
+        per-trial backend are bit-identical either way.
     seed_keys:
         Optional address prefix, letting several sweeps share one
         master seed without stream collisions (point ``i`` of a sweep
@@ -416,79 +354,37 @@ class Sweep:
 
     def __init__(
         self,
-        trial: Union[TrialFunction, SimulationTrial],
+        trial: SimulationTrial,
         grid: Sequence[Mapping[str, object]],
         trials: int,
         seed: int,
         workers: int = 1,
-        job_size: Optional[int] = None,
         seed_keys: Tuple[int, ...] = (),
     ) -> None:
+        if not isinstance(trial, SimulationTrial):
+            raise InvalidParameterError(
+                f"Sweep needs a SimulationTrial, got {type(trial).__name__}"
+            )
         if trials < 1:
             raise InvalidParameterError(f"trials must be >= 1, got {trials}")
         if not grid:
             raise InvalidParameterError("grid must contain at least one point")
         if workers < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-        if job_size is not None and job_size < 1:
-            raise InvalidParameterError(f"job_size must be >= 1, got {job_size}")
         self._trial = trial
         self._grid = [dict(point) for point in grid]
         self._trials = trials
         self._seed = seed
         self._workers = workers
-        self._job_size = job_size
         self._seed_keys = tuple(int(key) for key in seed_keys)
 
-    @property
-    def compiled(self) -> bool:
-        """Whether this sweep compiles points into batched simulate calls."""
-        return isinstance(self._trial, SimulationTrial)
-
-    def compile_jobs(self) -> List[SweepShard]:
-        """Compile the grid x trials square into executable shards.
-
-        A compiled (simulation-trial) sweep always produces exactly one
-        shard per grid point — the whole point is one vectorized
-        backend call.
-        """
-        if self.compiled:
-            job_size = self._trials
-        elif self._job_size is not None:
-            job_size = self._job_size
-        elif self._workers == 1:
-            job_size = self._trials
-        else:
-            # Oversplit relative to the pool so stragglers rebalance.
-            total = len(self._grid) * self._trials
-            job_size = max(1, total // (self._workers * 4) or 1)
-            job_size = min(job_size, self._trials)
-        jobs: List[SweepShard] = []
-        for point_index, params in enumerate(self._grid):
-            for trial_start in range(0, self._trials, job_size):
-                jobs.append(
-                    SweepShard(
-                        point_index=point_index,
-                        params=params,
-                        trial_start=trial_start,
-                        trial_count=min(job_size, self._trials - trial_start),
-                    )
-                )
-        return jobs
-
     def compile_requests(self) -> List[SimulationRequest]:
-        """The per-point requests a compiled sweep will execute.
+        """The per-point requests the sweep will execute.
 
         Each factory template is rebound to the sweep's addressing:
         ``n_trials`` becomes the repetition count and trial ``t`` of
-        point ``i`` draws from ``derive_seed(seed, *seed_keys, i, t)``
-        — exactly the stream the per-trial job path uses, which is what
-        keeps per-trial backends bit-identical under compilation.
+        point ``i`` draws from ``derive_seed(seed, *seed_keys, i, t)``.
         """
-        if not self.compiled:
-            raise InvalidParameterError(
-                "compile_requests() requires a SimulationTrial sweep"
-            )
         return [
             replace(
                 self._trial.factory(params),
@@ -504,23 +400,16 @@ class Sweep:
         manager: Optional[JobManager] = None,
         progress: Optional[Callable[[SweepProgress], None]] = None,
     ) -> SweepJob:
-        """Submit a compiled sweep for asynchronous execution.
+        """Submit the sweep for asynchronous execution.
 
         Returns the :class:`SweepJob` handle immediately; each grid
         point becomes a child job of ``manager`` (the process-wide one
         by default).  ``progress`` is invoked on the coordinator thread
-        after every completed point.  Plain trial-function sweeps have
-        no request representation to submit — they raise.
+        after every completed point.
         """
-        if not self.compiled:
-            raise InvalidParameterError(
-                "submit() requires a SimulationTrial sweep"
-            )
-        requests = self.compile_requests()
-        entries = list(zip(self._grid, requests))
         return SweepJob(
             trial=self._trial,
-            entries=entries,
+            entries=list(zip(self._grid, self.compile_requests())),
             trials=self._trials,
             workers=self._workers,
             manager=manager if manager is not None else get_manager(),
@@ -533,53 +422,11 @@ class Sweep:
     ) -> List[ExperimentRow]:
         """Execute the sweep and aggregate each point.
 
-        ``progress`` (compiled sweeps only) is called after each
-        completed grid point with a :class:`SweepProgress` snapshot —
-        the hook the experiment CLI's ``--watch`` uses for live
-        point-level reporting.
+        ``progress`` is called after each completed grid point with a
+        :class:`SweepProgress` snapshot — the hook the experiment CLI's
+        ``--watch`` uses for live point-level reporting.
         """
-        if self.compiled:
-            return self.submit(progress=progress).result()
-        jobs = self.compile_jobs()
-        if self._workers > 1 and self._picklable(self._trial):
-            results = self._run_parallel(jobs)
-        else:
-            results = [
-                _execute_job(self._trial, job, self._seed, self._seed_keys)
-                for job in jobs
-            ]
-        # Reassemble in (point, trial) order — jobs may complete in any
-        # order, the samples may not.
-        per_point: Dict[int, List[Tuple[int, List[float]]]] = {}
-        for point_index, trial_start, samples in results:
-            per_point.setdefault(point_index, []).append((trial_start, samples))
-        rows: List[ExperimentRow] = []
-        for point_index, params in enumerate(self._grid):
-            shards = sorted(per_point[point_index])
-            samples = [value for _, shard in shards for value in shard]
-            rows.append(ExperimentRow(params=params, estimate=mean_ci(samples)))
-        return rows
-
-    def _run_parallel(
-        self, jobs: List[SweepShard]
-    ) -> List[Tuple[int, int, List[float]]]:
-        with ProcessPoolExecutor(max_workers=self._workers) as pool:
-            futures = [
-                pool.submit(
-                    _execute_job, self._trial, job, self._seed, self._seed_keys
-                )
-                for job in jobs
-            ]
-            return [future.result() for future in futures]
-
-    @staticmethod
-    def _picklable(work: object) -> bool:
-        """Whether the trial (or factory+metric) can cross processes."""
-        try:
-            pickle.dumps(work)
-            return True
-        except Exception:
-            return False
+        return self.submit(progress=progress).result()
 
 
 def grid_product(**axes: Sequence[object]) -> List[Dict[str, object]]:

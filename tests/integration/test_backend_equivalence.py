@@ -137,11 +137,15 @@ class TestNewlyBatchedAlgorithms:
 class TestParallelSweepBitIdentity:
     def test_sweep_workers_4_reproduces_serial_reference_rows(self):
         """The acceptance criterion: parallel == serial, bit for bit."""
-        from repro.sim.runner import Sweep, grid_product
+        from repro.sim.runner import SimulationTrial, Sweep, grid_product
 
+        # Uncached, so the parallel run simulates rather than replays.
+        trial = SimulationTrial(
+            _reference_request, backend="reference", cache=False
+        )
         grid = grid_product(distance=[8, 12], n=[1, 2])
-        serial = Sweep(_reference_trial, grid, trials=3, seed=17, workers=1).run()
-        parallel = Sweep(_reference_trial, grid, trials=3, seed=17, workers=4).run()
+        serial = Sweep(trial, grid, trials=3, seed=17, workers=1).run()
+        parallel = Sweep(trial, grid, trials=3, seed=17, workers=4).run()
         for row_s, row_p in zip(serial, parallel):
             assert row_s.params == row_p.params
             assert row_s.estimate == row_p.estimate
@@ -160,17 +164,13 @@ class TestParallelSweepBitIdentity:
         ]
 
 
-def _reference_trial(params, rng):
-    """Module-level engine trial (picklable for the process pool)."""
-    from repro.core.algorithm1 import Algorithm1
-    from repro.grid.world import GridWorld
-    from repro.sim.engine import EngineConfig, SearchEngine
-
+def _reference_request(params):
+    """Request factory for the engine-backed sweep."""
     distance = int(params["distance"])
-    n_agents = int(params["n"])
-    engine = SearchEngine(EngineConfig(move_budget=100_000))
-    world = GridWorld(target=(distance, distance), distance_bound=distance)
-    outcome = engine.run(
-        Algorithm1(distance), n_agents, world, rng=rng.spawn(n_agents)
+    return SimulationRequest(
+        algorithm=AlgorithmSpec.algorithm1(distance),
+        n_agents=int(params["n"]),
+        target=(distance, distance),
+        move_budget=100_000,
+        distance_bound=distance,
     )
-    return float(outcome.moves_or_budget)

@@ -1,8 +1,8 @@
 """Compiled vs uncompiled experiment identity at smoke scale.
 
 The experiment compiler's core promise: routing an experiment through
-``compile_program`` / ``execute_program`` (merged IR, fused jobs,
-cache scatter) produces an :class:`ExperimentResult` — tables, checks,
+``compile_program`` / ``execute_program`` (dedup'd points, one job
+each, cached finalization) produces an :class:`ExperimentResult` — tables, checks,
 notes, every byte — identical to the historical sequential ``run()``.
 Each side executes against its own fresh cache directory so neither
 can borrow the other's results.
@@ -58,6 +58,30 @@ def test_compiled_report_text_byte_identical(split_caches):
     configure_cache(directory=sequential_dir)
     sequential_text, sequential_failures = generate_report(
         only="E03,E04", compiled=False, echo=silent
+    )
+
+    assert compiled_text == sequential_text
+    assert compiled_failures == sequential_failures == 0
+
+
+def test_compiled_report_at_two_workers_byte_identical(split_caches):
+    """Pooled points and pooled finalization change no byte.
+
+    E07's sweep runs on ``closed_form`` and E09's on ``batched``, so
+    both backend kinds go through the worker pool.
+    """
+    from repro.experiments.__main__ import generate_report
+
+    compiled_dir, sequential_dir = split_caches
+    silent = lambda message: None
+
+    configure_cache(directory=compiled_dir)
+    compiled_text, compiled_failures = generate_report(
+        only="E07,E09", compiled=True, workers=2, echo=silent
+    )
+    configure_cache(directory=sequential_dir)
+    sequential_text, sequential_failures = generate_report(
+        only="E07,E09", compiled=False, workers=1, echo=silent
     )
 
     assert compiled_text == sequential_text

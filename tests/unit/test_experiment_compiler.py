@@ -2,17 +2,11 @@
 
 Covers the invariants :mod:`repro.experiments.compiler` promises:
 
-* **Merge coverage** — every declared (experiment, sweep, point)
-  subscribes to exactly one merged point, within and across
-  experiments;
-* **Max-trials wins** — a merged point carries the largest trial count
-  over its subscribers, and only trial-addressed backends merge across
-  trial counts (stream-anchored backends merge at exact repeats only);
-* **Cache dedup** — points already satisfied by the content-addressed
+* **Dedup** — a point declared twice (within or across experiments)
+  runs exactly once, while points differing in seed address or trial
+  count stay apart; points already satisfied by the content-addressed
   cache are never re-executed, proven with
   :func:`repro.sim.jobs.backend_run_count`;
-* **Prefix scatter** — a subscriber with fewer trials than its merged
-  point reads rows bit-identical to a standalone uncompiled run;
 * **Selector feedback** — :func:`repro.sim.selector.observe_timing`
   EWMA-blends measured job timings into the persisted profile without
   resetting its staleness clock;
@@ -38,7 +32,7 @@ from repro.experiments.compiler import (
     execute_program,
     execute_spec,
 )
-from repro.sim.backends import AlgorithmSpec, SimulationRequest, resolve_backend
+from repro.sim.backends import AlgorithmSpec, SimulationRequest
 from repro.sim.cache import configure_cache, get_cache
 from repro.sim.jobs import backend_run_count
 from repro.sim.runner import SimulationTrial
@@ -109,49 +103,19 @@ def _spec(
     )
 
 
-def _subscriber_slots(program):
-    return [
-        (sub.experiment_id, sub.sweep_name, sub.point_index)
-        for point in program.points
-        for sub in point.subscribers
-    ]
-
-
-class TestBackendTrialAddressing:
-    def test_flags_match_the_merge_legality_story(self):
-        request = _factory({"D": 8})
-        assert resolve_backend(request, "closed_form").trial_addressed
-        assert resolve_backend(request, "reference").trial_addressed
-        assert not resolve_backend(request, "batched").trial_addressed
-
-
 class TestCanonicalMerge:
-    def test_cross_experiment_merge_max_trials_wins(self, fresh_cache):
-        program = compile_program(
-            [_spec("T01", trials=4), _spec("T02", trials=9)], "smoke", SEED
-        )
-        assert program.stats.declared_points == 2
-        assert program.stats.merged_points == 1
-        point = program.points[0]
-        assert point.request.n_trials == 9
-        assert point.trial_addressed
-        assert {s.experiment_id for s in point.subscribers} == {"T01", "T02"}
+    """Only exact repeats collapse: same request, same cache backend."""
 
-    def test_every_declared_point_subscribes_exactly_once(self, fresh_cache):
-        grid = ({"D": 8}, {"D": 16})
-        specs = [
-            _spec("T01", trials=4, grid=grid),
-            _spec("T02", trials=6, grid=grid),
-            _spec("T03", trials=4, grid=grid, seed_keys=(2,)),
-        ]
+    def test_point_declared_twice_runs_exactly_once(self, fresh_cache):
+        specs = [_spec("T01", trials=4), _spec("T02", trials=4)]
         program = compile_program(specs, "smoke", SEED)
-        slots = _subscriber_slots(program)
-        assert sorted(slots) == sorted(
-            (spec.experiment_id, "s", index)
-            for spec in specs
-            for index in range(len(grid))
-        )
-        assert len(slots) == len(set(slots)) == program.stats.declared_points
+        assert program.stats.declared_points == 2
+        assert program.stats.unique_points == 1
+        before = backend_run_count()
+        report = execute_program(program)
+        assert backend_run_count() == before + 1
+        assert report.points_executed == 1
+        assert report.results["T01"].table == report.results["T02"].table
 
     def test_distinct_seed_addresses_never_merge(self, fresh_cache):
         # Same factory and grid, different seed keys: the bound requests
@@ -161,7 +125,7 @@ class TestCanonicalMerge:
             "smoke",
             SEED,
         )
-        assert program.stats.merged_points == 2
+        assert program.stats.unique_points == 2
 
     def test_stream_anchored_backends_merge_only_exact_repeats(
         self, fresh_cache
@@ -174,7 +138,7 @@ class TestCanonicalMerge:
             "smoke",
             SEED,
         )
-        assert equal.stats.merged_points == 1
+        assert equal.stats.unique_points == 1
         unequal = compile_program(
             [
                 _spec("T01", trials=4, backend="batched"),
@@ -183,9 +147,7 @@ class TestCanonicalMerge:
             "smoke",
             SEED,
         )
-        assert unequal.stats.merged_points == 2
-        for point in unequal.points:
-            assert not point.trial_addressed
+        assert unequal.stats.unique_points == 2
 
     def test_uncached_sweeps_are_left_to_finalization(self, fresh_cache):
         spec = _spec("T01", trials=4)
@@ -218,47 +180,13 @@ class TestCacheDedup:
         assert report.points_executed == 1
 
         second = compile_program(specs, "smoke", SEED)
-        assert second.stats.cache_satisfied == second.stats.merged_points == 1
+        assert second.stats.cache_satisfied == second.stats.unique_points == 1
         assert second.stats.to_run == 0
         before = backend_run_count()
         replay = execute_program(second)
         assert backend_run_count() == before
         assert replay.points_executed == 0
         assert replay.results["T01"].checks == {"ran": True}
-
-    def test_one_merged_simulation_serves_every_subscriber(self, fresh_cache):
-        specs = [_spec("T01", trials=4), _spec("T02", trials=9)]
-        program = compile_program(specs, "smoke", SEED)
-        report = execute_program(program)
-        assert report.points_executed == 1
-        assert report.scattered_entries == 1  # T01's 4-trial prefix entry
-        # Both experiments' uncompiled executors now replay purely from
-        # cache: zero further backend executions.
-        before = backend_run_count()
-        for spec in specs:
-            result = execute_spec(spec, "smoke", SEED)
-            assert result.all_passed
-        assert backend_run_count() == before
-
-
-class TestPrefixScatterBitIdentity:
-    def test_prefix_subscriber_matches_standalone_run(self, tmp_path):
-        short = _spec("T01", trials=4)
-        # Warm one cache through the compiler with a 9-trial superset.
-        configure_cache(directory=tmp_path / "compiled")
-        execute_program(
-            compile_program([short, _spec("T02", trials=9)], "smoke", SEED)
-        )
-        before = backend_run_count()
-        compiled = execute_spec(short, "smoke", SEED)
-        assert backend_run_count() == before  # pure cache replay
-        # Same spec, standalone, in a cache that never saw the merge.
-        configure_cache(directory=tmp_path / "standalone")
-        standalone = execute_spec(short, "smoke", SEED)
-        assert compiled == standalone
-        configure_cache(
-            directory=cache_module.default_cache_dir(), max_memory_entries=256
-        )
 
 
 class TestObserveTiming:

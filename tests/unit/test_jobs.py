@@ -307,6 +307,12 @@ class TestSweepJobs:
         with pytest.raises(InvalidParameterError):
             Sweep(lambda params, rng: 0.0, GRID, trials=2, seed=1).submit()
 
+    def test_sweep_constructor_rejects_non_simulation_trials(self):
+        with pytest.raises(InvalidParameterError):
+            Sweep(lambda params, rng: 0.0, GRID, trials=2, seed=1)
+        with pytest.raises(InvalidParameterError):
+            Sweep(_factory, GRID, trials=2, seed=1)
+
 
 class TestManagerAndCancellation:
     def test_manager_registry_tracks_jobs(self, fresh_cache):

@@ -8,8 +8,15 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
+from repro.sim.backends import AlgorithmSpec, SimulationRequest
 from repro.sim.rng import derive_seed, generator_from, spawn_generators, trial_generators
-from repro.sim.runner import ExperimentRow, Sweep, grid_product, rows_to_markdown
+from repro.sim.runner import (
+    ExperimentRow,
+    SimulationTrial,
+    Sweep,
+    grid_product,
+    rows_to_markdown,
+)
 from repro.sim.stats import (
     Estimate,
     bootstrap_mean_ci,
@@ -228,27 +235,28 @@ class TestSweep:
             grid_product()
 
     def test_sweep_runs_and_aggregates(self):
-        def trial(params, rng):
-            return params["base"] + rng.random() * 0.01
-
-        rows = Sweep(trial, grid_product(base=[1.0, 5.0]), trials=20, seed=3).run()
-        assert len(rows) == 2
-        assert rows[0].estimate.mean == pytest.approx(1.0, abs=0.02)
-        assert rows[1].estimate.mean == pytest.approx(5.0, abs=0.02)
+        rows = Sweep(
+            _CORNER_TRIAL, grid_product(D=[4, 16]), trials=20, seed=3
+        ).run()
+        assert [row.params for row in rows] == [{"D": 4}, {"D": 16}]
+        assert all(row.estimate.n_samples == 20 for row in rows)
+        assert all(row.extras["find_rate"] == 1.0 for row in rows)
+        # The farther corner costs more moves.
+        assert rows[0].estimate.mean < rows[1].estimate.mean
 
     def test_sweep_is_reproducible(self):
-        def trial(params, rng):
-            return rng.random()
-
-        first = Sweep(trial, [{"p": 1}], trials=5, seed=9).run()
-        second = Sweep(trial, [{"p": 1}], trials=5, seed=9).run()
-        assert first[0].estimate.mean == second[0].estimate.mean
+        # Uncached, so the second run simulates again.
+        first = Sweep(_UNCACHED_TRIAL, [{"D": 8}], trials=5, seed=9).run()
+        second = Sweep(_UNCACHED_TRIAL, [{"D": 8}], trials=5, seed=9).run()
+        assert first[0].estimate == second[0].estimate
 
     def test_sweep_validation(self):
         with pytest.raises(InvalidParameterError):
-            Sweep(lambda p, r: 0.0, [], trials=1, seed=1)
+            Sweep(_CORNER_TRIAL, [], trials=1, seed=1)
         with pytest.raises(InvalidParameterError):
-            Sweep(lambda p, r: 0.0, [{}], trials=0, seed=1)
+            Sweep(_CORNER_TRIAL, [{"D": 4}], trials=0, seed=1)
+        with pytest.raises(InvalidParameterError):
+            Sweep(_CORNER_TRIAL, [{"D": 4}], trials=1, seed=1, workers=0)
 
     def test_rows_to_markdown(self):
         rows = [
@@ -261,3 +269,19 @@ class TestSweep:
         assert lines[0].startswith("| D | moves | ci95 | bound |")
         assert "| 8 |" in lines[2]
         assert "4" in lines[2]
+
+
+def _corner_request(params):
+    distance = int(params["D"])
+    return SimulationRequest(
+        algorithm=AlgorithmSpec.algorithm1(distance),
+        n_agents=2,
+        target=(distance, distance),
+        move_budget=1_000_000,
+    )
+
+
+_CORNER_TRIAL = SimulationTrial(_corner_request, backend="closed_form")
+_UNCACHED_TRIAL = SimulationTrial(
+    _corner_request, backend="closed_form", cache=False
+)

@@ -1,10 +1,10 @@
-"""Sweep -> batched compilation: factory recognition, addressing, caching.
+"""Sweep -> batched compilation: addressing, one job per point, caching.
 
 The load-bearing invariant: a compiled grid point's trial ``t`` draws
-from ``derive_seed(seed, *seed_keys, point_index, t)`` — exactly the
-address the per-trial job path uses — so compilation onto a per-trial
-backend is bit-identical to the historical execution model, and the
-batched backend changes only the stream pooling, not the addressing.
+from ``derive_seed(seed, *seed_keys, point_index, t)`` — the address a
+hand-written per-trial loop uses — so a sweep on a per-trial backend is
+bit-identical to that loop, and the batched backend changes only the
+stream pooling, not the addressing.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from repro.sim.fast import fast_algorithm1
 from repro.sim.rng import derive_seed
 from repro.sim.runner import SimulationTrial, Sweep, censored_moves
 from repro.sim.service import backend_run_count
+from repro.sim.stats import mean_ci
 
 GRID = [{"D": 8}, {"D": 12}]
 
 
 def _factory(params):
-    """Module-level request factory (picklable for the process pool)."""
+    """Request factory shared by every sweep below."""
     distance = int(params["D"])
     return SimulationRequest(
         algorithm=AlgorithmSpec.algorithm1(distance),
@@ -34,7 +35,7 @@ def _factory(params):
 
 
 def _per_trial(params, rng):
-    """The same workload as a plain per-trial function."""
+    """The same workload as a hand-written per-trial function."""
     distance = int(params["D"])
     return float(
         fast_algorithm1(
@@ -44,22 +45,24 @@ def _per_trial(params, rng):
 
 
 def _found_metric(outcome):
-    """Module-level metric override (picklable)."""
+    """Metric override: whether the colony found the target."""
     return 1.0 if outcome.found else 0.0
 
 
 class TestCompilation:
     def test_compiled_sweep_is_recognized(self):
         sweep = Sweep(SimulationTrial(_factory), GRID, trials=3, seed=1)
-        assert sweep.compiled
-        assert not Sweep(_per_trial, GRID, trials=3, seed=1).compiled
+        assert len(sweep.compile_requests()) == len(GRID)
+        with pytest.raises(InvalidParameterError):
+            Sweep(_per_trial, GRID, trials=3, seed=1)
 
     def test_one_job_per_point(self):
-        jobs = Sweep(
-            SimulationTrial(_factory), GRID, trials=7, seed=1, workers=4
-        ).compile_jobs()
-        assert len(jobs) == len(GRID)
-        assert all(job.trial_count == 7 for job in jobs)
+        before = backend_run_count()
+        Sweep(
+            SimulationTrial(_factory, backend="closed_form", cache=False),
+            GRID, trials=7, seed=1, workers=4,
+        ).run()
+        assert backend_run_count() == before + len(GRID)
 
     def test_compile_requests_rebinds_addressing(self):
         sweep = Sweep(
@@ -78,14 +81,21 @@ class TestCompilation:
 class TestBitIdentity:
     def test_compiled_on_per_trial_backend_matches_plain_sweep(self):
         """Compilation must not change the derive_seed(seed, i, t) streams."""
-        plain = Sweep(_per_trial, GRID, trials=6, seed=17).run()
+        plain = [
+            mean_ci([
+                _per_trial(
+                    point, np.random.default_rng(derive_seed(17, index, t))
+                )
+                for t in range(6)
+            ])
+            for index, point in enumerate(GRID)
+        ]
         compiled = Sweep(
             SimulationTrial(_factory, backend="closed_form"),
             GRID, trials=6, seed=17,
         ).run()
-        for row_p, row_c in zip(plain, compiled):
-            assert row_p.params == row_c.params
-            assert row_p.estimate == row_c.estimate
+        assert [row.params for row in compiled] == GRID
+        assert [row.estimate for row in compiled] == plain
 
     def test_compiled_matches_manual_derive_seed_addressing(self):
         rows = Sweep(
@@ -109,14 +119,10 @@ class TestBitIdentity:
             )
 
     def test_point_sharding_across_workers_is_bit_identical(self):
-        serial = Sweep(
-            SimulationTrial(_factory, backend="closed_form"),
-            GRID, trials=4, seed=17,
-        ).run()
-        sharded = Sweep(
-            SimulationTrial(_factory, backend="closed_form"),
-            GRID, trials=4, seed=17, workers=2,
-        ).run()
+        # Uncached, so the sharded run simulates rather than replays.
+        trial = SimulationTrial(_factory, backend="closed_form", cache=False)
+        serial = Sweep(trial, GRID, trials=4, seed=17).run()
+        sharded = Sweep(trial, GRID, trials=4, seed=17, workers=2).run()
         assert [r.estimate for r in serial] == [r.estimate for r in sharded]
 
     def test_unpicklable_factory_falls_back_to_serial(self):
@@ -164,7 +170,10 @@ class TestBatchedCompilation:
         tests/integration/test_backend_equivalence.py.
         """
         trials = 1000
-        plain = Sweep(_per_trial, [{"D": 8}], trials=trials, seed=101).run()
+        plain = Sweep(
+            SimulationTrial(_factory, backend="closed_form"),
+            [{"D": 8}], trials=trials, seed=101,
+        ).run()
         compiled = Sweep(
             SimulationTrial(_factory), [{"D": 8}], trials=trials, seed=303
         ).run()
