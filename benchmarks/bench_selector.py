@@ -1,14 +1,15 @@
 """Selector evaluation benchmark — oracle regret and adaptive savings.
 
-Evaluates the cost-model backend selector (:mod:`repro.sim.selector`)
+Evaluates the static backend rule (``auto`` resolution by
+``auto_priority``, :func:`~repro.sim.backends.registry.resolve_backend`)
 with the discipline used for algorithm-selection systems (SNIPPETS.md
-Snippet 1 / AutoTSP): measure every candidate backend on a workload
-matrix, then compare four policies on the *same* measured table —
+Snippet 1 / AutoTSP "manual rules"): measure every candidate backend on
+a workload matrix, then compare four policies on the *same* measured
+table —
 
 * **oracle** — per workload, the backend that was actually fastest
   (omniscient lower bound);
-* **selector** — the backend the calibrated cost model picks via
-  :func:`~repro.sim.selector.plan_request`;
+* **selector** — the backend the static rule picks;
 * **single-best** — the one fixed backend with the lowest total time
   across the whole matrix (what a hardcoded default could achieve);
 * **random** — the expected time of a uniformly random supporting
@@ -43,9 +44,8 @@ import time
 from bench_sim_backends import update_record
 
 from repro.sim import AlgorithmSpec, SimulationRequest
-from repro.sim.backends.registry import get_backend
+from repro.sim.backends.registry import get_backend, resolve_backend
 from repro.sim.jobs import simulate_adaptive
-from repro.sim.selector import calibrate, plan_request
 from repro.sim.stats import normal_quantile
 
 SEED = 20140507
@@ -105,10 +105,7 @@ def _time_backend(backend_name: str, request: SimulationRequest) -> float:
 
 
 def measure_selector() -> dict:
-    """Calibrate, measure the matrix, and score the four policies."""
-    profile = calibrate(
-        backends=CANDIDATES, measure_pool=False, save=True
-    )
+    """Measure the matrix and score the four policies."""
     times = []  # one {backend: seconds} per workload
     choices = []
     for workload in WORKLOADS:
@@ -116,9 +113,7 @@ def measure_selector() -> dict:
         times.append({
             name: _time_backend(name, request) for name in CANDIDATES
         })
-        choices.append(
-            plan_request(request, workers=1, profile=profile).backend
-        )
+        choices.append(resolve_backend(request).name)
 
     oracle_total = sum(min(row.values()) for row in times)
     selector_total = sum(
@@ -149,7 +144,7 @@ def measure_selector() -> dict:
 
     return {
         "candidates": list(CANDIDATES),
-        "calibration_entries": len(profile.entries),
+        "policy": "auto_priority",
         "workloads": rows,
         "policies_total_seconds": {
             "oracle": round(oracle_total, 6),

@@ -17,11 +17,14 @@ from __future__ import annotations
 
 import datetime
 import json
+import os
 import pathlib
+import platform
 import time
 
+import numpy as np
+
 from repro.sim import AlgorithmSpec, SimulationRequest, simulate
-from repro.sim.selector import machine_fingerprint
 
 RECORD_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_sim_backends.json"
 HISTORY_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_history.jsonl"
@@ -37,6 +40,31 @@ WORKLOAD = {
 # Colonies per timing run, scaled to each backend's expected throughput
 # so every measurement covers a comparable wall-clock slice.
 _TRIALS = {"reference": 5, "closed_form": 100, "batched": 400}
+
+
+def machine_fingerprint() -> dict:
+    """Identity of this host, stamped into every history snapshot.
+
+    Captures exactly the axes along which recorded performance numbers
+    stop being comparable: CPU model, core count, numpy version, and
+    the platform triple, so cross-machine floor drift is diagnosable.
+    """
+    cpu_model = platform.processor() or ""
+    try:
+        with open("/proc/cpuinfo", "r", encoding="utf-8") as handle:
+            for line in handle:
+                if line.lower().startswith("model name"):
+                    cpu_model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "cpu_model": cpu_model,
+        "cpu_count": os.cpu_count() or 1,
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+    }
 
 
 def update_record(section: str, payload: dict) -> dict:

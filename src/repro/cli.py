@@ -114,6 +114,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         distance_bound=max(args.distance, abs(target[0]), abs(target[1])),
     )
+    if args.plan and (args.adaptive or args.async_submit or args.watch):
+        raise ReproError(
+            "--plan prints and runs a blocking plan; drop "
+            "--adaptive/--async/--watch"
+        )
     adaptive_run = None
     if args.adaptive:
         if args.async_submit or args.watch:
@@ -159,16 +164,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         plan = plan_request(
             request, backend=args.backend, workers=args.workers
         )
-        predicted = (
-            ""
-            if plan.predicted_seconds is None
-            else f", predicted {plan.predicted_seconds:.4g}s"
-        )
         device = f" on {plan.device}" if plan.device else ""
         print(f"plan      : {plan.backend}{device} — {plan.n_shards} "
-              f"shard(s) x {plan.workers} worker(s){predicted} "
-              f"[{plan.source}]")
-        result = simulate(request, cache=args.cache, plan=plan)
+              f"shard(s) x {plan.workers} worker(s)")
+        result = simulate(
+            request, backend=plan.backend, workers=plan.workers,
+            cache=args.cache,
+        )
     else:
         result = simulate(
             request, backend=args.backend, workers=args.workers,
@@ -214,15 +216,8 @@ _PROBE_BATCH_TRIALS = 100
 
 
 def _cmd_backends(args: argparse.Namespace) -> int:
-    from repro.sim import selector as selector_mod
+    from repro.sim.selector import selector_payload
 
-    if args.calibrate:
-        print("calibrating cost model (micro-profiling every supporting "
-              "backend x family pair)...")
-        profile = selector_mod.calibrate()
-        print(f"  fitted {len(profile.entries)} (backend, family) entries; "
-              f"saved to {selector_mod.profile_path()}")
-        print()
     if args.json:
         import json
 
@@ -232,7 +227,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         payload = {
             "wire": WIRE_VERSION,
             **backends_introspection(),
-            "selector": selector_mod.selector_payload(),
+            "selector": selector_payload(),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -284,34 +279,21 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         for reason, algos in sorted(by_reason.items()):
             print(f"  {name:12s} {', '.join(algos)}: {reason}")
     print()
-    _print_selector_plans(selector_mod)
+    _print_selector_plans(selector_payload())
     print("(requests with a step budget always resolve to reference, the "
           "only backend honoring M_steps accounting.)")
     return 0
 
 
-def _print_selector_plans(selector_mod) -> None:
-    """The cost-model selector's view: calibration state + family plans."""
-    profile = selector_mod.load_profile()
-    payload = selector_mod.selector_payload(profile=profile)
-    if profile is None:
-        print("cost-model selector: not calibrated — static priorities in "
-              "effect (run `repro-ants backends --calibrate`)")
-    else:
-        meta = payload["profile"]
-        print(f"cost-model selector: calibrated — {meta['entries']} "
-              f"(backend, family) entries, {meta['age_seconds']:.0f}s old "
-              f"({payload['profile_path']})")
+def _print_selector_plans(payload) -> None:
+    """The static planner's view: one plan per selector family."""
     print(f"planned execution for a {payload['batch_trials']}-trial batch "
-          f"(backend, shards x workers, predicted cost):")
+          f"(backend, shards x workers):")
     for family, plan in payload["plans"].items():
-        predicted = plan["predicted_seconds"]
-        cost = "n/a" if predicted is None else f"{predicted:.4g}s"
         device = f" on {plan['device']}" if plan.get("device") else ""
         print(f"  {family:15s} -> {plan['backend']:12s}"
               f"{device} {plan['n_shards']} shard(s) x "
-              f"{plan['workers']} worker(s), predicted {cost} "
-              f"[{plan['source']}]")
+              f"{plan['workers']} worker(s)")
     print()
 
 
@@ -706,9 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--plan", action="store_true",
-        help="route through the cost-model selector: plan backend and "
-             "shard layout from the calibration profile (static "
-             "fallback when uncalibrated) and execute the plan",
+        help="print the execution plan (backend and shard layout, "
+             "--workers caps the shards) and run it",
     )
     run_parser.add_argument(
         "--adaptive", action="store_true",
@@ -748,12 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the machine-readable payload (same shape as "
              "GET /v1/backends: coverage, declines, auto resolution, "
              "selector plans)",
-    )
-    backends_parser.add_argument(
-        "--calibrate", action="store_true",
-        help="micro-profile every backend x family pair first and "
-             "persist the cost-model calibration profile under the "
-             "cache directory",
     )
     backends_parser.set_defaults(func=_cmd_backends)
 

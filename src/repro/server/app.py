@@ -478,14 +478,12 @@ class SimulationServer:
             raise WireError("plan must be true or false")
         plan = None
         if use_plan:
-            # Route through the cost-model selector: backend choice and
-            # shard layout come from the calibration profile (static
-            # fallback when uncalibrated).  ``workers`` becomes the
-            # plan's shard cap instead of the literal shard count.
+            # Resolve the backend and shard layout up front and echo
+            # them; ``workers`` becomes the plan's shard cap.
             from repro.sim.selector import plan_request
 
             plan = plan_request(request, backend=backend, workers=workers)
-            backend = AUTO  # the plan carries the backend choice
+            backend, workers = plan.backend, plan.workers
 
         def record(job: SimulationJob) -> str:
             self._jobs[job.job_id] = job
@@ -504,7 +502,6 @@ class SimulationServer:
         job_id, replayed = self._admit(
             lambda: self._manager.submit(
                 request, backend=backend, workers=workers, cache=cache,
-                plan=plan,
             ),
             record,
             existing=existing,
@@ -792,8 +789,7 @@ class SimulationServer:
 
         Delegates to the shared introspection builder so this payload
         and ``repro-ants backends --json`` can never drift apart; the
-        ``selector`` section adds the cost-model calibration state and
-        the planned execution per family.
+        ``selector`` section adds the planned execution per family.
         """
         from repro.sim.backends.registry import backends_introspection
         from repro.sim.selector import selector_payload

@@ -381,10 +381,10 @@ class RemoteClient:
     ) -> "RemoteJob":
         """``POST /v1/jobs`` with 429 backoff; returns a :class:`RemoteJob`.
 
-        ``plan=True`` asks the server to route the job through its
-        cost-model selector (:func:`repro.sim.selector.plan_request`);
-        the chosen plan comes back in the submission payload
-        (``job.submitted["plan"]``).
+        ``plan=True`` asks the server to resolve the backend and shard
+        layout up front (:func:`repro.sim.selector.plan_request`, with
+        ``workers`` as the shard cap) and echo that plan in the
+        submission payload (``job.submitted["plan"]``).
 
         Every submission carries a fresh idempotency key, so a POST
         whose connection dropped is retried safely: if the first

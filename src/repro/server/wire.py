@@ -357,9 +357,7 @@ def plan_to_wire(plan: SimulationPlan) -> Dict[str, Any]:
     """Encode a selector plan (echoed on planned job submissions).
 
     Same shape as the plans inside the ``/v1/backends`` selector
-    section: backend, shard layout, optional device pin, predicted
-    cost, and whether the cost model or the static fallback produced
-    it.
+    section: backend, shard layout and optional device pin.
     """
     return plan.to_payload()
 

@@ -80,14 +80,7 @@ from repro.sim.runner import (
     censored_moves,
     rows_to_markdown,
 )
-from repro.sim.selector import (
-    CalibrationProfile,
-    SimulationPlan,
-    calibrate,
-    load_profile,
-    machine_fingerprint,
-    plan_request,
-)
+from repro.sim.selector import SimulationPlan, plan_request
 from repro.sim.service import (
     AdaptiveRun,
     backend_run_count,
@@ -122,11 +115,7 @@ __all__ = [
     "simulate_adaptive",
     "backend_run_count",
     "AdaptiveRun",
-    "CalibrationProfile",
     "SimulationPlan",
-    "calibrate",
-    "load_profile",
-    "machine_fingerprint",
     "plan_request",
     "JobManager",
     "JobProgress",

@@ -24,7 +24,7 @@ Like ``batched``, outcomes are equal in distribution to the reference
 engine and deterministic per request *per namespace*; the device stream
 differs from the NumPy stream, so cache keys include the backend name.
 
-The cost-model selector (:mod:`repro.sim.selector`) treats this backend
+The static planner (:mod:`repro.sim.selector`) treats this backend
 specially when planning shard layouts: device state is process-local,
 so plans that choose the accelerator always pin a single shard on the
 driver process (``device`` carries :meth:`device_description`) instead

@@ -330,15 +330,6 @@ class SimulationBackend(ABC):
         """
         return None
 
-    def calibration_trials(self) -> Tuple[int, int]:
-        """(low, high) probe trial counts for selector calibration.
-
-        Slow per-trial engines override with tiny counts so a
-        micro-profile stays short; vectorized backends override with
-        enough trials to expose their per-batch amortization.
-        """
-        return (4, 16)
-
     def coverage_and_reasons(self) -> Tuple[Dict[str, bool], Dict[str, str]]:
         """One probe pass: (family -> supported?, family -> decline reason).
 
@@ -368,20 +359,15 @@ class SimulationBackend(ABC):
 
 
 def probe_request(
-    algorithm_name: str,
-    n_trials: int = 1,
-    n_agents: int = 2,
-    target: Tuple[int, int] = (4, 3),
-    move_budget: int = 1000,
+    algorithm_name: str, n_trials: int = 1
 ) -> Optional[SimulationRequest]:
     """A representative request per algorithm family.
 
     Coverage reports probe with the default single trial; the CLI also
     probes with a trial batch to show each backend's
     ``auto_priority`` for the batch case — the number that explains
-    what ``auto`` picks for sweeps.  The selector's calibration probes
-    reuse the same family builders at its own scale via the keyword
-    overrides.
+    what ``auto`` picks for sweeps (the selector's introspection section
+    plans the same batch).
     """
     builders = {
         "algorithm1": lambda: AlgorithmSpec.algorithm1(8),
@@ -398,8 +384,8 @@ def probe_request(
         return None
     return SimulationRequest(
         algorithm=builder(),
-        n_agents=n_agents,
-        target=target,
-        move_budget=move_budget,
+        n_agents=2,
+        target=(4, 3),
+        move_budget=1000,
         n_trials=n_trials,
     )

@@ -72,12 +72,6 @@ class KernelBackendMixin:
     def supports(self, request: SimulationRequest) -> bool:
         return self.support_reason(request) is None
 
-    def calibration_trials(self) -> Tuple[int, int]:
-        # The batch pass amortizes setup across trials; probe with
-        # enough of them that the selector's fitted per-trial cost
-        # reflects the amortized regime, not kernel warm-up.
-        return (16, 64)
-
     def run(
         self,
         request: SimulationRequest,

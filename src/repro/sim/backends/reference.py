@@ -35,12 +35,6 @@ class ReferenceBackend(SimulationBackend):
         # was explicitly requested.
         return 100 if request.step_budget is not None else 0
 
-    def calibration_trials(self) -> Tuple[int, int]:
-        # Per-trial step loop: orders of magnitude slower than the
-        # kernel backends, so selector micro-profiles sample the bare
-        # minimum of trials that still fits a line.
-        return (1, 3)
-
     def run(
         self,
         request: SimulationRequest,

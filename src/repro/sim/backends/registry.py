@@ -94,11 +94,11 @@ def resolve_backend(request: SimulationRequest, name: str = AUTO) -> SimulationB
 def supporting_backends(request: SimulationRequest) -> List[SimulationBackend]:
     """Every backend that supports ``request``, in static-rank order.
 
-    The cost-model selector's candidate list: sorted by descending
-    ``auto_priority`` with name as the tiebreak, so iteration order —
-    and therefore any tie-broken choice downstream — is deterministic.
-    The first element is exactly what :func:`resolve_backend` would
-    pick for ``"auto"``.
+    The degradation ladder of :func:`repro.sim.selector.plan_fallback`:
+    sorted by descending ``auto_priority`` with name as the tiebreak,
+    so iteration order — and therefore the fallback choice — is
+    deterministic.  The first element is exactly what
+    :func:`resolve_backend` would pick for ``"auto"``.
     """
     _ensure_default_backends()
     candidates = [

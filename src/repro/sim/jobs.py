@@ -76,12 +76,7 @@ from repro.sim.backends.base import (
 from repro.sim.backends.registry import AUTO, resolve_backend
 from repro.sim.cache import cache_enabled, get_cache
 from repro.sim.metrics import SearchOutcome
-from repro.sim.selector import (
-    SimulationPlan,
-    observe_timing,
-    plan_fallback,
-    plan_request,
-)
+from repro.sim.selector import plan_fallback
 from repro.sim.stats import mean_ci, normal_quantile
 
 _RUNS_LOCK = threading.Lock()
@@ -294,7 +289,7 @@ def _run_shard_task(
 
     Returns ``(outcomes, elapsed_seconds)`` — the timing is measured in
     the worker (pure backend execution, no dispatch/pickling cost) and
-    fed back into the selector's cost model by the parent driver.
+    counted into the throughput metrics by the parent driver.
 
     ``trace_context`` is the driver's job-span context, carried
     explicitly because contextvars do not cross the process boundary:
@@ -343,26 +338,6 @@ def _run_shard_task(
         else:
             outcomes = backend.run(request, trial_indices=trial_indices)
         return outcomes, time.perf_counter() - start
-
-
-def _observe_job_timing(
-    job: "SimulationJob", n_trials: int, elapsed_seconds: float
-) -> None:
-    """Report one measured execution to the selector profile.
-
-    Best-effort by design: feedback is an optimization, never a reason
-    for a finished simulation to fail.
-    """
-    try:
-        observe_timing(
-            job.backend,
-            job.request.algorithm.name,
-            n_trials,
-            job.request.move_budget,
-            elapsed_seconds,
-        )
-    except Exception:  # noqa: BLE001 — feedback must never fail the job
-        pass
 
 
 class SimulationJob:
@@ -428,10 +403,8 @@ class SimulationJob:
         # per-call disk writes would be pure overhead.
         self._ledger_enabled = ledger
         # Trace parentage captured at submit time (the driver thread
-        # cannot inherit the submitter's contextvars) and the plan this
-        # job executes, for predicted-vs-actual span attributes.
+        # cannot inherit the submitter's contextvars).
         self._trace_ctx: Optional[SpanContext] = None
-        self._plan: Optional[SimulationPlan] = None
 
     # -- read side -------------------------------------------------------
 
@@ -889,7 +862,6 @@ class JobManager:
         run_in_pool: bool = False,
         pool_size: Optional[int] = None,
         ledger: bool = True,
-        plan: Optional[SimulationPlan] = None,
     ) -> SimulationJob:
         """Start a simulation job and return its handle.
 
@@ -900,41 +872,14 @@ class JobManager:
         in parallel worker processes — and ``ledger=False`` keeps the
         job out of the persistent jobs ledger (used by the blocking
         facade, whose jobs settle before anyone could observe them).
-
-        ``plan`` executes a :class:`~repro.sim.selector.SimulationPlan`
-        instead of the fixed ``backend``/``workers`` layout: the plan's
-        backend choice and shard count take over (shards still come
-        from :func:`_chunk_trials`, so a planned job hits the same
-        shard-cache entries an unplanned job with that layout would).
-        An explicit ``backend`` name that contradicts the plan is an
-        error — silently preferring either side would make runs
-        unreproducible from their call sites.
         """
         if workers < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-        if plan is not None:
-            if backend != AUTO and backend != plan.backend:
-                raise InvalidParameterError(
-                    f"explicit backend {backend!r} conflicts with plan "
-                    f"backend {plan.backend!r}"
-                )
-            if plan.n_shards < 1:
-                raise InvalidParameterError(
-                    f"plan.n_shards must be >= 1, got {plan.n_shards}"
-                )
-            chosen = resolve_backend(request, plan.backend)
-            workers = max(plan.workers, 1)
-            n_shards = min(plan.n_shards, request.n_trials)
-            if n_shards <= 1 or request.n_trials == 1:
-                shards: List[Optional[range]] = [None]
-            else:
-                shards = list(_chunk_trials(request.n_trials, n_shards))
+        chosen = resolve_backend(request, backend)
+        if workers == 1 or request.n_trials == 1:
+            shards: List[Optional[range]] = [None]
         else:
-            chosen = resolve_backend(request, backend)
-            if workers == 1 or request.n_trials == 1:
-                shards = [None]
-            else:
-                shards = list(_chunk_trials(request.n_trials, workers))
+            shards = list(_chunk_trials(request.n_trials, workers))
         use_cache = cache_enabled() if cache is None else cache
         job = SimulationJob(
             job_id=f"job-{uuid.uuid4().hex[:12]}",
@@ -951,7 +896,6 @@ class JobManager:
         # server route) is captured here and re-attached in _drive —
         # that is what parents the job span under its caller.
         job._trace_ctx = current_context()
-        job._plan = plan
         _JOBS_SUBMITTED.inc(backend=chosen.name)
         with self._lock:
             self._jobs[job.job_id] = job
@@ -1112,13 +1056,6 @@ class JobManager:
             algorithm=job.request.algorithm.name,
             n_trials=job.request.n_trials,
         ) as sp:
-            if sp is not None and job._plan is not None:
-                sp.set_attribute("plan_source", job._plan.source)
-                if job._plan.predicted_seconds is not None:
-                    sp.set_attribute(
-                        "predicted_seconds",
-                        round(job._plan.predicted_seconds, 6),
-                    )
             self._drive_pipeline(job, backend)
             state = job.state
             _JOBS_COMPLETED.inc(state=state.value)
@@ -1260,7 +1197,6 @@ class JobManager:
             _count_execution(
                 request.algorithm.name, job.backend, len(outcomes), elapsed
             )
-            _observe_job_timing(job, len(outcomes), elapsed)
             job._record_shard(pending[0], outcomes, from_cache=False)
             if cache is not None:
                 cache.store(request, job.cache_backend, outcomes)
@@ -1431,7 +1367,6 @@ class JobManager:
                 _count_execution(
                     request.algorithm.name, job.backend, len(outcomes), elapsed
                 )
-                _observe_job_timing(job, len(outcomes), elapsed)
                 job._record_shard(shard_index, outcomes, from_cache=False)
                 if cache is not None:
                     indices = job._shards[shard_index]
@@ -1597,10 +1532,9 @@ def simulate_adaptive(
     trial_indices=...)`` (the driver-thread path), each counted once in
     :func:`backend_run_count` unless served from cache.
 
-    ``backend="auto"`` routes through the cost-model selector when a
-    calibration profile exists (:func:`repro.sim.selector.plan_request`
-    with its static fallback), so adaptive runs get the measured
-    backend choice for free.
+    ``backend`` is resolved like everywhere else
+    (:func:`~repro.sim.backends.registry.resolve_backend`: a registered
+    name, or ``"auto"`` for the static priority ranking).
     """
     if metric not in ADAPTIVE_METRICS:
         raise InvalidParameterError(
@@ -1618,9 +1552,7 @@ def simulate_adaptive(
         raise InvalidParameterError(f"batch_size must be >= 1, got {batch_size}")
     if min_trials < 2:
         raise InvalidParameterError(f"min_trials must be >= 2, got {min_trials}")
-    chosen = resolve_backend(
-        request, plan_request(request, backend=backend, workers=1).backend
-    )
+    chosen = resolve_backend(request, backend)
     cache_backend = chosen.cache_name()
     use_cache = cache_enabled() if cache is None else cache
     cache_obj = get_cache() if use_cache else None

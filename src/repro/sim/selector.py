@@ -1,130 +1,48 @@
-"""Cost-model backend selector and shard planner.
+"""Static execution planner: backend choice plus shard layout.
 
-Static ``auto`` resolution (:func:`repro.sim.backends.registry.
-resolve_backend`) ranks backends by hand-assigned priorities — right in
-kind ("batch kernels beat per-trial loops on trial batches") but blind
-to *this machine's* constants: how fast the kernels actually are here,
-what a worker shard costs to dispatch, whether the accelerator binding
-is device-backed.  This module closes that gap with a **measured cost
-model**:
+:func:`plan_request` maps a :class:`SimulationRequest` to a
+:class:`SimulationPlan` — which backend runs it and how its trials are
+sharded.  The backend is the static ``auto`` resolution
+(:func:`repro.sim.backends.registry.resolve_backend`: hand-assigned
+priorities, "batch kernels beat per-trial loops on trial batches"), or
+the named backend when one is given.  The shard count is the job
+layer's ``min(workers, n_trials)`` rule, with the accelerator pinned to
+one shard because device state does not survive pool workers.  The
+function is pure: same request, same worker cap, same plan.
 
-* :func:`calibrate` runs short micro-profiles — each supporting backend
-  executes a small family probe at two trial counts and two move
-  budgets — and fits, per ``(backend, family)``, the three-parameter
-  model::
-
-      t(n_trials, move_budget) =
-          intercept + per_trial * n_trials * (move_budget / B0) ** exponent
-
-  plus one machine-wide per-shard dispatch overhead.  The fit is
-  persisted as JSON under the result-cache directory
-  (``<cache>/selector/profile.json``) and stamped with the cache's
-  :data:`~repro.sim.cache.CODE_VERSION` and a :func:`machine_fingerprint`,
-  so a kernel rewrite, a different host, or plain staleness (7 days)
-  invalidates it and planning falls back to the static priorities.
-
-* :func:`plan_request` maps a :class:`SimulationRequest` to a
-  :class:`SimulationPlan` — backend choice **and** shard layout (shard
-  count, pool workers, device pinning for the accelerator) — by
-  minimizing predicted wall-clock over the supporting candidates and
-  the shard counts the worker cap allows.  Given a profile the function
-  is pure and deterministic: same request, same profile, same cap ->
-  same plan, ties broken by (static priority, name).  With no usable
-  profile it degrades to exactly the static resolution and the job
-  layer's historical ``min(workers, n_trials)`` sharding, marked
-  ``source="static"``.
-
-The plan is *executed* by :meth:`repro.sim.jobs.JobManager.submit`
-(``plan=`` parameter); adaptive sampling — running shard batches until
-a CI half-width target is met — lives next to it in
-:func:`repro.sim.jobs.simulate_adaptive`.  ``repro-ants backends
---json`` and ``GET /v1/backends`` surface the per-family plans and
-predicted costs; ``benchmarks/bench_selector.py`` proves the selector
-against oracle / single-best / random policies on a workload matrix.
+:func:`plan_fallback` is the degradation path: after a backend fails
+mid-job it re-plans onto the best remaining supporting backend by the
+same static ranking.  ``repro-ants backends --json`` and
+``GET /v1/backends`` surface one plan per family through
+:func:`selector_payload`; ``benchmarks/bench_selector.py`` scores the
+static rule against oracle / single-best / random policies on a
+workload matrix.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import os
-import platform
-import tempfile
-import threading
-import time
-from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Sequence
 
 from repro.errors import InvalidParameterError
-from repro.sim.backends.base import (
-    SimulationBackend,
-    SimulationRequest,
-    probe_request,
-)
+from repro.obs.metrics import get_registry
+from repro.obs.trace import child_span
+from repro.sim.backends.base import SimulationRequest, probe_request
 from repro.sim.backends.registry import (
     AUTO,
     resolve_backend,
     supporting_backends,
 )
-from repro.obs.metrics import get_registry
-from repro.obs.trace import child_span
-from repro.sim.cache import CODE_VERSION, get_cache
 
-# Selector observability: how plans are being made (cost-model vs
-# static fallback) and how well the model predicts reality.  The
-# prediction-error histogram is the selector's public error signal —
-# the same delta `observe_timing` folds back into the profile.
-_REGISTRY = get_registry()
-_PLANS_TOTAL = _REGISTRY.counter(
+_PLANS_TOTAL = get_registry().counter(
     "repro_selector_plans_total",
-    "Execution plans issued, by source (cost-model/static) and backend.",
+    "Execution plans issued, by source (static/degraded) and backend.",
     ["source", "backend"],
 )
-_PREDICTION_ERROR = _REGISTRY.histogram(
-    "repro_selector_prediction_error_ratio",
-    "abs(predicted - actual) / actual seconds per observed job timing.",
-    ["backend", "family"],
-    boundaries=(0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0),
-)
-_OBSERVATIONS_TOTAL = _REGISTRY.counter(
-    "repro_selector_observations_total",
-    "Timing observations offered to the profile, by outcome "
-    "(blended/below_floor/no_profile/no_entry).",
-    ["outcome"],
-)
 
-#: On-disk layout version of the persisted calibration profile.
-PROFILE_FORMAT = 1
-
-#: A profile older than this is treated as absent (machines drift:
-#: thermal state, contended CI runners, library upgrades).
-MAX_PROFILE_AGE_SECONDS = 7 * 24 * 3600.0
-
-#: Reference move budget the per-trial coefficient is normalized to.
-BASE_BUDGET = 4_000
-
-#: Second budget used to fit the budget exponent.
-_HIGH_BUDGET = 16_000
-
-#: Never plan shards smaller than this many trials — dispatch overhead
-#: would dominate and the shard cache would fill with confetti.
-MIN_TRIALS_PER_SHARD = 4
-
-#: Hard cap on planned shard count, whatever the worker cap says.
-MAX_PLANNED_SHARDS = 16
-
-#: Fallback per-shard dispatch cost when calibration skipped the pool
-#: measurement (pickling + queue round-trip of a small request).
-DEFAULT_SHARD_OVERHEAD_SECONDS = 5e-3
-
-_CALIBRATION_SEED = 0x5E1EC7
-
-#: Families the selector calibrates and plans for: the six with batch
-#: kernels (spiral/levy are reference-only — static resolution already
-#: does the only possible thing for them).
+#: Families with batch kernels, shown in the ``selector`` introspection
+#: section (spiral/levy are reference-only: there is nothing to plan).
 SELECTOR_FAMILIES = (
     "algorithm1",
     "nonuniform",
@@ -135,55 +53,14 @@ SELECTOR_FAMILIES = (
 )
 
 
-def machine_fingerprint() -> Dict[str, Any]:
-    """Identity of this host for profile matching and bench history.
-
-    Captures exactly the axes along which recorded performance numbers
-    stop being comparable: CPU model, core count, numpy version, and
-    the platform triple.  Stamped into every ``BENCH_history.jsonl``
-    snapshot (so cross-machine floor drift is diagnosable) and into the
-    calibration profile (so another host never replans from this one's
-    constants).
-    """
-    cpu_model = platform.processor() or ""
-    try:
-        with open("/proc/cpuinfo", "r", encoding="utf-8") as handle:
-            for line in handle:
-                if line.lower().startswith("model name"):
-                    cpu_model = line.split(":", 1)[1].strip()
-                    break
-    except OSError:
-        pass
-    return {
-        "cpu_model": cpu_model,
-        "cpu_count": os.cpu_count() or 1,
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-    }
-
-
-def _fingerprints_match(a: Mapping[str, Any], b: Mapping[str, Any]) -> bool:
-    """Profiles transfer only between identical (cpu, cores, numpy)."""
-    return all(a.get(key) == b.get(key) for key in ("cpu_model", "cpu_count", "numpy"))
-
-
 @dataclass(frozen=True)
 class SimulationPlan:
-    """One request's execution plan: backend choice + shard layout.
-
-    ``source`` says how the plan was made: ``"cost-model"`` when a
-    calibration profile predicted it, ``"static"`` when it is the
-    zero-observation fallback (static priorities, historical
-    sharding).  ``predicted_seconds`` is ``None`` on static plans.
-    """
+    """One request's execution plan: backend choice + shard layout."""
 
     backend: str
     n_shards: int
     workers: int
     device: Optional[str] = None
-    predicted_seconds: Optional[float] = None
-    source: str = "static"
 
     def to_payload(self) -> Dict[str, Any]:
         """JSON-ready encoding (CLI ``--json`` and ``/v1/backends``)."""
@@ -192,394 +69,7 @@ class SimulationPlan:
             "n_shards": self.n_shards,
             "workers": self.workers,
             "device": self.device,
-            "predicted_seconds": (
-                None
-                if self.predicted_seconds is None
-                else round(self.predicted_seconds, 6)
-            ),
-            "source": self.source,
         }
-
-
-@dataclass(frozen=True)
-class CostEntry:
-    """Fitted cost model for one ``(backend, family)`` pair."""
-
-    intercept: float
-    per_trial: float
-    budget_exponent: float
-
-    def seconds(self, n_trials: int, move_budget: int) -> float:
-        scale = (move_budget / BASE_BUDGET) ** self.budget_exponent
-        return self.intercept + self.per_trial * n_trials * scale
-
-
-@dataclass(frozen=True)
-class CalibrationProfile:
-    """A machine's measured cost model, as loaded from / saved to disk."""
-
-    entries: Dict[str, CostEntry]
-    shard_overhead_seconds: float = DEFAULT_SHARD_OVERHEAD_SECONDS
-    created_at: float = 0.0
-    code_version: str = CODE_VERSION
-    machine: Dict[str, Any] = field(default_factory=machine_fingerprint)
-
-    @staticmethod
-    def entry_key(backend_name: str, family: str) -> str:
-        return f"{backend_name}|{family}"
-
-    def entry(self, backend_name: str, family: str) -> Optional[CostEntry]:
-        return self.entries.get(self.entry_key(backend_name, family))
-
-    def predict_seconds(
-        self, backend_name: str, request: SimulationRequest
-    ) -> Optional[float]:
-        """Predicted single-process execution time, or ``None``.
-
-        ``None`` means the profile holds no observation for this
-        ``(backend, family)`` — the caller must fall back, never guess.
-        """
-        entry = self.entry(backend_name, request.algorithm.name)
-        if entry is None:
-            return None
-        return entry.seconds(request.n_trials, request.move_budget)
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "format": PROFILE_FORMAT,
-            "code_version": self.code_version,
-            "created_at": self.created_at,
-            "machine": dict(self.machine),
-            "shard_overhead_seconds": self.shard_overhead_seconds,
-            "base_budget": BASE_BUDGET,
-            "entries": {
-                key: asdict(entry) for key, entry in sorted(self.entries.items())
-            },
-        }
-
-
-def profile_path() -> Path:
-    """Where the calibration profile lives: ``<cache>/selector/profile.json``.
-
-    Computed per call so ``REPRO_ANTS_CACHE_DIR`` and
-    ``configure_cache(directory=...)`` redirections move the profile
-    with the cache (tests point both at throwaway directories).
-    """
-    return get_cache().directory / "selector" / "profile.json"
-
-
-def save_profile(profile: CalibrationProfile) -> Path:
-    """Atomically persist a profile; returns its path."""
-    path = profile_path()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-        json.dump(profile.to_payload(), handle, indent=2, sort_keys=True)
-    os.replace(temp_name, path)
-    return path
-
-
-def clear_profile() -> bool:
-    """Drop the persisted profile (forces static fallback); True if removed."""
-    try:
-        profile_path().unlink()
-        return True
-    except OSError:
-        return False
-
-
-def load_profile(
-    max_age_seconds: float = MAX_PROFILE_AGE_SECONDS,
-    now: Optional[float] = None,
-) -> Optional[CalibrationProfile]:
-    """The persisted profile, or ``None`` when absent / stale / foreign.
-
-    "Foreign" covers every way the recorded constants stop describing
-    reality: a different :data:`~repro.sim.cache.CODE_VERSION` (the
-    kernels changed), a different machine fingerprint (cpu / cores /
-    numpy), an unknown payload format, or age beyond
-    ``max_age_seconds``.  Callers treat ``None`` as "never calibrated"
-    and fall back to static resolution.
-    """
-    try:
-        payload = json.loads(profile_path().read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(payload, dict):
-        return None
-    if payload.get("format") != PROFILE_FORMAT:
-        return None
-    if payload.get("code_version") != CODE_VERSION:
-        return None
-    machine = payload.get("machine")
-    if not isinstance(machine, dict) or not _fingerprints_match(
-        machine, machine_fingerprint()
-    ):
-        return None
-    created_at = payload.get("created_at")
-    if not isinstance(created_at, (int, float)):
-        return None
-    current = time.time() if now is None else now
-    if current - created_at > max_age_seconds:
-        return None
-    raw_entries = payload.get("entries")
-    if not isinstance(raw_entries, dict):
-        return None
-    entries: Dict[str, CostEntry] = {}
-    for key, value in raw_entries.items():
-        try:
-            entries[key] = CostEntry(
-                intercept=float(value["intercept"]),
-                per_trial=float(value["per_trial"]),
-                budget_exponent=float(value["budget_exponent"]),
-            )
-        except (TypeError, KeyError, ValueError):
-            return None
-    overhead = payload.get("shard_overhead_seconds")
-    if not isinstance(overhead, (int, float)) or overhead < 0:
-        overhead = DEFAULT_SHARD_OVERHEAD_SECONDS
-    return CalibrationProfile(
-        entries=entries,
-        shard_overhead_seconds=float(overhead),
-        created_at=float(created_at),
-        code_version=str(payload.get("code_version")),
-        machine=dict(machine),
-    )
-
-
-# -- calibration ---------------------------------------------------------
-
-
-def _calibration_request(
-    family: str, n_trials: int, move_budget: int
-) -> SimulationRequest:
-    probe = probe_request(
-        family,
-        n_trials=n_trials,
-        n_agents=4,
-        target=(8, 8),
-        move_budget=move_budget,
-    )
-    if probe is None:
-        raise InvalidParameterError(
-            f"no calibration probe for family {family!r}; "
-            f"choose from {', '.join(SELECTOR_FAMILIES)}"
-        )
-    return replace(probe, seed=_CALIBRATION_SEED, seed_keys=(97,))
-
-
-def _timed_run(backend: SimulationBackend, request: SimulationRequest) -> float:
-    start = time.perf_counter()
-    outcomes = backend.run(request)
-    elapsed = time.perf_counter() - start
-    assert len(outcomes) == request.n_trials
-    return elapsed
-
-
-def _fit_entry(
-    t_low: float, t_high: float, t_budget: float,
-    n_low: int, n_high: int, high_budget: int,
-) -> CostEntry:
-    """Fit (intercept, per_trial, exponent) from the three probe timings.
-
-    ``t_low``/``t_high`` share :data:`BASE_BUDGET` at two trial counts
-    (a line in ``n``); ``t_budget`` re-measures ``n_high`` at
-    ``high_budget`` and pins the budget exponent.  Degenerate timings
-    (clock granularity, a probe that found instantly) clamp to a flat,
-    non-negative model rather than extrapolating nonsense.
-    """
-    tiny = 1e-9
-    per_trial = max((t_high - t_low) / max(n_high - n_low, 1), tiny)
-    intercept = max(t_low - per_trial * n_low, 0.0)
-    compute_high = max(t_budget - intercept, tiny)
-    ratio = compute_high / (per_trial * n_high)
-    exponent = math.log(max(ratio, tiny)) / math.log(high_budget / BASE_BUDGET)
-    exponent = min(max(exponent, 0.0), 2.0)
-    return CostEntry(
-        intercept=intercept, per_trial=per_trial, budget_exponent=exponent
-    )
-
-
-def _measure_shard_overhead() -> float:
-    """Per-shard dispatch cost: pickling + pool queue round-trip.
-
-    Spawns a throwaway one-worker pool, pays its startup separately,
-    then times a few no-op round-trips — the marginal cost a planned
-    extra shard adds on the job layer's warm shared pool.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            pool.submit(int, 0).result()  # pay worker spawn first
-            rounds = 4
-            start = time.perf_counter()
-            for _ in range(rounds):
-                pool.submit(int, 0).result()
-            per_shard = (time.perf_counter() - start) / rounds
-    except (OSError, RuntimeError):
-        return DEFAULT_SHARD_OVERHEAD_SECONDS
-    return max(per_shard, 1e-4)
-
-
-def calibrate(
-    families: Optional[Sequence[str]] = None,
-    backends: Optional[Sequence[str]] = None,
-    budgets: Tuple[int, int] = (BASE_BUDGET, _HIGH_BUDGET),
-    measure_pool: bool = True,
-    save: bool = True,
-) -> CalibrationProfile:
-    """Micro-profile the supporting backends and fit the cost model.
-
-    Each usable ``(backend, family)`` pair is timed three times —
-    ``(n_low, B0)``, ``(n_high, B0)``, ``(n_high, B1)`` — through
-    ``backend.run`` directly (no job layer, no cache), and the fit
-    lands in the returned :class:`CalibrationProfile`.  ``save=True``
-    (default) also persists it to :func:`profile_path`.
-
-    ``families`` / ``backends`` restrict the sweep (tests calibrate one
-    pair in milliseconds); ``measure_pool=False`` skips the process
-    pool spawn and keeps the default shard overhead.
-    """
-    from repro.sim.backends.registry import registered_backends
-
-    low_budget, high_budget = budgets
-    if low_budget != BASE_BUDGET:
-        raise InvalidParameterError(
-            f"first calibration budget must be BASE_BUDGET={BASE_BUDGET} "
-            f"(the fit normalizes to it), got {low_budget}"
-        )
-    if high_budget <= low_budget:
-        raise InvalidParameterError(
-            f"budgets must be increasing, got {budgets}"
-        )
-    chosen_families = tuple(families) if families else SELECTOR_FAMILIES
-    registry = registered_backends()
-    chosen_backends = (
-        tuple(backends) if backends else tuple(sorted(registry))
-    )
-    entries: Dict[str, CostEntry] = {}
-    for backend_name in chosen_backends:
-        backend = registry.get(backend_name)
-        if backend is None:
-            continue
-        n_low, n_high = backend.calibration_trials()
-        for family in chosen_families:
-            probe = _calibration_request(family, n_low, low_budget)
-            if not backend.supports(probe):
-                continue
-            t_low = _timed_run(backend, probe)
-            t_high = _timed_run(
-                backend, _calibration_request(family, n_high, low_budget)
-            )
-            t_budget = _timed_run(
-                backend, _calibration_request(family, n_high, high_budget)
-            )
-            entries[CalibrationProfile.entry_key(backend_name, family)] = (
-                _fit_entry(t_low, t_high, t_budget, n_low, n_high, high_budget)
-            )
-    profile = CalibrationProfile(
-        entries=entries,
-        shard_overhead_seconds=(
-            _measure_shard_overhead()
-            if measure_pool
-            else DEFAULT_SHARD_OVERHEAD_SECONDS
-        ),
-        created_at=time.time(),
-    )
-    if save:
-        save_profile(profile)
-    return profile
-
-
-# -- online feedback ------------------------------------------------------
-
-#: EWMA weight of one fresh observation against the fitted coefficient.
-OBSERVATION_ALPHA = 0.2
-
-#: Observations below these floors carry more clock noise than signal:
-#: tiny jobs are dominated by dispatch jitter, and sub-20ms timings sit
-#: at scheduler granularity.  They are dropped, which also keeps a
-#: sweep of hundreds of small cached points from rewriting the profile
-#: file hundreds of times.
-MIN_OBSERVED_TRIALS = 4
-MIN_OBSERVED_SECONDS = 0.02
-
-_OBSERVE_LOCK = threading.Lock()
-
-
-def observe_timing(
-    backend_name: str,
-    family: str,
-    n_trials: int,
-    move_budget: int,
-    elapsed_seconds: float,
-    alpha: float = OBSERVATION_ALPHA,
-) -> bool:
-    """Blend one measured job timing back into the persisted profile.
-
-    The job layer calls this after every uncached backend execution it
-    times (inline runs and pool shards alike), closing the loop the
-    calibration pass opens: the fitted ``per_trial`` coefficient for
-    ``(backend, family)`` drifts toward what jobs actually cost on this
-    machine *now* — thermal state, contended runners, library upgrades
-    — without anyone re-running ``calibrate``.
-
-    The update solves the cost model for the per-trial coefficient the
-    observation implies (holding the fitted intercept and budget
-    exponent fixed) and EWMA-blends it in with weight ``alpha``; the
-    rewrite is atomic (:func:`save_profile`) and preserves
-    ``created_at``, so feedback never resets the staleness clock — a
-    week-old profile still expires even if jobs touch it hourly.
-
-    Returns ``True`` when the profile was updated; ``False`` when there
-    is nothing to update (no usable profile, no fitted entry for the
-    pair) or the observation is below the noise floors
-    (:data:`MIN_OBSERVED_TRIALS`, :data:`MIN_OBSERVED_SECONDS`).
-    """
-    if n_trials < MIN_OBSERVED_TRIALS or elapsed_seconds < MIN_OBSERVED_SECONDS:
-        _OBSERVATIONS_TOTAL.inc(outcome="below_floor")
-        return False
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidParameterError(f"alpha must be in (0, 1], got {alpha}")
-    with _OBSERVE_LOCK:
-        profile = load_profile()
-        if profile is None:
-            _OBSERVATIONS_TOTAL.inc(outcome="no_profile")
-            return False
-        key = CalibrationProfile.entry_key(backend_name, family)
-        entry = profile.entries.get(key)
-        if entry is None:
-            _OBSERVATIONS_TOTAL.inc(outcome="no_entry")
-            return False
-        # Publish the prediction error before blending: this is the
-        # exact signal the EWMA update is about to absorb, measured
-        # against the profile that made the prediction.
-        predicted = entry.seconds(n_trials, move_budget)
-        if elapsed_seconds > 0.0:
-            _PREDICTION_ERROR.observe(
-                abs(predicted - elapsed_seconds) / elapsed_seconds,
-                backend=backend_name,
-                family=family,
-            )
-        scale = (move_budget / BASE_BUDGET) ** entry.budget_exponent
-        if scale <= 0.0:
-            return False
-        observed_per_trial = max(elapsed_seconds - entry.intercept, 0.0) / (
-            n_trials * scale
-        )
-        blended = (1.0 - alpha) * entry.per_trial + alpha * observed_per_trial
-        entries = dict(profile.entries)
-        entries[key] = replace(entry, per_trial=max(blended, 1e-9))
-        save_profile(replace(profile, entries=entries))
-        _OBSERVATIONS_TOTAL.inc(outcome="blended")
-        return True
-
-
-# -- planning ------------------------------------------------------------
-
-
-_UNSET = object()
 
 
 def _worker_cap(workers: Optional[int]) -> int:
@@ -590,101 +80,40 @@ def _worker_cap(workers: Optional[int]) -> int:
     return os.cpu_count() or 1
 
 
-def _static_plan(
-    request: SimulationRequest, backend: str, cap: int
-) -> SimulationPlan:
-    """The zero-observation fallback: static priorities, historical sharding."""
-    chosen = resolve_backend(request, backend)
-    n_shards = (
-        min(cap, request.n_trials) if cap > 1 and request.n_trials > 1 else 1
-    )
-    device = (
-        chosen.device_description() if chosen.name == "accelerator" else None
-    )
-    if chosen.name == "accelerator":
-        n_shards = 1  # device state does not survive pool workers
-    return SimulationPlan(
-        backend=chosen.name,
-        n_shards=n_shards,
-        workers=n_shards,
-        device=device,
-        predicted_seconds=None,
-        source="static",
-    )
-
-
-def _best_shard_count(
-    compute_seconds: float, shard_overhead: float, cap: int
-) -> Tuple[int, float]:
-    """Minimize ``compute/k + overhead*k`` over ``k in [1, cap]``.
-
-    Exhaustive over the (tiny) cap range and first-minimum-wins, so the
-    result is deterministic and never pays an overhead a fractional
-    optimum would only amortize on paper.
-    """
-    best_k, best_cost = 1, compute_seconds
-    for k in range(2, max(cap, 1) + 1):
-        cost = compute_seconds / k + shard_overhead * k
-        if cost < best_cost - 1e-12:
-            best_k, best_cost = k, cost
-    return best_k, best_cost
-
-
-def _planned_cost(
-    backend: SimulationBackend,
-    request: SimulationRequest,
-    profile: CalibrationProfile,
-    cap: int,
-) -> Optional[Tuple[float, int]]:
-    """(predicted seconds, shard count) for one candidate, or ``None``."""
-    predicted = profile.predict_seconds(backend.name, request)
-    if predicted is None:
-        return None
-    entry = profile.entry(backend.name, request.algorithm.name)
-    compute = max(predicted - entry.intercept, 0.0)
-    if backend.name == "accelerator":
-        # Device state is process-local: never split across the pool.
-        return predicted, 1
-    shard_cap = min(
-        cap,
-        max(request.n_trials // MIN_TRIALS_PER_SHARD, 1),
-        MAX_PLANNED_SHARDS,
-    )
-    n_shards, sharded = _best_shard_count(
-        compute, profile.shard_overhead_seconds, shard_cap
-    )
-    return entry.intercept + sharded, n_shards
-
-
 def plan_request(
     request: SimulationRequest,
     backend: str = AUTO,
     workers: Optional[int] = None,
-    profile: Any = _UNSET,
 ) -> SimulationPlan:
     """Map a request to its execution plan.
 
-    ``workers`` caps the shard count (``None``: the machine's core
-    count).  ``profile`` is the :class:`CalibrationProfile` to plan
-    from; leave unset to use the persisted one
-    (:func:`load_profile`), pass ``None`` to force the static
-    fallback.  With a profile, candidates are ranked by predicted
-    wall-clock (compute split over the best shard count plus dispatch
-    overhead); ties break by static ``auto_priority`` then name, so
-    planning is deterministic given the profile.  An explicit
-    ``backend`` name pins the choice and only the shard layout is
-    planned.
+    ``backend`` is ``"auto"`` (static resolution) or a registered name
+    that pins the choice.  ``workers`` caps the shard count (``None``:
+    the machine's core count); a multi-trial request gets
+    ``min(workers, n_trials)`` shards, the layout ``simulate(...,
+    workers=...)`` uses, except on the accelerator, which always runs
+    one shard.
     """
     with child_span("selector.plan", family=request.algorithm.name) as sp:
-        plan = _plan_request_impl(request, backend, workers, profile)
-        _PLANS_TOTAL.inc(source=plan.source, backend=plan.backend)
+        cap = _worker_cap(workers)
+        chosen = resolve_backend(request, backend)
+        n_shards = (
+            min(cap, request.n_trials) if request.n_trials > 1 else 1
+        )
+        device = None
+        if chosen.name == "accelerator":
+            device = chosen.device_description()
+            n_shards = 1
+        plan = SimulationPlan(
+            backend=chosen.name,
+            n_shards=n_shards,
+            workers=n_shards,
+            device=device,
+        )
+        _PLANS_TOTAL.inc(source="static", backend=plan.backend)
         if sp is not None:
             sp.set_attribute("backend", plan.backend)
-            sp.set_attribute("source", plan.source)
-            if plan.predicted_seconds is not None:
-                sp.set_attribute(
-                    "predicted_seconds", round(plan.predicted_seconds, 6)
-                )
+            sp.set_attribute("source", "static")
         return plan
 
 
@@ -731,86 +160,24 @@ def plan_fallback(
             backend=chosen.name,
             n_shards=1,
             workers=max(workers, 1),
-            source="degraded",
         )
 
 
-def _plan_request_impl(
-    request: SimulationRequest,
-    backend: str,
-    workers: Optional[int],
-    profile: Any,
-) -> SimulationPlan:
-    if profile is _UNSET:
-        profile = load_profile()
-    cap = _worker_cap(workers)
-    if profile is None:
-        return _static_plan(request, backend, cap)
-    if backend == AUTO:
-        candidates = supporting_backends(request)
-    else:
-        candidates = [resolve_backend(request, backend)]
-    planned: list[Tuple[float, int, str, SimulationBackend, int]] = []
-    for candidate in candidates:
-        cost = _planned_cost(candidate, request, profile, cap)
-        if cost is None:
-            continue
-        seconds, n_shards = cost
-        planned.append(
-            (seconds, -candidate.auto_priority(request), candidate.name,
-             candidate, n_shards)
-        )
-    if not planned:
-        # Profile holds no observation for any candidate (fresh family,
-        # restricted calibration): static fallback, never a guess.
-        return _static_plan(request, backend, cap)
-    seconds, _, _, chosen, n_shards = min(planned)
-    device = (
-        chosen.device_description() if chosen.name == "accelerator" else None
-    )
-    return SimulationPlan(
-        backend=chosen.name,
-        n_shards=n_shards,
-        workers=n_shards,
-        device=device,
-        predicted_seconds=seconds,
-        source="cost-model",
-    )
+#: Trial count of the representative batch :func:`selector_payload` plans.
+PAYLOAD_BATCH_TRIALS = 100
 
 
-def selector_payload(
-    profile: Any = _UNSET, batch_trials: int = 100, workers: Optional[int] = None
-) -> Dict[str, Any]:
+def selector_payload() -> Dict[str, Any]:
     """The ``selector`` introspection section (CLI ``--json``, server).
 
-    Reports whether a usable calibration profile exists, its
-    provenance, and the plan + predicted cost for a representative
-    trial batch of every selector family — the numbers that explain
-    what a planned submission would do on this machine right now.
+    The plan for a representative trial batch of every selector family:
+    what a planned submission of that size, capped at this machine's
+    core count, would run.
     """
-    if profile is _UNSET:
-        profile = load_profile()
-    plans: Dict[str, Any] = {}
-    for family in SELECTOR_FAMILIES:
-        probe = probe_request(family, n_trials=batch_trials)
-        if probe is None:
-            continue
-        plans[family] = plan_request(
-            probe, workers=workers, profile=profile
+    plans = {
+        family: plan_request(
+            probe_request(family, n_trials=PAYLOAD_BATCH_TRIALS)
         ).to_payload()
-    payload: Dict[str, Any] = {
-        "calibrated": profile is not None,
-        "profile_path": str(profile_path()),
-        "batch_trials": batch_trials,
-        "plans": plans,
+        for family in SELECTOR_FAMILIES
     }
-    if profile is not None:
-        payload["profile"] = {
-            "created_at": profile.created_at,
-            "age_seconds": round(max(time.time() - profile.created_at, 0.0), 1),
-            "code_version": profile.code_version,
-            "machine": dict(profile.machine),
-            "shard_overhead_seconds": profile.shard_overhead_seconds,
-            "entries": len(profile.entries),
-        }
-    return payload
+    return {"batch_trials": PAYLOAD_BATCH_TRIALS, "plans": plans}

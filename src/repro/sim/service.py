@@ -38,7 +38,6 @@ from repro.sim.jobs import (
     simulate_adaptive,
     simulate_async,
 )
-from repro.sim.selector import SimulationPlan
 
 __all__ = [
     "simulate",
@@ -55,7 +54,6 @@ def simulate(
     backend: str = AUTO,
     workers: int = 1,
     cache: Optional[bool] = None,
-    plan: Optional[SimulationPlan] = None,
 ) -> SimulationResult:
     """Execute a simulation request on the best (or named) backend.
 
@@ -81,11 +79,6 @@ def simulate(
         cache key is ``(request hash, resolved backend, code
         version)`` — ``workers`` is an execution detail and does not
         participate.
-    plan:
-        A :class:`~repro.sim.selector.SimulationPlan` (from
-        :func:`repro.sim.selector.plan_request`) to execute instead of
-        the fixed ``backend``/``workers`` layout — the cost-model
-        selector's backend choice and shard count take over.
     """
     # ledger=False: a blocking job is settled before the caller could
     # inspect it through the jobs CLI, so skip the per-call disk writes.
@@ -99,5 +92,5 @@ def simulate(
     ):
         return get_manager().submit(
             request, backend=backend, workers=workers, cache=cache,
-            ledger=False, plan=plan,
+            ledger=False,
         ).result()

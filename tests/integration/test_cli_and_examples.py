@@ -106,6 +106,30 @@ class TestCli:
         assert code == 0
         assert "find rate" in capsys.readouterr().out
 
+    def test_run_plan_prints_and_executes_the_plan(self, capsys):
+        code = main(
+            [
+                "run", "--algorithm", "nonuniform", "--distance", "16",
+                "--budget", "5000000", "--trials", "4", "--workers", "2",
+                "--backend", "closed_form", "--plan", "--no-cache",
+            ]
+        )
+        captured = capsys.readouterr().out
+        assert code == 0
+        assert "plan      : closed_form — 2 shard(s) x 2 worker(s)" in captured
+        assert "backend   : closed_form" in captured
+
+    @pytest.mark.parametrize("flag", ["--async", "--watch", "--adaptive"])
+    def test_run_plan_rejects_async_watch_and_adaptive(self, capsys, flag):
+        code = main(
+            [
+                "run", "--algorithm", "algorithm1", "--distance", "8",
+                "--trials", "4", "--no-cache", "--plan", flag,
+            ]
+        )
+        assert code == 2
+        assert "--plan" in capsys.readouterr().err
+
     def test_backends_subcommand_lists_registry(self, capsys):
         code = main(["backends"])
         captured = capsys.readouterr().out

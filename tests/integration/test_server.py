@@ -124,6 +124,21 @@ class TestRemoteLocalEquivalence:
         assert remote.request == request
         assert remote.backend == "closed_form"
 
+    def test_planned_submit_echoes_plan_and_matches_unplanned(self, client):
+        request = _request(seed=5150)
+        job = client.submit(
+            request, backend="closed_form", workers=2, cache=False,
+            plan=True,
+        )
+        assert job.submitted["plan"] == {
+            "backend": "closed_form", "n_shards": 2, "workers": 2,
+            "device": None,
+        }
+        unplanned = client.submit(request, backend="closed_form", cache=False)
+        planned = job.result()
+        assert planned.backend == "closed_form"
+        assert planned.outcomes == unplanned.result().outcomes
+
     def test_remote_simulate_async_mirror(self, client):
         request = _request(seed=7, n_trials=3)
         local = simulate(request, backend="closed_form", cache=False)

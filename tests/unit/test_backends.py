@@ -190,7 +190,7 @@ class TestRegistry:
         assert candidates == supporting_backends(request)
 
     def test_selector_static_fallback_without_profile(self):
-        """No calibration profile -> plan_request mirrors resolve_backend."""
+        """plan_request mirrors resolve_backend."""
         from repro.sim.selector import plan_request
 
         for request in (
@@ -199,17 +199,15 @@ class TestRegistry:
             _request(AlgorithmSpec.spiral()),
             _request(step_budget=10_000),
         ):
-            plan = plan_request(request, workers=1, profile=None)
-            assert plan.source == "static"
-            assert plan.predicted_seconds is None
+            plan = plan_request(request, workers=1)
             assert plan.backend == resolve_backend(request).name
 
     def test_selector_static_fallback_keeps_historical_sharding(self):
         from repro.sim.selector import plan_request
 
-        plan = plan_request(_request(n_trials=50), workers=4, profile=None)
+        plan = plan_request(_request(n_trials=50), workers=4)
         assert (plan.n_shards, plan.workers) == (4, 4)
-        single = plan_request(_request(), workers=4, profile=None)
+        single = plan_request(_request(), workers=4)
         assert single.n_shards == 1
 
     def test_get_backend_works_in_fresh_interpreter(self):

@@ -7,16 +7,11 @@ Covers the invariants :mod:`repro.experiments.compiler` promises:
   count stay apart; points already satisfied by the content-addressed
   cache are never re-executed, proven with
   :func:`repro.sim.jobs.backend_run_count`;
-* **Selector feedback** — :func:`repro.sim.selector.observe_timing`
-  EWMA-blends measured job timings into the persisted profile without
-  resetting its staleness clock;
 * **CLI surface** — ``repro-ants experiment --all`` exit semantics and
   the single-sourced default seed.
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -36,21 +31,13 @@ from repro.sim.backends import AlgorithmSpec, SimulationRequest
 from repro.sim.cache import configure_cache, get_cache
 from repro.sim.jobs import backend_run_count
 from repro.sim.runner import SimulationTrial
-from repro.sim.selector import (
-    BASE_BUDGET,
-    CalibrationProfile,
-    CostEntry,
-    load_profile,
-    observe_timing,
-    save_profile,
-)
 
 SEED = 20140507
 
 
 @pytest.fixture
 def fresh_cache(tmp_path):
-    """A private cache (and thus selector profile) for one test."""
+    """A private cache for one test."""
     cache = configure_cache(directory=tmp_path)
     yield cache
     configure_cache(
@@ -187,55 +174,6 @@ class TestCacheDedup:
         assert backend_run_count() == before
         assert replay.points_executed == 0
         assert replay.results["T01"].checks == {"ran": True}
-
-
-class TestObserveTiming:
-    def _entry_profile(self, per_trial=1.0, created_at=None):
-        key = CalibrationProfile.entry_key("closed_form", "algorithm1")
-        return CalibrationProfile(
-            entries={
-                key: CostEntry(
-                    intercept=0.0, per_trial=per_trial, budget_exponent=0.0
-                )
-            },
-            shard_overhead_seconds=0.01,
-            created_at=time.time() if created_at is None else created_at,
-        )
-
-    def test_noop_without_a_profile(self, fresh_cache):
-        assert not observe_timing("closed_form", "algorithm1", 10, 4000, 1.0)
-
-    def test_noop_below_the_floors(self, fresh_cache):
-        save_profile(self._entry_profile())
-        assert not observe_timing("closed_form", "algorithm1", 2, 4000, 1.0)
-        assert not observe_timing("closed_form", "algorithm1", 10, 4000, 0.001)
-        assert load_profile().entry(
-            "closed_form", "algorithm1"
-        ).per_trial == pytest.approx(1.0)
-
-    def test_noop_for_an_unfitted_pair(self, fresh_cache):
-        save_profile(self._entry_profile())
-        assert not observe_timing("batched", "algorithm1", 10, 4000, 1.0)
-
-    def test_ewma_blend_and_preserved_staleness_clock(self, fresh_cache):
-        created = time.time() - 60.0
-        save_profile(self._entry_profile(per_trial=1.0, created_at=created))
-        # 10 trials at BASE_BUDGET in 20s: observed per-trial cost 2.0;
-        # blended = 0.8 * 1.0 + 0.2 * 2.0 = 1.2.
-        assert observe_timing(
-            "closed_form", "algorithm1", 10, BASE_BUDGET, 20.0
-        )
-        profile = load_profile()
-        entry = profile.entry("closed_form", "algorithm1")
-        assert entry.per_trial == pytest.approx(1.2)
-        assert profile.created_at == pytest.approx(created)
-
-    def test_invalid_alpha_rejected(self, fresh_cache):
-        save_profile(self._entry_profile())
-        with pytest.raises(InvalidParameterError):
-            observe_timing(
-                "closed_form", "algorithm1", 10, 4000, 1.0, alpha=1.5
-            )
 
 
 class TestSpecContract:

@@ -1,14 +1,13 @@
-"""Unit tests for the cost-model selector and adaptive sampling.
+"""Unit tests for the static planner and adaptive sampling.
 
-Covers the tentpole contracts of :mod:`repro.sim.selector` and
+Covers the contracts of :mod:`repro.sim.selector` and
 :func:`repro.sim.jobs.simulate_adaptive`:
 
-* profile persistence and invalidation (staleness, CODE_VERSION bump,
-  foreign machine fingerprint);
-* deterministic planning from a profile — backend choice by predicted
-  cost, shard-count optimization, tie-breaking, accelerator pinning,
-  static fallback when the profile holds no usable observation;
-* plan execution through ``JobManager.submit(plan=...)``;
+* static planning — an explicit backend is pinned and sharded by the
+  worker cap, invalid caps are rejected, and the introspection payload
+  carries one plan per selector family;
+* executing a plan through ``simulate(backend=, workers=)``, on the
+  same shard-cache layout as an unplanned run;
 * adaptive sampling: early stopping at the CI target, index-order batch
   consumption, and bit-compatible shard-cache replay proven with
   :func:`backend_run_count`.
@@ -22,28 +21,19 @@ import pytest
 
 from repro.errors import InvalidParameterError
 from repro.sim import simulate
-from repro.sim.backends import AlgorithmSpec, SimulationRequest, resolve_backend
-from repro.sim.cache import CODE_VERSION, configure_cache, get_cache
+from repro.sim.backends import AlgorithmSpec, SimulationRequest
+from repro.sim.cache import configure_cache, get_cache
 from repro.sim.jobs import backend_run_count, simulate_adaptive
 from repro.sim.selector import (
-    BASE_BUDGET,
-    CalibrationProfile,
-    CostEntry,
     SimulationPlan,
-    calibrate,
-    clear_profile,
-    load_profile,
-    machine_fingerprint,
     plan_request,
-    profile_path,
-    save_profile,
     selector_payload,
 )
 
 
 @pytest.fixture()
 def isolated_cache(tmp_path):
-    """Point the process cache (and thus the profile) at a fresh dir."""
+    """Point the process cache at a fresh dir."""
     previous = get_cache().directory
     configure_cache(directory=tmp_path)
     yield tmp_path
@@ -62,228 +52,37 @@ def _request(spec=None, **overrides):
     return SimulationRequest(**defaults)
 
 
-def _profile(entries, shard_overhead=0.01, **overrides):
-    """A synthetic in-memory profile (never touches disk)."""
-    defaults = dict(
-        entries=entries,
-        shard_overhead_seconds=shard_overhead,
-        created_at=1.0,
-    )
-    defaults.update(overrides)
-    return CalibrationProfile(**defaults)
-
-
-class TestMachineFingerprint:
-    def test_has_the_drift_axes(self):
-        fingerprint = machine_fingerprint()
-        for key in ("cpu_model", "cpu_count", "numpy", "platform", "python"):
-            assert key in fingerprint
-        assert fingerprint["cpu_count"] >= 1
-
-    def test_stable_within_a_process(self):
-        assert machine_fingerprint() == machine_fingerprint()
-
-
-class TestProfilePersistence:
-    def test_roundtrip(self, isolated_cache):
-        profile = _profile(
-            {"batched|algorithm1": CostEntry(0.001, 1e-5, 0.8)},
-            created_at=1_000.0,
-        )
-        path = save_profile(profile)
-        assert path == profile_path()
-        loaded = load_profile(now=1_001.0)
-        assert loaded is not None
-        entry = loaded.entry("batched", "algorithm1")
-        assert entry == CostEntry(0.001, 1e-5, 0.8)
-        assert loaded.shard_overhead_seconds == profile.shard_overhead_seconds
-
-    def test_stale_profile_is_ignored(self, isolated_cache):
-        save_profile(_profile({}, created_at=1_000.0))
-        assert load_profile(now=1_001.0) is not None
-        assert load_profile(now=1_000.0 + 8 * 24 * 3600) is None
-
-    def test_code_version_bump_invalidates(self, isolated_cache):
-        save_profile(_profile({}, created_at=1_000.0))
-        payload = json.loads(profile_path().read_text())
-        assert payload["code_version"] == CODE_VERSION
-        payload["code_version"] = "sim-v0-ancient"
-        profile_path().write_text(json.dumps(payload))
-        assert load_profile(now=1_001.0) is None
-
-    def test_foreign_machine_invalidates(self, isolated_cache):
-        save_profile(_profile({}, created_at=1_000.0))
-        payload = json.loads(profile_path().read_text())
-        payload["machine"]["cpu_model"] = "Quantum Abacus Mk II"
-        profile_path().write_text(json.dumps(payload))
-        assert load_profile(now=1_001.0) is None
-
-    def test_garbage_file_is_ignored(self, isolated_cache):
-        profile_path().parent.mkdir(parents=True, exist_ok=True)
-        profile_path().write_text("not json {")
-        assert load_profile() is None
-
-    def test_clear_profile(self, isolated_cache):
-        assert clear_profile() is False
-        save_profile(_profile({}))
-        assert clear_profile() is True
-        assert load_profile() is None
-
-
-class TestCalibration:
-    def test_restricted_calibration_fits_positive_models(self, isolated_cache):
-        profile = calibrate(
-            families=["algorithm1"],
-            backends=["batched", "closed_form"],
-            measure_pool=False,
-            save=True,
-        )
-        assert set(profile.entries) == {
-            "batched|algorithm1", "closed_form|algorithm1"
-        }
-        for entry in profile.entries.values():
-            assert entry.per_trial > 0
-            assert entry.intercept >= 0
-            assert 0.0 <= entry.budget_exponent <= 2.0
-        # Persisted and immediately loadable on the same machine.
-        assert load_profile() is not None
-
-    def test_calibrate_rejects_non_base_budget(self, isolated_cache):
-        with pytest.raises(InvalidParameterError):
-            calibrate(budgets=(BASE_BUDGET + 1, 99_999), measure_pool=False)
-        with pytest.raises(InvalidParameterError):
-            calibrate(budgets=(BASE_BUDGET, BASE_BUDGET), measure_pool=False)
-
-    def test_unknown_family_is_an_error(self, isolated_cache):
-        with pytest.raises(InvalidParameterError):
-            calibrate(families=["warp-search"], measure_pool=False)
-
-
 class TestPlanning:
-    def test_deterministic_given_a_profile(self):
-        profile = _profile({
-            "batched|algorithm1": CostEntry(0.001, 1e-5, 1.0),
-            "closed_form|algorithm1": CostEntry(0.0001, 2e-3, 1.0),
-            "reference|algorithm1": CostEntry(0.0, 0.2, 1.0),
-        })
-        request = _request(n_trials=200)
-        plans = {plan_request(request, workers=4, profile=profile)
-                 for _ in range(5)}
-        assert len(plans) == 1
-        plan = plans.pop()
-        assert plan.source == "cost-model"
-        assert plan.backend == "batched"
-        assert plan.predicted_seconds is not None
-
-    def test_cost_model_can_override_static_priority(self):
-        # Static auto would pick batched for a batch; make the profile
-        # say closed_form is 100x cheaper and the plan must follow it.
-        profile = _profile({
-            "batched|algorithm1": CostEntry(0.0, 1e-2, 1.0),
-            "closed_form|algorithm1": CostEntry(0.0, 1e-4, 1.0),
-        })
-        request = _request(n_trials=100)
-        assert resolve_backend(request).name == "batched"
-        plan = plan_request(request, workers=1, profile=profile)
-        assert plan.backend == "closed_form"
-
-    def test_equal_cost_tie_breaks_by_static_priority(self):
-        entry = CostEntry(0.0, 1e-4, 1.0)
-        profile = _profile({
-            "batched|algorithm1": entry,
-            "closed_form|algorithm1": entry,
-        })
-        plan = plan_request(_request(n_trials=100), workers=1, profile=profile)
-        # Same predicted seconds -> the static rank (batched p30 beats
-        # closed_form p5 on batches) decides.
-        assert plan.backend == "batched"
-
-    def test_shard_count_minimizes_predicted_wall_clock(self):
-        # 1.0s of compute, 10ms per shard: with cap 8 the optimum of
-        # t(k) = 1/k + 0.01k over 1..8 is k=8 (0.205s).
-        profile = _profile(
-            {"closed_form|algorithm1": CostEntry(0.0, 0.01, 0.0)},
-            shard_overhead=0.01,
-        )
-        plan = plan_request(
-            _request(n_trials=100), backend="closed_form",
-            workers=8, profile=profile,
-        )
-        assert plan.n_shards == 8
-        assert plan.workers == 8
-        assert plan.predicted_seconds == pytest.approx(1.0 / 8 + 0.08)
-
-    def test_shard_overhead_keeps_small_jobs_unsharded(self):
-        # 10ms of compute against 10ms/shard dispatch: sharding can
-        # only lose; the plan must stay single-shard even with workers.
-        profile = _profile(
-            {"closed_form|algorithm1": CostEntry(0.0, 1e-4, 0.0)},
-            shard_overhead=0.01,
-        )
-        plan = plan_request(
-            _request(n_trials=100), backend="closed_form",
-            workers=8, profile=profile,
-        )
-        assert plan.n_shards == 1
-
-    def test_min_trials_per_shard_caps_the_split(self):
-        profile = _profile(
-            {"closed_form|algorithm1": CostEntry(0.0, 1.0, 0.0)},
-            shard_overhead=1e-6,
-        )
-        plan = plan_request(
-            _request(n_trials=8), backend="closed_form",
-            workers=16, profile=profile,
-        )
-        # 8 trials / MIN_TRIALS_PER_SHARD(4) -> at most 2 shards, even
-        # with enormous compute and an eager worker cap.
-        assert plan.n_shards == 2
-
-    def test_missing_entry_falls_back_to_static(self):
-        profile = _profile({"batched|algorithm1": CostEntry(0.0, 1e-4, 1.0)})
-        request = _request(AlgorithmSpec.spiral())  # reference-only
-        plan = plan_request(request, workers=2, profile=profile)
-        assert plan.source == "static"
-        assert plan.backend == "reference"
-
     def test_explicit_backend_is_pinned_but_still_sharded(self):
-        profile = _profile({
-            "batched|algorithm1": CostEntry(0.0, 1e-6, 1.0),
-            "reference|algorithm1": CostEntry(0.0, 0.05, 1.0),
-        }, shard_overhead=0.001)
         plan = plan_request(
-            _request(n_trials=64), backend="reference",
-            workers=4, profile=profile,
+            _request(n_trials=64), backend="reference", workers=4
         )
         assert plan.backend == "reference"
-        assert plan.source == "cost-model"
-        assert plan.n_shards == 4
+        assert (plan.n_shards, plan.workers) == (4, 4)
 
     def test_worker_cap_validates(self):
         with pytest.raises(InvalidParameterError):
-            plan_request(_request(), workers=0, profile=None)
+            plan_request(_request(), workers=0)
 
     def test_payload_shape(self):
-        payload = selector_payload(profile=None)
-        assert payload["calibrated"] is False
+        payload = selector_payload()
+        assert set(payload) == {"batch_trials", "plans"}
         assert set(payload["plans"]) == {
             "algorithm1", "nonuniform", "uniform",
             "doubly-uniform", "random-walk", "feinerman",
         }
         for plan in payload["plans"].values():
-            assert {"backend", "n_shards", "workers", "device",
-                    "predicted_seconds", "source"} <= set(plan)
-            assert plan["source"] == "static"
+            assert set(plan) == {"backend", "n_shards", "workers", "device"}
 
 
 class TestPlanExecution:
     def test_simulate_executes_a_plan(self, isolated_cache):
         request = _request(n_trials=12, seed=31)
-        plan = SimulationPlan(
-            backend="closed_form", n_shards=3, workers=3,
-            predicted_seconds=0.1, source="cost-model",
+        plan = plan_request(request, backend="closed_form", workers=3)
+        assert (plan.n_shards, plan.workers) == (3, 3)
+        planned = simulate(
+            request, backend=plan.backend, workers=plan.workers, cache=False
         )
-        planned = simulate(request, plan=plan, cache=False)
         assert planned.backend == "closed_form"
         # Per-trial backends are bit-identical whatever the layout.
         unplanned = simulate(request, backend="closed_form", cache=False)
@@ -291,25 +90,16 @@ class TestPlanExecution:
             unplanned.moves_or_budget()
         )
 
-    def test_conflicting_backend_and_plan_rejected(self):
-        from repro.sim.jobs import get_manager
-
-        plan = SimulationPlan(backend="batched", n_shards=1, workers=1)
-        with pytest.raises(InvalidParameterError):
-            get_manager().submit(
-                _request(n_trials=4), backend="reference", plan=plan
-            )
-
     def test_planned_shards_share_the_unplanned_cache_layout(
         self, isolated_cache
     ):
-        """A planned job must hit the shard entries a fixed workers=N
+        """A planned run must hit the shard entries a fixed workers=N
         run of the same layout wrote — same _chunk_trials geometry."""
         request = _request(n_trials=10, seed=5)
         simulate(request, backend="closed_form", workers=2)
         before = backend_run_count()
-        plan = SimulationPlan(backend="closed_form", n_shards=2, workers=2)
-        simulate(request, plan=plan)
+        plan = plan_request(request, backend="closed_form", workers=2)
+        simulate(request, backend=plan.backend, workers=plan.workers)
         assert backend_run_count() == before  # full-entry or shard hits
 
 
@@ -415,15 +205,11 @@ class TestIntrospectionSurfaces:
     def test_wire_plan_encoding(self):
         from repro.server.wire import plan_to_wire
 
-        plan = SimulationPlan(
-            backend="batched", n_shards=2, workers=2,
-            predicted_seconds=0.123456789, source="cost-model",
-        )
-        payload = plan_to_wire(plan)
-        assert payload["backend"] == "batched"
-        assert payload["n_shards"] == 2
-        assert payload["predicted_seconds"] == pytest.approx(0.123457)
-        assert payload["source"] == "cost-model"
+        plan = SimulationPlan(backend="batched", n_shards=2, workers=2)
+        assert plan_to_wire(plan) == {
+            "backend": "batched", "n_shards": 2, "workers": 2,
+            "device": None,
+        }
 
     def test_cli_backends_json_matches_server_shape(self, capsys):
         from repro.cli import main
