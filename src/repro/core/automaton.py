@@ -145,6 +145,30 @@ class Automaton:
         # searchsorted per row: count thresholds strictly below u.
         return (rows < u[:, None]).sum(axis=1).astype(np.int64)
 
+    def transition_thresholds(self) -> np.ndarray:
+        """The distinct cumulative thresholds :meth:`step_many` compares
+        a uniform against, in increasing order.
+
+        Each row's last threshold is 1.0, which no uniform in ``[0, 1)``
+        exceeds, so it is left out.
+        """
+        return np.unique(self._cumulative[:, :-1])
+
+    def successor_table(self) -> np.ndarray:
+        """``step_many`` as a lookup on a uniform's threshold count.
+
+        Entry ``[s, c]`` of the ``(|S|, len(thresholds) + 1)`` table is
+        the successor of state ``s`` for a uniform ``u`` with exactly
+        ``c`` of :meth:`transition_thresholds` strictly below it.  Every
+        entry of row ``s`` is one of those thresholds, so the count of
+        row ``s``'s entries below ``u`` — the state :meth:`step_many`
+        returns — is the count below the ``c``-th threshold (below
+        infinity when ``c`` is the last column): the lookup is exact.
+        """
+        bounds = np.append(self.transition_thresholds(), np.inf)
+        below = self._cumulative[:, None, :-1] < bounds[None, :, None]
+        return below.sum(axis=2).astype(np.int64)
+
     def walk(self, rng: np.random.Generator, length: int) -> np.ndarray:
         """Sample a state path of ``length`` steps starting at ``s0``.
 

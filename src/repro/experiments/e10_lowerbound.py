@@ -89,7 +89,6 @@ def _measure(scale: str = "smoke", seed: int = DEFAULT_SEED) -> ExperimentResult
                     int(rng.integers(-distance, distance + 1)),
                     int(rng.integers(-distance, distance + 1)),
                 )
-                side = 2 * distance + 1
                 found_uniform += bool(
                     result.visited[
                         uniform_target[0] + distance, uniform_target[1] + distance

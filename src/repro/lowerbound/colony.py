@@ -8,8 +8,19 @@ fixed number of synchronous rounds, tracking:
 * per-agent move counts and the colony ``M_moves`` / ``M_steps`` for an
   optional target.
 
-One round costs O(n) numpy work, so ``D^2``-scale horizons at the
-experiment sizes run in seconds.
+The rounds run in blocks.  One ``rng.random((block, n))`` call draws a
+block's uniforms; its C-order fill gives the same doubles as ``block``
+calls of ``random(n)``, and the last block is sized to the rounds that
+remain, so a run consumes exactly ``rounds * n`` uniforms and leaves
+the generator where a round-by-round run would (callers draw from it
+afterwards).  Each uniform is reduced to the number of the
+automaton's transition thresholds below it, and
+:meth:`~repro.core.automaton.Automaton.successor_table` maps a state
+and that count to the successor, so only the state recurrence — one
+add and one take per round — runs round by round.  Positions
+(cumulative sums that restart after ORIGIN teleports), move counts,
+window coverage and the first find are then computed over the whole
+block.  The result is bit-identical to stepping one round at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +33,10 @@ import numpy as np
 from repro.core.automaton import Automaton
 from repro.errors import InvalidParameterError
 from repro.grid.geometry import Point
+
+# Cap on the uniforms one block draws (rounds x agents); a colony with
+# more agents than this runs one round per block.
+_BLOCK_VALUES = 1 << 15
 
 
 @dataclass
@@ -61,7 +76,11 @@ def simulate_colony(
     The run does not stop at the first find — the lower-bound
     experiments measure coverage over the whole horizon — but it does
     record the first find's ``M_moves``/``M_steps`` when a target is
-    given.
+    given: ``m_moves`` is the least move count at which any agent moves
+    onto the target, its finder the agent that did so in the earliest
+    round (then the lowest index), and ``m_steps`` the round of the
+    first hit.  An agent's later hits never count: getting back onto
+    the target takes more moves.
     """
     if n_agents < 1:
         raise InvalidParameterError(f"n_agents must be >= 1, got {n_agents}")
@@ -75,51 +94,97 @@ def simulate_colony(
     side = 2 * window_radius + 1
     visited = np.zeros((side, side), dtype=bool)
     visited[window_radius, window_radius] = True  # everyone starts at origin
+    visited_cells = visited.reshape(-1)
 
-    states = np.full(n_agents, automaton.start, dtype=np.int64)
-    positions = np.zeros((n_agents, 2), dtype=np.int64)
-    moves = np.zeros(n_agents, dtype=np.int64)
     move_vectors = automaton.move_vectors()
+    dx_by_state = move_vectors[:, 0]
+    dy_by_state = move_vectors[:, 1]
     origin_mask_by_state = automaton.origin_state_mask()
+    is_move_by_state = (move_vectors != 0).any(axis=1)
+    # A round is one add and one take: an agent's state travels scaled
+    # by the number of threshold counts, so state * n_codes + count
+    # indexes the successor table directly.
+    thresholds = automaton.transition_thresholds()
+    n_codes = thresholds.size + 1
+    successors = (automaton.successor_table() * n_codes).ravel()
 
-    target_array = None if target is None else np.asarray(target, dtype=np.int64)
+    scaled_states = np.full(n_agents, automaton.start * n_codes, dtype=np.int64)
+    xs = np.zeros(n_agents, dtype=np.int64)
+    ys = np.zeros(n_agents, dtype=np.int64)
+    moves = np.zeros(n_agents, dtype=np.int64)
+
     best_moves: Optional[int] = None
     best_steps: Optional[int] = None
     finder: Optional[int] = None
-    found_mask = np.zeros(n_agents, dtype=bool)
 
-    for round_index in range(1, rounds + 1):
-        states = automaton.step_many(rng, states)
-        displacements = move_vectors[states]
-        positions += displacements
-        teleported = origin_mask_by_state[states]
-        if np.any(teleported):
-            positions[teleported] = 0
-        is_move = (displacements[:, 0] != 0) | (displacements[:, 1] != 0)
-        moves += is_move
+    max_block = max(1, _BLOCK_VALUES // n_agents)
+    done = 0
+    while done < rounds:
+        block = min(max_block, rounds - done)
+        u = rng.random((block, n_agents))
+        codes = np.zeros((block, n_agents), dtype=np.int64)
+        for threshold in thresholds:
+            codes += u > threshold
+        scaled_block = np.empty((block, n_agents), dtype=np.int64)
+        for code_row, out in zip(codes, scaled_block):
+            code_row += scaled_states
+            scaled_states = successors.take(code_row, out=out, mode="clip")
+        states = scaled_block // n_codes
 
-        in_window = (np.abs(positions) <= window_radius).all(axis=1)
-        if np.any(in_window):
-            xs = positions[in_window, 0] + window_radius
-            ys = positions[in_window, 1] + window_radius
-            visited[xs, ys] = True
-
-        if target_array is not None:
-            hits = (
-                is_move
-                & ~found_mask
-                & (positions[:, 0] == target_array[0])
-                & (positions[:, 1] == target_array[1])
+        # Positions: running sums of the displacements, restarted at
+        # zero after an agent's latest ORIGIN teleport in the block.
+        steps_x = np.cumsum(dx_by_state.take(states), axis=0)
+        steps_y = np.cumsum(dy_by_state.take(states), axis=0)
+        block_xs = steps_x + xs
+        block_ys = steps_y + ys
+        teleported = origin_mask_by_state.take(states)
+        if teleported.any():
+            columns = np.flatnonzero(teleported.any(axis=0))
+            latest = np.where(
+                teleported[:, columns], np.arange(block)[:, None], -1
             )
-            if np.any(hits):
-                hit_ids = np.flatnonzero(hits)
-                found_mask[hit_ids] = True
-                candidate = int(moves[hit_ids].min())
-                if best_moves is None or candidate < best_moves:
-                    best_moves = candidate
-                    finder = int(hit_ids[np.argmin(moves[hit_ids])])
+            np.maximum.accumulate(latest, axis=0, out=latest)
+            restarted = latest >= 0
+            # Where no teleport has happened yet ``latest`` is -1, and
+            # the row it gathers is discarded by the ``where``.
+            picks = (latest, np.arange(columns.size))
+            for steps, positions in ((steps_x, block_xs), (steps_y, block_ys)):
+                own = steps[:, columns]
+                positions[:, columns] = np.where(
+                    restarted, own - own[picks], positions[:, columns]
+                )
+
+        inside = np.abs(block_xs) <= window_radius
+        inside &= np.abs(block_ys) <= window_radius
+        cells = block_xs + window_radius
+        cells *= side
+        cells += block_ys
+        cells += window_radius
+        visited_cells[cells[inside]] = True
+
+        if target is not None:
+            is_move = is_move_by_state.take(states)
+            hits = block_xs == target[0]
+            hits &= block_ys == target[1]
+            hits &= is_move
+            if hits.any():
+                hit_ids = np.flatnonzero(hits.any(axis=0))
+                hit_rounds = hits[:, hit_ids].argmax(axis=0)
+                hit_moves = moves[hit_ids] + np.cumsum(
+                    is_move[:, hit_ids], axis=0
+                )[hit_rounds, np.arange(hit_ids.size)]
+                # Least moves, then earliest round, then lowest index.
+                first = np.lexsort((hit_ids, hit_rounds, hit_moves))[0]
+                if best_moves is None or hit_moves[first] < best_moves:
+                    best_moves = int(hit_moves[first])
+                    finder = int(hit_ids[first])
                 if best_steps is None:
-                    best_steps = round_index
+                    best_steps = done + int(hit_rounds.min()) + 1
+            moves += is_move.sum(axis=0)
+
+        xs = block_xs[-1]
+        ys = block_ys[-1]
+        done += block
 
     return ColonyResult(
         n_agents=n_agents,

@@ -26,8 +26,6 @@ import numpy as np
 from repro.core.uniform import phase_coin_exponent
 from repro.errors import InvalidParameterError
 from repro.grid.geometry import Point
-from repro.sim.kernels import sample_sorties, sortie_hits
-from repro.sim.kernels.xp import _NumpyRNG, numpy_namespace
 from repro.sim.metrics import FastRunStats, SearchOutcome
 
 __all__ = [
@@ -41,32 +39,61 @@ __all__ = [
 ]
 
 
-def _sample_sorties(
-    rng: np.random.Generator, stop_probability: np.ndarray | float, count: int
-):
-    """Sample ``count`` independent sorties.
+def _sample_sorties(rng: np.random.Generator, stop_probability: float, count: int):
+    """Sample ``count`` independent L-sorties with two Generator calls.
 
-    Thin binding of :func:`repro.sim.kernels.sample_sorties` to the
-    NumPy namespace: the kernel keeps the historical draw order, so
-    these streams are byte-identical to the pre-extraction helper.
-    The stop probability may be scalar or per-sortie (the uniform
-    algorithm mixes phases in one batch).
+    Returns ``(plus_v, lengths_v, plus_h, lengths_h)``: each leg's
+    direction as a bool (True for the positive direction) and its
+    ``Geometric(p) - 1`` length.  The values, and the generator state
+    afterwards, are those of the historical four draws of ``count``
+    each — ``integers(0, 2)`` for the vertical then horizontal sign
+    bits, ``geometric(p)`` for the vertical then horizontal legs:
+
+    * a range-2 ``integers`` value is the top bit of one 32-bit word,
+      and a float32 ``random`` value is that word's top 24 bits over
+      ``2**24``, so ``random(dtype=float32) >= 0.5`` reads the same bit
+      from the same word, at a fraction of ``integers``' call cost;
+    * both fill value by value, so one call of ``2 * count`` is the two
+      calls of ``count`` back to back.
+
+    ``test_numpy_draw_contract`` pins these equalities.
     """
-    return sample_sorties(
-        numpy_namespace(), _NumpyRNG(rng), stop_probability, count
-    )
+    plus = rng.random(2 * count, dtype=np.float32) >= 0.5
+    lengths = rng.geometric(stop_probability, size=2 * count)
+    lengths -= 1
+    return plus[:count], lengths[:count], plus[count:], lengths[count:]
 
 
-def _sortie_hits(target: Point, signs_v, lengths_v, signs_h, lengths_h):
-    """Vectorized L-path hit test + moves-at-hit.
+def _sortie_hits(target: Point, plus_v, lengths_v, plus_h, lengths_h):
+    """Vectorized L-path hit test: ``(hit, moves_at_hit)``, or None when
+    no sortie reaches the target.
 
-    Binding of :func:`repro.sim.kernels.sortie_hits` to the NumPy
-    namespace; see :func:`repro.grid.geometry.l_path_hit_moves` for the
-    closed form.
+    The closed form of :func:`repro.grid.geometry.l_path_hit_moves`: a
+    target on the vertical leg is reached after ``|y|`` moves; on the
+    horizontal leg, whose corner is ``(0, ±lengths_v)``, after
+    ``lengths_v + |x|`` moves.
     """
-    return sortie_hits(
-        numpy_namespace(), target, signs_v, lengths_v, signs_h, lengths_h
-    )
+    x, y = target
+    if x == 0:
+        # The vertical leg passes (0, y) iff it heads y's way far enough.
+        hit = lengths_v >= abs(y)
+        if y != 0:
+            hit &= plus_v if y > 0 else ~plus_v
+        if not np.count_nonzero(hit):
+            return None
+        return hit, np.full(hit.shape, abs(y), dtype=np.int64)
+    # Off the vertical axis the corner must sit at height y: a rare
+    # event for a far target, so most rounds stop at this one test.
+    hit = lengths_v == abs(y)
+    if not np.count_nonzero(hit):
+        return None
+    if y != 0:
+        hit &= plus_v if y > 0 else ~plus_v
+    hit &= plus_h if x > 0 else ~plus_h
+    hit &= lengths_h >= abs(x)
+    if not np.count_nonzero(hit):
+        return None
+    return hit, lengths_v + abs(x)
 
 
 def lshape_first_find(
@@ -110,23 +137,31 @@ def lshape_first_find(
         count = agent_ids.size
         rounds_executed += 1
         iterations_executed += count
-        sv, lv, sh, lh = _sample_sorties(rng, stop_probability, count)
-        hit, moves_at_hit = _sortie_hits(target, sv, lv, sh, lh)
-        totals = cumulative + moves_at_hit
-        eligible = hit & (totals <= move_budget)
-        if np.any(eligible):
-            candidate_index = int(np.argmin(np.where(eligible, totals, np.iinfo(np.int64).max)))
-            candidate_total = int(totals[candidate_index])
-            if best is None or candidate_total < best:
-                best = candidate_total
-                best_finder = int(agent_ids[candidate_index])
-        survivors = ~hit
-        cumulative = cumulative[survivors] + (lv + lh)[survivors]
-        agent_ids = agent_ids[survivors]
+        pv, lv, ph, lh = _sample_sorties(rng, stop_probability, count)
+        hits = _sortie_hits(target, pv, lv, ph, lh)
+        if hits is not None:
+            hit, moves_at_hit = hits
+            totals = cumulative + moves_at_hit
+            eligible = np.flatnonzero(hit & (totals <= move_budget))
+            if eligible.size:
+                # The first eligible agent with the least total, as an
+                # argmin over the whole round would pick it.
+                candidate_index = int(eligible[totals[eligible].argmin()])
+                candidate_total = int(totals[candidate_index])
+                if best is None or candidate_total < best:
+                    best = candidate_total
+                    best_finder = int(agent_ids[candidate_index])
+        # Agents keep walking while they can still beat the budget and
+        # the best find so far.  A hit agent retires by the same test:
+        # its hit is a prefix of its sortie, so its new total is at
+        # least the hit's, which is over the budget or not below best.
+        cumulative += lv
+        cumulative += lh
         limit = move_budget if best is None else min(move_budget, best)
         keep = cumulative < limit
-        cumulative = cumulative[keep]
-        agent_ids = agent_ids[keep]
+        if np.count_nonzero(keep) < count:
+            cumulative = cumulative[keep]
+            agent_ids = agent_ids[keep]
 
     stats = FastRunStats(iterations_executed, rounds_executed)
     if best is None:
@@ -261,11 +296,12 @@ def _simulate_uniform_agent(
             batch = min(calls, _SORTIE_CHUNK)
             calls -= batch
             iterations += batch
-            sv, lv, sh, lh = _sample_sorties(rng, stop_p, batch)
-            hit, moves_at_hit = _sortie_hits(target, sv, lv, sh, lh)
+            pv, lv, ph, lh = _sample_sorties(rng, stop_p, batch)
+            hits = _sortie_hits(target, pv, lv, ph, lh)
             lengths = lv + lh
-            if np.any(hit):
-                first = int(np.argmax(hit))
+            if hits is not None:
+                hit, moves_at_hit = hits
+                first = int(hit.argmax())
                 moves_before = int(lengths[:first].sum())
                 total = cumulative + moves_before + int(moves_at_hit[first])
                 return (total if total <= move_limit else None), iterations, rounds
@@ -352,11 +388,12 @@ def _simulate_doubly_uniform_agent(
                 batch = min(calls, _SORTIE_CHUNK)
                 calls -= batch
                 iterations += batch
-                sv, lv, sh, lh = _sample_sorties(rng, stop_p, batch)
-                hit, moves_at_hit = _sortie_hits(target, sv, lv, sh, lh)
+                pv, lv, ph, lh = _sample_sorties(rng, stop_p, batch)
+                hits = _sortie_hits(target, pv, lv, ph, lh)
                 lengths = lv + lh
-                if np.any(hit):
-                    first = int(np.argmax(hit))
+                if hits is not None:
+                    hit, moves_at_hit = hits
+                    first = int(hit.argmax())
                     moves_before = int(lengths[:first].sum())
                     total = cumulative + moves_before + int(moves_at_hit[first])
                     return (

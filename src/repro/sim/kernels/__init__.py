@@ -9,8 +9,7 @@ halves:
   device-resolution logic the ``accelerator`` backend gates on;
 * :mod:`repro.sim.kernels.core` — the six per-family kernels
   (lshape, uniform, doubly-uniform, random-walk, feinerman, and the
-  shared sortie sampling/hit-test helpers), written once against the
-  shim.
+  sortie hit test they share), written once against the shim.
 
 The ``batched`` backend binds the NumPy namespace; the ``accelerator``
 backend binds whatever :func:`~repro.sim.kernels.xp.resolve_accelerator`
@@ -25,7 +24,6 @@ from repro.sim.kernels.core import (
     batch_random_walk,
     batch_uniform,
     run_family,
-    sample_sorties,
     sortie_hits,
     stop_probability_for,
 )
@@ -55,7 +53,6 @@ __all__ = [
     "numpy_namespace",
     "resolve_accelerator",
     "run_family",
-    "sample_sorties",
     "sortie_hits",
     "stop_probability_for",
     "torch_namespace",

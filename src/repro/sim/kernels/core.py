@@ -63,7 +63,6 @@ __all__ = [
     "batch_lshape",
     "batch_random_walk",
     "batch_uniform",
-    "sample_sorties",
     "sortie_hits",
 ]
 
@@ -131,21 +130,6 @@ def _block_len(pairs: int, itemsize: int, *caps: int) -> int:
     return max(1, block)
 
 
-def sample_sorties(xp: ArrayNamespace, rng: KernelRNG, stop_probability, count):
-    """Sample ``count`` independent L-sorties, one draw per variable.
-
-    Returns ``(signs_v, lengths_v, signs_h, lengths_h)``.  The draw
-    order matches the historical ``repro.sim.fast`` helper exactly, so
-    the per-trial ``closed_form`` simulators keep their byte-identical
-    streams on the NumPy namespace.
-    """
-    signs_v = rng.integers(0, 2, size=count) * 2 - 1
-    signs_h = rng.integers(0, 2, size=count) * 2 - 1
-    lengths_v = rng.geometric(stop_probability, size=count) - 1
-    lengths_h = rng.geometric(stop_probability, size=count) - 1
-    return signs_v, lengths_v, signs_h, lengths_h
-
-
 def _sample_sorties_fused(
     xp: ArrayNamespace, rng: KernelRNG, stop_probability, shape
 ):
@@ -153,8 +137,7 @@ def _sample_sorties_fused(
 
     ``shape`` is the per-variable shape (e.g. ``(pairs,)`` or
     ``(pairs, block)``); the fused draws stack the vertical/horizontal
-    variables on a leading axis of 2.  Same marginal distribution as
-    :func:`sample_sorties`, two RNG calls instead of four.
+    variables on a leading axis of 2: two RNG calls instead of four.
     """
     fused = (2, *shape) if isinstance(shape, tuple) else (2, shape)
     # One float32 uniform draw feeds both variables: for U ~ [0, 1),

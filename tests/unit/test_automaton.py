@@ -16,6 +16,17 @@ def two_state_machine() -> Automaton:
     return Automaton(matrix, [Action.ORIGIN, Action.UP], start=0, name="toy")
 
 
+class _FixedUniforms:
+    """Stands in for a Generator whose next ``random(n)`` is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u
+
+
 class TestActions:
     def test_move_actions(self):
         assert Action.UP.is_move
@@ -99,6 +110,34 @@ class TestAutomatonBehaviour:
         successors = machine.step_many(rng, states)
         assert successors.mean() == pytest.approx(0.75, abs=0.02)
         assert set(np.unique(successors)) <= {0, 1}
+
+    def test_successor_table_matches_step_many(self):
+        """The threshold-count lookup the colony simulator steps with
+        returns exactly the states ``step_many`` draws, including for
+        non-dyadic probabilities whose running sums round."""
+        thirds = Automaton(
+            np.array([[0.0, 1 / 3, 2 / 3], [0.1, 0.2, 0.7], [1 / 3, 1 / 3, 1 / 3]]),
+            [Action.ORIGIN, Action.UP, Action.LEFT],
+        )
+        for machine in (two_state_machine(), thirds):
+            thresholds = machine.transition_thresholds()
+            table = machine.successor_table()
+            assert table.shape == (machine.n_states, thresholds.size + 1)
+            for seed in range(3):
+                states = np.random.default_rng(100 + seed).integers(
+                    0, machine.n_states, size=5000
+                )
+                u = np.random.default_rng(seed).random(5000)
+                expected = machine.step_many(np.random.default_rng(seed), states)
+                counts = (u[:, None] > thresholds).sum(axis=1)
+                assert np.array_equal(table[states, counts], expected)
+            # Uniforms at the thresholds themselves, where ties are decided.
+            u = np.append(thresholds, np.nextafter(thresholds, 1.0))
+            counts = (u[:, None] > thresholds).sum(axis=1)
+            for state in range(machine.n_states):
+                states = np.full(u.size, state)
+                expected = machine.step_many(_FixedUniforms(u), states)
+                assert np.array_equal(table[state, counts], expected)
 
     def test_walk_length(self, rng):
         machine = two_state_machine()

@@ -26,7 +26,6 @@ from repro.sim import AlgorithmSpec, SimulationRequest, ks_statistic, \
 from repro.sim.kernels import (
     numpy_namespace,
     run_family,
-    sample_sorties,
     sortie_hits,
     torch_namespace,
 )
@@ -247,18 +246,6 @@ class TestBlockedRoundBoundaries:
 
 @pytest.mark.parametrize("xp", NAMESPACES)
 class TestSortieHelpers:
-    def test_sample_sorties_shapes_and_ranges(self, xp):
-        rng = xp.rng(np.random.SeedSequence(7))
-        sv, lv, sh, lh = sample_sorties(xp, rng, 0.25, 1000)
-        for array in (sv, lv, sh, lh):
-            assert xp.to_numpy(array).shape == (1000,)
-        signs = np.unique(np.concatenate([xp.to_numpy(sv), xp.to_numpy(sh)]))
-        assert set(signs) <= {-1, 1}
-        lengths = np.concatenate([xp.to_numpy(lv), xp.to_numpy(lh)])
-        assert (lengths >= 0).all()
-        # Geometric(0.25) - 1 has mean 3; 2000 draws keep this tight.
-        assert 2.5 <= lengths.mean() <= 3.5
-
     def test_sortie_hits_closed_form(self, xp):
         """Hand-checked hit cases survive the namespace translation."""
         sv = xp.asarray([1, 1, -1, 1], dtype=xp.int64)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.actions import Action
+from repro.core.automaton import Automaton
 from repro.errors import InvalidParameterError
+from repro.lowerbound import colony
 from repro.lowerbound.certify import certify
 from repro.lowerbound.colony import simulate_colony
 from repro.lowerbound.coverage import (
@@ -205,6 +207,143 @@ class TestColonySimulation:
             simulate_colony(machine, 1, 0, rng, window_radius=4)
         with pytest.raises(InvalidParameterError):
             simulate_colony(machine, 1, 5, rng, window_radius=0)
+
+
+def _legacy_simulate_colony(automaton, n_agents, rounds, rng, *, window_radius,
+                            target=None):
+    """The round-by-round colony loop the blocked simulator replaced,
+    kept verbatim as its bit-identity reference."""
+    side = 2 * window_radius + 1
+    visited = np.zeros((side, side), dtype=bool)
+    visited[window_radius, window_radius] = True
+
+    states = np.full(n_agents, automaton.start, dtype=np.int64)
+    positions = np.zeros((n_agents, 2), dtype=np.int64)
+    moves = np.zeros(n_agents, dtype=np.int64)
+    move_vectors = automaton.move_vectors()
+    origin_mask_by_state = automaton.origin_state_mask()
+
+    target_array = None if target is None else np.asarray(target, dtype=np.int64)
+    best_moves = best_steps = finder = None
+    found_mask = np.zeros(n_agents, dtype=bool)
+
+    for round_index in range(1, rounds + 1):
+        states = automaton.step_many(rng, states)
+        displacements = move_vectors[states]
+        positions += displacements
+        teleported = origin_mask_by_state[states]
+        if np.any(teleported):
+            positions[teleported] = 0
+        is_move = (displacements[:, 0] != 0) | (displacements[:, 1] != 0)
+        moves += is_move
+
+        in_window = (np.abs(positions) <= window_radius).all(axis=1)
+        if np.any(in_window):
+            xs = positions[in_window, 0] + window_radius
+            ys = positions[in_window, 1] + window_radius
+            visited[xs, ys] = True
+
+        if target_array is not None:
+            hits = (
+                is_move
+                & ~found_mask
+                & (positions[:, 0] == target_array[0])
+                & (positions[:, 1] == target_array[1])
+            )
+            if np.any(hits):
+                hit_ids = np.flatnonzero(hits)
+                found_mask[hit_ids] = True
+                candidate = int(moves[hit_ids].min())
+                if best_moves is None or candidate < best_moves:
+                    best_moves = candidate
+                    finder = int(hit_ids[np.argmin(moves[hit_ids])])
+                if best_steps is None:
+                    best_steps = round_index
+
+    return visited, best_moves, best_steps, finder
+
+
+def _teleporting_automaton():
+    """Steps up, down or right, idles, or returns to ORIGIN (one step in
+    eight), independently of its state."""
+    row = [0.125, 0.25, 0.25, 0.125, 0.25]
+    labels = [Action.ORIGIN, Action.UP, Action.RIGHT, Action.NONE, Action.DOWN]
+    return Automaton(np.array([row] * 5), labels, name="teleporting")
+
+
+class TestColonyLegacyTwin:
+    """The blocked colony is bit-identical to the round-by-round loop:
+    same coverage, first find and finder, and the same generator state
+    afterwards (E10 draws its uniform target from it)."""
+
+    def _assert_twin(self, automaton, n_agents, rounds, seed, radius, target):
+        legacy_rng = np.random.default_rng(seed)
+        blocked_rng = np.random.default_rng(seed)
+        visited, m_moves, m_steps, finder = _legacy_simulate_colony(
+            automaton, n_agents, rounds, legacy_rng,
+            window_radius=radius, target=target,
+        )
+        result = simulate_colony(
+            automaton, n_agents, rounds, blocked_rng,
+            window_radius=radius, target=target,
+        )
+        assert np.array_equal(result.visited, visited)
+        assert (result.m_moves, result.m_steps, result.finder) == (
+            m_moves, m_steps, finder
+        )
+        assert result.found == (m_moves is not None)
+        assert blocked_rng.bit_generator.state == legacy_rng.bit_generator.state
+        return result
+
+    def test_teleports_and_ragged_last_block(self):
+        machine = _teleporting_automaton()
+        n_agents = 200
+        block = colony._BLOCK_VALUES // n_agents
+        for seed in range(3):
+            self._assert_twin(
+                machine, n_agents, 2 * block + 37, seed, 6, target=(2, 3)
+            )
+
+    def test_random_machines_with_idle_states(self):
+        for seed in range(6):
+            machine = random_bounded_automaton(
+                np.random.default_rng(seed), bits=3, ell=2
+            )
+            self._assert_twin(machine, 40, 300, seed, 5, target=(1, -1))
+
+    def test_equal_moves_tie_break(self):
+        # Ten agents on a tiny grid with idle and teleport states: many
+        # finds share a move count across and within rounds.
+        machine = _teleporting_automaton()
+        finders = set()
+        for seed in range(8):
+            result = self._assert_twin(machine, 10, 60, seed, 4, target=(1, 1))
+            finders.add(result.finder)
+        assert len(finders) > 1
+
+    def test_origin_target_needs_a_move(self):
+        # Idling or teleporting at the origin is not a find.
+        machine = _teleporting_automaton()
+        for seed in range(3):
+            result = self._assert_twin(machine, 6, 80, seed, 4, target=(0, 0))
+            assert result.found and result.m_moves >= 2
+
+    def test_hit_in_first_round(self):
+        result = self._assert_twin(
+            cycle_automaton([Action.UP]), 5, 9, 0, 4, target=(0, 1)
+        )
+        assert (result.m_moves, result.m_steps, result.finder) == (1, 1, 0)
+
+    def test_agents_above_block_cap(self):
+        machine = _teleporting_automaton()
+        n_agents = colony._BLOCK_VALUES + 1
+        self._assert_twin(machine, n_agents, 3, 5, 3, target=(0, 2))
+
+    def test_without_target(self):
+        result = self._assert_twin(
+            uniform_walk_automaton(), 6, 500, 11, 10, target=None
+        )
+        assert not result.found and result.finder is None
 
 
 class TestCertificate:
