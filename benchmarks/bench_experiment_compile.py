@@ -15,6 +15,12 @@ borrows the other's results, and the compiled results are asserted
 equal to the sequential ones — the speedup is never bought with a
 different answer.
 
+The two sides run in ``PAIRS`` interleaved pairs (the order alternates
+within a pair), and the gated speedup is the median of the per-pair
+ratios.  A single pair spread too widely to gate on: two runs of the
+same tree read 1.449x and 1.923x against the 1.3x floor on 2 cores.
+Every ratio and the quartile spread are printed and recorded.
+
 Gates (``--check``, run in CI) are tiered by core count, because the
 compiled path's wins are parallelism (the dedup stage is a no-op at
 smoke scale, where no two experiments declare the same point):
@@ -42,6 +48,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -58,6 +65,9 @@ SCALE = "smoke"
 
 #: (minimum cores, required speedup) — first matching row applies.
 SPEEDUP_TIERS = ((4, 2.0), (2, 1.3), (1, 0.8))
+
+#: Interleaved (sequential, compiled) pairs behind the median speedup.
+PAIRS = 3
 
 
 def required_speedup(cpu_count: int) -> float:
@@ -108,46 +118,84 @@ def run_compiled(cache_dir: str, workers: int) -> dict:
     }
 
 
-def measure(workers: int) -> dict:
+def run_pair(index: int, workers: int):
+    """One (sequential, compiled) pair, each against a fresh cache; the
+    side that runs first alternates with ``index``."""
     previous_cache = get_cache().directory
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            sequential = run_sequential(os.path.join(tmp, "sequential"))
-            compiled = run_compiled(os.path.join(tmp, "compiled"), workers)
+            sides = {
+                "sequential": lambda: run_sequential(
+                    os.path.join(tmp, "sequential")
+                ),
+                "compiled": lambda: run_compiled(
+                    os.path.join(tmp, "compiled"), workers
+                ),
+            }
+            order = ("sequential", "compiled")
+            if index % 2:
+                order = order[::-1]
+            done = {name: sides[name]() for name in order}
+            return done["sequential"], done["compiled"]
     finally:
         configure_cache(directory=previous_cache)
 
-    mismatched = sorted(
+
+def measure(workers: int) -> dict:
+    runs = [run_pair(index, workers) for index in range(PAIRS)]
+    ratios = [
+        sequential["seconds"] / compiled["seconds"]
+        for sequential, compiled in runs
+    ]
+    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    mismatched = sorted({
         key
+        for sequential, compiled in runs
         for key in REGISTRY
         if compiled["results"][key] != sequential["results"][key]
-    )
-    failed_checks = sorted(
+    })
+    failed_checks = sorted({
         key
+        for _, compiled in runs
         for key, result in compiled["results"].items()
         if not result.all_passed
-    )
-    stats = compiled["stats"]
+    })
+    stats = runs[0][1]["stats"]
+
+    def median_of(side: int, name: str) -> float:
+        return round(statistics.median(run[side][name] for run in runs), 3)
+
     return {
         "scale": SCALE,
         "seed": DEFAULT_SEED,
         "experiments": len(REGISTRY),
         "cpu_count": os.cpu_count() or 1,
         "workers": workers,
-        "sequential_seconds": round(sequential["seconds"], 3),
-        "compiled_seconds": round(compiled["seconds"], 3),
-        "compiled_warm_seconds": round(compiled["warm_seconds"], 3),
-        "compiled_finalize_seconds": round(compiled["finalize_seconds"], 3),
-        "speedup_x": round(sequential["seconds"] / compiled["seconds"], 3),
+        "pairs": PAIRS,
+        "sequential_seconds": median_of(0, "seconds"),
+        "compiled_seconds": median_of(1, "seconds"),
+        "compiled_warm_seconds": median_of(1, "warm_seconds"),
+        "compiled_finalize_seconds": median_of(1, "finalize_seconds"),
+        "speedup_x": round(statistics.median(ratios), 3),
+        "speedup_ratios": [round(ratio, 3) for ratio in ratios],
+        "speedup_quartiles": [round(q1, 3), round(q3, 3)],
         "required_speedup_x": required_speedup(os.cpu_count() or 1),
         "speedup_tiers": [list(tier) for tier in SPEEDUP_TIERS],
         "declared_points": stats.declared_points,
         "unique_points": stats.unique_points,
-        "points_executed": compiled["points_executed"],
-        "replay_cache_satisfied": compiled["replay_cache_satisfied"],
-        "replay_unique_points": compiled["replay_unique_points"],
-        "replay_backend_runs": compiled["replay_backend_runs"],
-        "replay_points_executed": compiled["replay_points_executed"],
+        "points_executed": runs[0][1]["points_executed"],
+        "replay_cache_satisfied": [
+            compiled["replay_cache_satisfied"] for _, compiled in runs
+        ],
+        "replay_unique_points": [
+            compiled["replay_unique_points"] for _, compiled in runs
+        ],
+        "replay_backend_runs": max(
+            compiled["replay_backend_runs"] for _, compiled in runs
+        ),
+        "replay_points_executed": max(
+            compiled["replay_points_executed"] for _, compiled in runs
+        ),
         "mismatched_experiments": mismatched,
         "failed_checks": failed_checks,
     }
@@ -180,7 +228,8 @@ def assert_gates(payload: dict) -> None:
     speedup, floor = payload["speedup_x"], payload["required_speedup_x"]
     assert speedup >= floor, (
         f"compiled report must be >= {floor}x the sequential loop on "
-        f"{payload['cpu_count']} core(s), got {speedup}x "
+        f"{payload['cpu_count']} core(s), got a median of {speedup}x over "
+        f"{payload['pairs']} pairs {payload['speedup_ratios']} "
         f"(sequential {payload['sequential_seconds']}s, compiled "
         f"{payload['compiled_seconds']}s)"
     )
@@ -209,9 +258,12 @@ def main(argv=None) -> int:
     except AssertionError as error:
         print(f"GATE FAILED: {error}", file=sys.stderr)
         return 1
+    q1, q3 = payload["speedup_quartiles"]
     print(
-        f"experiment-compile gates OK: {payload['speedup_x']}x vs the "
-        f"sequential loop (floor {payload['required_speedup_x']}x at "
+        f"experiment-compile gates OK: median {payload['speedup_x']}x vs "
+        f"the sequential loop over {payload['pairs']} interleaved pairs "
+        f"(ratios {payload['speedup_ratios']}, quartiles {q1}-{q3}; floor "
+        f"{payload['required_speedup_x']}x at "
         f"{payload['cpu_count']} cores), {payload['declared_points']} "
         f"declared -> {payload['unique_points']} unique points, warm "
         f"replay 100% cache-satisfied with 0 backend runs"

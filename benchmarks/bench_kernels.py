@@ -18,6 +18,13 @@ higher bar: verbatim in-file copies of their pre-optimization kernels
 versions bound to NumPy) run the same family workloads in the same
 process, and each new kernel must beat its legacy twin by >= 5x.
 
+Colonies/sec is not comparable across families — a doubly-uniform
+colony is far more work than a Feinerman one — so each family also
+reports its work rate: ``uniforms_per_second``, the random variates
+its kernel draws per colony (float uniforms, step bytes, phase coins
+and center coordinates alike, counted by a forwarding RNG on one
+untimed run) times its colonies/sec.
+
 Numbers land in the ``kernels`` section of ``BENCH_sim_backends.json``
 (and the dated ``BENCH_history.jsonl`` trail).  Running with
 ``--check`` additionally compares each family against the committed
@@ -46,6 +53,7 @@ import numpy as np
 
 from bench_sim_backends import RECORD_PATH, update_record
 from repro.sim import AlgorithmSpec, SimulationRequest, simulate
+from repro.sim.kernels import numpy_namespace, run_family
 
 #: New kernel must beat the in-file legacy kernel by this factor on the
 #: long-tail workload (same machine, same run — hardware-independent).
@@ -107,6 +115,35 @@ def _rate(request: SimulationRequest) -> float:
         assert len(result.outcomes) == request.n_trials
         best = max(best, request.n_trials / elapsed)
     return best
+
+
+class _DrawCounter:
+    """Forwards to a kernel RNG and sums the variates its calls return."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.drawn = 0
+
+    def __getattr__(self, name: str):
+        attr = getattr(self._inner, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            self.drawn += int(np.size(out))
+            return out
+
+        return counted
+
+
+def _uniforms_per_colony(request: SimulationRequest) -> float:
+    """Variates the kernel draws per colony, on the batched backend's
+    own stream (one pooled generator at trial 0's seed)."""
+    xp = numpy_namespace()
+    rng = _DrawCounter(xp.rng(request.trial_seed(0)))
+    run_family(xp, rng, request, request.n_trials)
+    return rng.drawn / request.n_trials
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +500,21 @@ def measure(families=None) -> dict:
         family: round(_rate(_family_request(family)), 2)
         for family in families
     }
+    per_colony = {
+        family: round(_uniforms_per_colony(_family_request(family)), 1)
+        for family in families
+    }
     legacy_family = {
         family: round(_legacy_family_rate(family), 2)
         for family in LEGACY_FAMILIES if family in families
     }
     payload = {
         "colonies_per_second": per_family,
+        "uniforms_per_colony": per_colony,
+        "uniforms_per_second": {
+            family: round(per_family[family] * per_colony[family])
+            for family in families
+        },
         "legacy_colonies_per_second": legacy_family,
         "speedup_vs_legacy": {
             family: round(per_family[family] / rate, 2)

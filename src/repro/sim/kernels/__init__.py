@@ -24,7 +24,6 @@ from repro.sim.kernels.core import (
     batch_random_walk,
     batch_uniform,
     run_family,
-    sortie_hits,
     stop_probability_for,
 )
 from repro.sim.kernels.xp import (
@@ -53,7 +52,6 @@ __all__ = [
     "numpy_namespace",
     "resolve_accelerator",
     "run_family",
-    "sortie_hits",
     "stop_probability_for",
     "torch_namespace",
 ]

@@ -8,8 +8,8 @@ out:
 
 * **Blocked multi-round draws (lshape, uniform, doubly-uniform)** —
   the sortie families sample *blocks* of rounds per RNG call: a
-  ``(pairs, block)`` matrix of sorties, closed-form prefix-sum move
-  accounting, and one scatter fold per block.  The block length
+  ``(pairs, block)`` matrix of sorties and one scatter fold per block
+  (:func:`_sortie_block`, shared by all three).  The block length
   doubles as the pool drains, so the long tail — a few unretired pairs
   grinding thousands of rounds — collapses from thousands of tiny
   draws into a handful of big ones.  Folding extra post-retirement
@@ -21,6 +21,13 @@ out:
   ``min(block, calls_left)`` columns, the rounds it has left in its
   current phase — so one constant-``p``-per-row matrix draw serves a
   pool whose members sit in different phases.
+* **Sparse block scans (the same three)** — hits are found from
+  candidates (off-axis, a vertical leg exactly ``|y|`` long: one
+  compare, then the remaining conditions on the candidates alone), a
+  row's first hit is where the row index changes in the row-major hit
+  list, move accounting is one row sum per pair, and prefix sums run
+  only on the few rows that hit or reach the budget/best limit.  Every
+  draw is sampled into one workspace allocated per kernel call.
 * **Rotated-axis walk blocks (random-walk)** — in the rotated
   coordinates ``u = x + y, v = x - y`` the 4-way unit step is two
   *independent* fair ±1 coins, so a block of steps is two contiguous
@@ -33,8 +40,9 @@ out:
 * **Single-pass compaction** — the hit-survivor prune and the
   budget/best prune are merged into one boolean gather per state array
   per block (previously two per round).
-* **int32 pair/agent indices** — via :func:`~repro.sim.kernels.xp.index_dtype`
-  where the pool size permits, halving gather/scatter index bandwidth.
+* **int64 pair/agent indices** — NumPy converts narrower fancy indices
+  to ``intp`` on every gather and scatter, so int64 indices are the
+  fast ones (measured ~3x on a pool-sized gather).
 
 Outcome distributions are unchanged: iterations are still drawn from
 exactly the process distribution, and the golden KS gates
@@ -54,7 +62,7 @@ import math
 from typing import Tuple
 
 from repro.obs.trace import child_span
-from repro.sim.kernels.xp import ArrayNamespace, KernelRNG, index_dtype
+from repro.sim.kernels.xp import ArrayNamespace, KernelRNG
 
 __all__ = [
     "SENTINEL",
@@ -63,7 +71,6 @@ __all__ = [
     "batch_lshape",
     "batch_random_walk",
     "batch_uniform",
-    "sortie_hits",
 ]
 
 #: "No find" marker in the per-trial ``best`` array (int64 max).
@@ -74,18 +81,19 @@ DEFAULT_MAX_EPOCH = 40
 DEFAULT_MAX_STAGE = 40
 FEINERMAN_C = 4.0
 
-#: One scratch budget shared by every blocked kernel: the byte size of
-#: the largest ``(pairs, block)`` matrix a kernel may materialize per
-#: draw.  Expressed in bytes (not elements) so kernels with different
-#: scratch dtypes derive their own element counts from the same cap —
-#: the sortie kernels' int64 matrices get ``SCRATCH_BYTES // 8``
-#: elements, the walk's int16 prefix sums ``SCRATCH_BYTES // 2``.
-#: 512 KiB per matrix keeps a kernel's whole working set L2-resident
-#: however large the pool or however long the tail — measured 1.5-2.5x
-#: faster than 1-4 MB blocks on every family (the pipeline makes ~10
-#: elementwise passes over each matrix, so the matrix must outlive one
-#: pass in cache), while staying large enough that per-block Python
-#: dispatch overhead is noise.
+#: One scratch budget shared by every blocked kernel: it sets the
+#: block length, ``SCRATCH_BYTES // (itemsize * pairs)`` rounds.
+#: Expressed in bytes (not elements) so kernels with different scratch
+#: dtypes derive their own element counts from the same cap — the
+#: sortie kernels get ``SCRATCH_BYTES // 8`` sorties per block (their
+#: fused float32 draw of both legs is that many bytes), the walk's
+#: int16 prefix sums ``SCRATCH_BYTES // 2`` steps.  Block boundaries
+#: decide how the RNG stream is cut, so this constant is part of the
+#: bit-identity contract.  A sortie block's draw is transformed in
+#: place in a per-call workspace (:func:`_sortie_workspace`) and read
+#: by a handful of elementwise passes; 512 KiB keeps that working set
+#: L2-resident however large the pool or however long the tail, while
+#: staying large enough that per-block Python dispatch is noise.
 SCRATCH_BYTES = 1 << 19
 #: Longest fused round-block (reached only once the pool is tiny).
 _MAX_BLOCK = 1 << 12
@@ -130,85 +138,10 @@ def _block_len(pairs: int, itemsize: int, *caps: int) -> int:
     return max(1, block)
 
 
-def _sample_sorties_fused(
-    xp: ArrayNamespace, rng: KernelRNG, stop_probability, shape
-):
-    """Blocked sortie sampling: one sign draw and one length draw.
-
-    ``shape`` is the per-variable shape (e.g. ``(pairs,)`` or
-    ``(pairs, block)``); the fused draws stack the vertical/horizontal
-    variables on a leading axis of 2: two RNG calls instead of four.
-    """
-    fused = (2, *shape) if isinstance(shape, tuple) else (2, shape)
-    # One float32 uniform draw feeds both variables: for U ~ [0, 1),
-    # the integer and fractional parts of 2U are an independent fair
-    # bit (the sign) and a fresh uniform (the length's seed) —
-    # exactly, not approximately.  float32 halves the fill-and-
-    # transform bandwidth; its ~22-bit fraction granularity truncates
-    # the geometric tail only past the 1 - 2^-22 quantile, invisible
-    # to every distribution gate.
-    u = rng.random(size=fused, dtype=xp.float32)
-    u += u
-    signs = xp.floor(u)
-    u -= signs                         # u is now the fresh uniform
-    signs += signs
-    signs -= 1.0                       # {0, 1} -> {-1, +1}, exact
-    # Inverse-CDF geometric minus one: floor(log1p(-U) / log1p(-p)),
-    # the same scheme as the torch and cupy bindings' geometric(), so
-    # every namespace shares one sampling formula in the blocked
-    # kernels.  The clamp guards the p -> 0 corner where log1p(-p)
-    # underflows to -0.0 and the division would NaN (no realistic
-    # phase reaches it: sorties at such p overshoot any budget in one
-    # round).  The augmented-assignment spellings are deliberate —
-    # they recycle the block-sized scratch in place, and every binding
-    # (ndarray, tensor, cupy array) honors them.
-    denominator = xp.minimum(
-        xp.astype(xp.log1p(-stop_probability), xp.float32), -1e-30
-    )
-    u *= -1.0
-    lengths = xp.log1p(u)
-    lengths /= denominator
-    lengths = xp.floor(lengths)
-    # Signs and lengths stay float32: every integer a kernel compares
-    # or accumulates below the float32-exact ceiling (2^24) is exact,
-    # and the callers' whole (pairs x block) accounting pipeline runs
-    # at half the bandwidth of an int64 one.  See ``_move_dtype`` for
-    # how the callers keep move totals exact.
-    return signs[0], lengths[0], signs[1], lengths[1]
-
-
-def sortie_hits(xp: ArrayNamespace, target, signs_v, lengths_v, signs_h, lengths_h):
-    """Vectorized L-path hit test + moves-at-hit.
-
-    Mirrors :func:`repro.grid.geometry.l_path_hit_moves`: a target on
-    the vertical leg is reached after ``|y|`` moves; on the horizontal
-    leg after ``lengths_v + |x|`` moves.
-    """
-    x, y = target
-    if x != 0:
-        # Scalar short-circuit: off-axis targets can never sit on the
-        # vertical leg, and ``signs_h * x >= 0`` collapses to a sign
-        # test — four fewer elementwise passes on the block matrix.
-        # The in-place &= chain reuses one bool buffer instead of
-        # allocating an intermediate per conjunction.
-        hit = signs_v * lengths_v == y
-        hit &= signs_h == (1 if x > 0 else -1)
-        hit &= lengths_h >= abs(x)
-        return hit, lengths_v + abs(x)
-    hit_vertical = (x == 0) & (signs_v * y >= 0) & (lengths_v >= abs(y))
-    hit_horizontal = (
-        (signs_v * lengths_v == y) & (signs_h * x >= 0) & (lengths_h >= abs(x))
-    )
-    hit = hit_vertical | hit_horizontal
-    moves_at_hit = xp.where(hit_vertical, abs(y), lengths_v + abs(x))
-    return hit, moves_at_hit
-
-
 def _batch_state(xp: ArrayNamespace, n_trials: int, n_agents: int):
     """Fresh pooled-pair bookkeeping shared by every kernel."""
     pairs = n_trials * n_agents
-    idx = index_dtype(xp, pairs)
-    flat = xp.arange(pairs, dtype=idx)
+    flat = xp.arange(pairs, dtype=xp.int64)
     pair_trial = flat // n_agents
     pair_agent = flat % n_agents
     best = xp.full(n_trials, SENTINEL, dtype=xp.int64)
@@ -260,6 +193,262 @@ def _score_hits(xp, best, best_finder, pair_trial, pair_agent, totals, eligible)
     best_finder[decided] = winner[decided]
 
 
+def _sortie_workspace(xp: ArrayNamespace, pairs: int, acc):
+    """One kernel call's scratch for every fused sortie draw it makes.
+
+    Two float32 buffers of ``2 * max(SCRATCH_BYTES // 8, pairs)``
+    elements — the draws (transformed in place into leg lengths) and
+    their direction bits — plus, on the float64 accounting path, a
+    float64 buffer for the per-round move sums.  Every block fits: the
+    block schedule caps ``pairs * block`` at ``SCRATCH_BYTES // 8``, or
+    at one round of a pool larger than that, and pools only shrink.
+    Reusing the buffers across blocks keeps each draw from faulting in
+    fresh half-megabyte temporaries.
+    """
+    size = max(SCRATCH_BYTES // 8, pairs)
+    legs = None if acc is xp.float32 else xp.zeros(size, dtype=xp.float64)
+    return (
+        xp.zeros(2 * size, dtype=xp.float32),
+        xp.zeros(2 * size, dtype=xp.float32),
+        legs,
+    )
+
+
+def _draw_sorties(xp, rng, workspace, stop_probability, pairs: int, block: int):
+    """One block's fused sortie draw, sampled into the workspace.
+
+    One float32 uniform fill covers both legs of every ``(pairs,
+    block)`` sortie; the transforms below run in place.  Returns
+    ``(lengths, bits)``: flat float32 views of ``2 * pairs * block``
+    elements, the vertical legs first and the horizontal legs second,
+    each row-major ``(pairs, block)``; ``bits`` is a leg's direction
+    (1.0 for +, 0.0 for -).  ``stop_probability`` is a float, or a
+    ``(pairs, 1)`` column of per-row stop probabilities.
+    """
+    draws, bits, _ = workspace
+    count = 2 * pairs * block
+    u = rng.random(dtype=xp.float32, out=draws[:count])
+    bits = bits[:count]
+    # For U ~ [0, 1), the integer and fractional parts of 2U are an
+    # independent fair bit (the direction) and a fresh uniform (the
+    # length's seed) — exactly, not approximately.  float32 halves the
+    # fill-and-transform bandwidth; its ~22-bit fraction granularity
+    # truncates the geometric tail only past the 1 - 2^-22 quantile,
+    # invisible to every distribution gate.
+    u += u
+    xp.floor(u, out=bits)
+    u -= bits
+    # Inverse-CDF geometric minus one: floor(log1p(-U) / log1p(-p)),
+    # the same scheme as the torch and cupy bindings' geometric(), so
+    # every namespace shares one sampling formula.  The clamp guards
+    # the p -> 0 corner where log1p(-p) underflows to -0.0 and the
+    # division would NaN (no realistic phase reaches it: sorties at
+    # such p overshoot any budget in one round).
+    denominator = xp.minimum(
+        xp.astype(xp.log1p(-stop_probability), xp.float32), -1e-30
+    )
+    u *= -1.0
+    xp.log1p(u, out=u)
+    per_round = u.reshape((2, pairs, block))
+    per_round /= denominator
+    xp.floor(u, out=u)
+    # Lengths stay float32: every integer a kernel compares or
+    # accumulates below the float32-exact ceiling (2^24) is exact.  See
+    # ``_move_dtype`` for how the callers keep move totals exact.
+    return u, bits
+
+
+def _first_hits(xp, target, lengths, bits, pairs: int, block: int, use):
+    """Each hitting row's first hit in one block: ``(flat, rows, cols)``.
+
+    Off-axis (``x != 0``) a sortie can meet the target only at its
+    corner, so its vertical leg is exactly ``|y|`` long: one compare,
+    true with probability at most ``p``, picks the candidates, and the
+    directions and the horizontal reach are tested on them alone.  On
+    the y-axis (``x == 0``) a hit is a vertical leg at least ``|y|``
+    long in the right direction, likely when ``p`` is small, so both
+    tests run on the whole block.  Columns at or past a row's ``use``
+    horizon are discarded draws.  Hits come out row-major, so a row's
+    first hit is wherever the row index changes — no per-row scan.
+    """
+    x, y = target
+    n = pairs * block
+    if x == 0:
+        dense = lengths[:n] >= abs(y)
+        dense &= bits[:n] == (1.0 if y > 0 else 0.0)
+    else:
+        dense = lengths[:n] == abs(y)
+        if y == 0:
+            # A zero-length vertical leg has probability p, up to 1/2
+            # in early phases, so on the x-axis the horizontal reach
+            # joins the dense test.
+            dense &= lengths[n:] >= abs(x)
+    cand = xp.flatnonzero(dense)
+    rows = cand // block
+    cols = cand - rows * block
+    ok = xp.full(xp.size(cand), True, dtype=xp.bool_)
+    if x != 0:
+        ok &= xp.take(bits[n:], cand) == (1.0 if x > 0 else 0.0)
+        if y != 0:
+            ok &= xp.take(lengths[n:], cand) >= abs(x)
+            ok &= xp.take(bits[:n], cand) == (1.0 if y > 0 else 0.0)
+    if use is not None:
+        ok &= cols < xp.take(use, rows)
+    cand = cand[ok]
+    rows = rows[ok]
+    cols = cols[ok]
+    if xp.size(rows) > 1:
+        first = xp.full(xp.size(rows), True, dtype=xp.bool_)
+        first[1:] = rows[1:] != rows[:-1]
+        cand = cand[first]
+        rows = rows[first]
+        cols = cols[first]
+    return cand, rows, cols
+
+
+def _trial_limits(xp, best, move_budget: int, acc):
+    """Each colony's budget/best limit, in the accounting dtype."""
+    return xp.astype(xp.minimum(move_budget, best), acc)
+
+
+def _sortie_block(
+    xp: ArrayNamespace,
+    rng: KernelRNG,
+    workspace,
+    target,
+    move_budget: int,
+    best,
+    best_finder,
+    n_trials: int,
+    pair_trial,
+    pair_agent,
+    cumulative,
+    stop_probability,
+    block: int,
+    trial_iterations,
+    trial_rounds,
+    use=None,
+):
+    """One blocked round-batch of L-sorties for every pair in the pool.
+
+    Each pair executes ``block`` rounds — or, for the phase-driven
+    families, ``use <= block`` rounds at its own per-row stop
+    probability (a ``(pairs, 1)`` column), constant within the block
+    because ``use`` never crosses the pair's phase boundary; columns
+    past a row's horizon are discarded draws, masked out of hits and
+    move sums, so every *used* column is distributed exactly as a
+    per-round draw at that pair's phase.
+
+    The scan is sparse.  Hits come from :func:`_first_hits`; move
+    accounting takes one row sum per pair, and prefix sums run only on
+    the few rows that need a position inside the block: rows that hit
+    (moves before the hit) and rows whose horizon-end total reaches the
+    budget/best limit known at block start (the round that limit
+    retires them).  Totals stay in the float accounting dtype (see
+    ``_move_dtype``): any sum below the dtype's exact ceiling is exact
+    in any summation order, and any sum above it rounds to a value
+    still above it, hence past every limit — so row sums and the
+    per-row prefix sums decide every comparison exactly as a full
+    ``(pairs, block)`` prefix sum would.
+
+    Diagnostics count the rounds each pair actually spent: up to its
+    first hit, or up to the round the limit as known at block start
+    would have retired it.  When a sibling pair's find lands mid-block,
+    a per-round kernel would have pruned survivors a little earlier, so
+    ``FastRunStats`` is a modest upper bound on per-round counts;
+    outcomes (``best``/``finder``) are unaffected.  Folding post-
+    retirement hits is sound because every such total ``t`` satisfies
+    ``t >= cumulative >= min(budget, best)`` at the pair's original
+    retirement point, so the scatter-min ignores it.
+
+    Folds eligible finds and the diagnostics, then returns ``(keep,
+    end)``: the single-pass compaction mask (horizon-end total still
+    below the refreshed limit, which no row that hit is) and each pair's
+    horizon-end cumulative moves (exact wherever ``keep`` holds).
+    """
+    pairs = xp.size(pair_trial)
+    n = pairs * block
+    acc = _move_dtype(xp, move_budget)
+    lengths, bits = _draw_sorties(
+        xp, rng, workspace, stop_probability, pairs, block
+    )
+    hit_flat, hit_rows, hit_cols = _first_hits(
+        xp, target, lengths, bits, pairs, block, use
+    )
+    if acc is xp.float32:
+        legs = lengths[:n]                # the vertical legs are consumed
+    else:
+        legs = workspace[2][:n]
+        legs[...] = lengths[:n]
+    legs += lengths[n:]
+    leg = legs.reshape((pairs, block))    # moves of each (pair, round)
+    end = xp.row_sums(leg)
+    if use is None:
+        rounds = xp.full(pairs, block, dtype=xp.int64)
+    else:
+        rounds = xp.minimum(use, block)   # a copy: hits and cuts lower it
+        ragged = xp.flatnonzero(use < block)
+        if xp.size(ragged):
+            # Rows whose horizon ends inside the block sum their used
+            # columns only.  Prefix sums below need no mask: they are
+            # read at a hit or a cut, both before the horizon.
+            used = leg[ragged]
+            used *= (
+                xp.arange(block, dtype=xp.int64)[None, :]
+                < xp.take(use, ragged)[:, None]
+            )
+            end[ragged] = xp.row_sums(used)
+    end += cumulative
+    limit = xp.take(_trial_limits(xp, best, move_budget, acc), pair_trial)
+
+    hits = xp.size(hit_rows)
+    if hits:
+        # Moves before the hit: the row's prefix through the hit round,
+        # less that round's legs — the full-scan formula, so totals
+        # round (past the exact ceiling) exactly as they always did.
+        prefix = xp.cumsum(leg[hit_rows], axis=1).reshape(-1)
+        moves_before = xp.take(
+            prefix, xp.arange(hits, dtype=xp.int64) * block + hit_cols
+        )
+        moves_before += xp.take(cumulative, hit_rows)
+        moves_before -= xp.take(legs, hit_flat)
+        # The hit sortie's own moves, in float32 like the lengths: |y|
+        # up the vertical leg, then |x| along the horizontal one.
+        reach = xp.full(hits, abs(target[1]), dtype=xp.float32)
+        if target[0] != 0:
+            reach += abs(target[0])
+        totals = xp.astype(
+            xp.minimum(moves_before + reach, _TOTAL_CLAMP), xp.int64
+        )
+        rounds[hit_rows] = hit_cols + 1
+    # Rows of the prefix are nondecreasing, so the rounds a pair spent
+    # under the limit end at the first prefix at or past it.
+    exceeds = xp.flatnonzero(end >= limit)
+    if xp.size(exceeds):
+        prefix = xp.cumsum(leg[exceeds], axis=1)
+        prefix += xp.take(cumulative, exceeds)[:, None]
+        cut = xp.first_true(prefix >= xp.take(limit, exceeds)[:, None], axis=1)
+        rounds[exceeds] = xp.minimum(xp.take(rounds, exceeds), cut + 1)
+    xp.scatter_add(trial_iterations, pair_trial, rounds)
+    block_rounds = xp.zeros(n_trials, dtype=xp.int64)
+    xp.scatter_max(block_rounds, pair_trial, rounds)
+    trial_rounds += block_rounds
+
+    if hits:
+        hit_trial = xp.take(pair_trial, hit_rows)
+        eligible = (totals <= move_budget) & (totals < xp.take(best, hit_trial))
+        _score_hits(
+            xp, best, best_finder, hit_trial, xp.take(pair_agent, hit_rows),
+            totals, eligible,
+        )
+    # Kept totals sit below the refreshed limit, hence in the
+    # accounting dtype's exact-integer range.  Hit rows need no mask: a
+    # row's horizon total is at least its hit total, which is either
+    # now the colony best or was already past the limit.
+    keep = end < xp.take(_trial_limits(xp, best, move_budget, acc), pair_trial)
+    return keep, end
+
+
 def batch_lshape(
     xp: ArrayNamespace,
     rng: KernelRNG,
@@ -271,227 +460,38 @@ def batch_lshape(
 ):
     """All trials of a constant-stop-probability sortie algorithm at once.
 
-    The hot kernel, and the one with the blocked-round optimization:
-    each RNG call covers a ``(pairs, block)`` matrix of sorties, the
-    per-pair first hit inside the block is located with a prefix-sum
-    scan, and the whole block folds into the colony minima with one
-    scatter.  The block length starts small (most pairs retire within a
-    few rounds of a fresh pool) and doubles per iteration up to the
-    scratch cap, so a near-drained pool simulates thousands of rounds
-    per call.
-
-    Diagnostics count the rounds this blocked execution actually
-    spent: a pair counts up to its first hit, or up to the round the
-    budget/best limit *as known at block start* would have retired it
-    (found by the same prefix scan), never the block tail beyond that.
-    When a sibling pair's find lands mid-block, the per-round original
-    would have pruned survivors a little earlier, so
-    ``FastRunStats`` here is a modest upper bound on the per-round
-    kernel's counts — outcomes (``best``/``finder``) are unaffected.
+    Each loop iteration simulates a ``(pairs, block)`` matrix of
+    sorties with one RNG call and folds it into the colony minima via
+    :func:`_sortie_block`.  The block length starts small (most pairs
+    retire within a few rounds of a fresh pool) and doubles per
+    iteration up to the scratch cap, so a near-drained pool simulates
+    thousands of rounds per call.
     """
     if target == (0, 0):
         return _origin_batch(xp, n_trials)
     (pair_trial, pair_agent, best, best_finder,
      trial_iterations, trial_rounds) = _batch_state(xp, n_trials, n_agents)
-    cumulative = xp.zeros(n_trials * n_agents, dtype=xp.int64)
     acc = _move_dtype(xp, move_budget)
+    workspace = _sortie_workspace(xp, n_trials * n_agents, acc)
+    cumulative = xp.zeros(n_trials * n_agents, dtype=acc)
 
     expected_len = max(1.0, 2.0 * (1.0 / stop_probability - 1.0))
     rounds_left = int(200 * (move_budget / expected_len + 1)) + 10_000
     block = 4
     while xp.size(pair_trial) > 0 and rounds_left > 0:
-        pairs = xp.size(pair_trial)
-        block = _block_len(pairs, 8, block * 2, rounds_left, _MAX_BLOCK)
+        block = _block_len(
+            xp.size(pair_trial), 8, block * 2, rounds_left, _MAX_BLOCK
+        )
         rounds_left -= block
-        sv, lv, sh, lh = _sample_sorties_fused(
-            xp, rng, stop_probability, (pairs, block)
+        keep, end = _sortie_block(
+            xp, rng, workspace, target, move_budget, best, best_finder,
+            n_trials, pair_trial, pair_agent, cumulative, stop_probability,
+            block, trial_iterations, trial_rounds,
         )
-        hit, moves_at_hit = sortie_hits(xp, target, sv, lv, sh, lh)
-        # Move accounting stays in the float accounting dtype end to
-        # end (see ``_move_dtype``): sums that still matter are exact,
-        # beyond-limit sums only feed comparisons their magnitude
-        # already decides.
-        if acc is xp.float32:
-            leg = lv
-            leg += lh
-        else:
-            leg = xp.astype(lv, acc)
-            leg += lh
-        cum_after = xp.cumsum(leg, axis=1)            # moves after round j
-        cum_after += xp.astype(cumulative, acc)[:, None]
-
-        hit_any = xp.astype(xp.sum(hit, axis=1), xp.bool_)
-        first = xp.first_true(hit, axis=1)            # 0 where no hit
-        moves_before = xp.take_along(cum_after, first) - xp.take_along(leg, first)
-        pair_total = xp.astype(
-            xp.minimum(
-                moves_before + xp.take_along(moves_at_hit, first), _TOTAL_CLAMP
-            ),
-            xp.int64,
-        )
-
-        # Rounds each pair actually executed inside the block: until
-        # its first hit, or until the budget/best prune would have
-        # retired it.  The limit is the one known at block start; a
-        # sibling's mid-block find would have pruned slightly earlier
-        # in the per-round original, so these counts are a modest
-        # upper bound (see the kernel docstring).  Rows of cum_after
-        # are nondecreasing, so the count of rounds under the limit is
-        # the first-exceed index — one comparison and one scan instead
-        # of a masked sum.
-        limit = xp.astype(
-            xp.minimum(move_budget, xp.take(best, pair_trial)), acc
-        )
-        end_cum_f = cum_after[:, -1]
-        rounds_in_block = xp.where(hit_any, first + 1, block)
-        exceeds = end_cum_f >= limit
-        if xp.any(exceeds):
-            # Only rows whose end-of-block cumulative reaches the
-            # limit can be cut short; the (pairs, block) comparison
-            # and scan run on that sparse subset alone.
-            fe = xp.first_true(
-                cum_after[exceeds] >= limit[exceeds][:, None], axis=1
-            )
-            rounds_in_block[exceeds] = xp.minimum(
-                rounds_in_block[exceeds], fe + 1
-            )
-        xp.scatter_add(trial_iterations, pair_trial, rounds_in_block)
-        block_rounds = xp.zeros(n_trials, dtype=xp.int64)
-        xp.scatter_max(block_rounds, pair_trial, rounds_in_block)
-        trial_rounds += block_rounds
-
-        eligible = hit_any & (pair_total <= move_budget) & (
-            pair_total < xp.take(best, pair_trial)
-        )
-        _score_hits(
-            xp, best, best_finder, pair_trial, pair_agent, pair_total, eligible
-        )
-
-        # Single-pass compaction: a pair survives the block iff it
-        # never hit and its end-of-block cumulative still beats the
-        # (freshly updated) budget/best limit.  Kept cumulatives sit
-        # below that limit, hence in the dtype's exact-integer range.
-        keep = ~hit_any & (
-            end_cum_f
-            < xp.astype(xp.minimum(move_budget, xp.take(best, pair_trial)), acc)
-        )
-        cumulative = xp.astype(end_cum_f[keep], xp.int64)
+        cumulative = end[keep]
         pair_trial = pair_trial[keep]
         pair_agent = pair_agent[keep]
     return best, best_finder, trial_iterations, trial_rounds
-
-
-def _blocked_phase_rounds(
-    xp: ArrayNamespace,
-    rng: KernelRNG,
-    target,
-    move_budget: int,
-    best,
-    best_finder,
-    n_trials: int,
-    pair_trial,
-    pair_agent,
-    cumulative,
-    stop_p,
-    use,
-    block: int,
-    trial_iterations,
-    trial_rounds,
-):
-    """One blocked round-batch for a phase-driven sortie family.
-
-    Each pair executes up to ``use <= block`` rounds of L-sorties at
-    its own per-row stop probability ``stop_p`` — constant within the
-    block, because ``use`` never crosses the pair's phase boundary.  A
-    prefix-sum scan locates each pair's first in-block hit and its
-    cumulative moves there; columns past a pair's ``use`` horizon are
-    discarded draws (masked out of hits and move accounting), so every
-    *used* column is distributed exactly as a per-round draw at that
-    pair's phase.
-
-    Folds eligible finds and the block's diagnostics, then returns
-    ``(keep, end_cum)``: the single-pass compaction mask (no hit, and
-    end-of-horizon cumulative still below the refreshed budget/best
-    limit) and the cumulative moves at each pair's horizon.  The
-    caller gathers its own phase state with ``keep``.
-    """
-    pairs = xp.size(pair_trial)
-    acc = _move_dtype(xp, move_budget)
-    sv, lv, sh, lh = _sample_sorties_fused(
-        xp, rng, stop_p[None, :, None], (pairs, block)
-    )
-    hit, moves_at_hit = sortie_hits(xp, target, sv, lv, sh, lh)
-    if int(xp.sum(use)) != pairs * block:
-        # Columns past a row's horizon are discarded draws; mask them
-        # out of the hit test.  Skipped entirely when every row runs
-        # the full block (the common steady-state case).
-        cols = xp.arange(block, dtype=xp.int64)
-        hit &= cols[None, :] < use[:, None]
-    # No masking of legs: columns past a row's horizon pollute the
-    # prefix only at positions >= use, and every read below gathers at
-    # first-hit (< use) or at use - 1.  Move accounting stays in the
-    # float accounting dtype end to end (see ``_move_dtype``): sums
-    # that still matter are exact, beyond-limit sums only feed
-    # comparisons their magnitude already decides.  The float32 path
-    # accumulates into the sampler's own buffers (already consumed).
-    if acc is xp.float32:
-        leg = lv
-        leg += lh
-    else:
-        leg = xp.astype(lv, acc)
-        leg += lh
-    cum_after = xp.cumsum(leg, axis=1)                # moves after round j
-    cum_after += xp.astype(cumulative, acc)[:, None]
-
-    hit_any = xp.astype(xp.sum(hit, axis=1), xp.bool_)
-    first = xp.first_true(hit, axis=1)                # 0 where no hit
-    moves_before = xp.take_along(cum_after, first) - xp.take_along(leg, first)
-    pair_total = xp.astype(
-        xp.minimum(
-            moves_before + xp.take_along(moves_at_hit, first), _TOTAL_CLAMP
-        ),
-        xp.int64,
-    )
-
-    # Rounds each pair actually executed inside the block: until its
-    # first hit, or until the budget/best prune (as known at block
-    # start) would have retired it — same modest upper bound as the
-    # lshape kernel (see its docstring).
-    limit = xp.astype(xp.minimum(move_budget, xp.take(best, pair_trial)), acc)
-    end_cum_f = xp.take_along(cum_after, use - 1)
-    # Rows of cum_after are nondecreasing over the valid region, so
-    # "how many rounds stayed under the limit" is the first-exceed
-    # index.  Only rows whose horizon-end cumulative reaches the limit
-    # can be cut short, so the (pairs, block) comparison + scan runs
-    # on that sparse subset alone — by block start the surviving pool
-    # is dominated by rows nowhere near their limit.
-    rounds_in_block = xp.where(hit_any, first + 1, use)
-    exceeds = end_cum_f >= limit
-    if xp.any(exceeds):
-        fe = xp.first_true(cum_after[exceeds] >= limit[exceeds][:, None], axis=1)
-        alive_sub = xp.minimum(fe, use[exceeds] - 1) + 1
-        rounds_in_block[exceeds] = xp.minimum(rounds_in_block[exceeds], alive_sub)
-    xp.scatter_add(trial_iterations, pair_trial, rounds_in_block)
-    block_rounds = xp.zeros(n_trials, dtype=xp.int64)
-    xp.scatter_max(block_rounds, pair_trial, rounds_in_block)
-    trial_rounds += block_rounds
-
-    eligible = hit_any & (pair_total <= move_budget) & (
-        pair_total < xp.take(best, pair_trial)
-    )
-    _score_hits(
-        xp, best, best_finder, pair_trial, pair_agent, pair_total, eligible
-    )
-
-    # Kept cumulatives sit below the refreshed limit, hence in the
-    # accounting dtype's exact-integer range; the clamp only guards
-    # the int64 conversion of already-doomed rows.
-    keep = ~hit_any & (
-        end_cum_f
-        < xp.astype(xp.minimum(move_budget, xp.take(best, pair_trial)), acc)
-    )
-    end_cum = xp.astype(xp.minimum(end_cum_f, _TOTAL_CLAMP), xp.int64)
-    return keep, end_cum
 
 
 def _phase_block_len(
@@ -534,7 +534,7 @@ def batch_uniform(
     are redrawn vectorized (``Geometric(1/rho_i) - 1`` sortie calls per
     phase) whenever a pair exhausts its calls.  Each loop iteration
     then simulates up to ``block`` rounds per pair in one fused draw
-    via :func:`_blocked_phase_rounds`, with the pair's validity horizon
+    via :func:`_sortie_block`, with the pair's validity horizon
     ``min(block, calls_left)`` keeping every used draw inside its
     current phase.  The block length starts small (fresh pools sit in
     short early phases) and doubles per iteration up to the scratch
@@ -546,7 +546,9 @@ def batch_uniform(
     (pair_trial, pair_agent, best, best_finder,
      trial_iterations, trial_rounds) = _batch_state(xp, n_trials, n_agents)
     pairs = n_trials * n_agents
-    cumulative = xp.zeros(pairs, dtype=xp.int64)
+    acc = _move_dtype(xp, move_budget)
+    workspace = _sortie_workspace(xp, pairs, acc)
+    cumulative = xp.zeros(pairs, dtype=acc)
     phase = xp.zeros(pairs, dtype=xp.int64)
     calls_left = xp.zeros(pairs, dtype=xp.int64)
 
@@ -581,12 +583,12 @@ def batch_uniform(
         rounds_left -= block
         use = xp.minimum(calls_left, block)
         stop_p = xp.exp2(-(xp.astype(phase, xp.float64) * ell))
-        keep, end_cum = _blocked_phase_rounds(
-            xp, rng, target, move_budget, best, best_finder, n_trials,
-            pair_trial, pair_agent, cumulative, stop_p, use, block,
-            trial_iterations, trial_rounds,
+        keep, end = _sortie_block(
+            xp, rng, workspace, target, move_budget, best, best_finder,
+            n_trials, pair_trial, pair_agent, cumulative, stop_p[:, None],
+            block, trial_iterations, trial_rounds, use,
         )
-        cumulative = end_cum[keep]
+        cumulative = end[keep]
         calls_left = (calls_left - use)[keep]
         phase = phase[keep]
         pair_trial = pair_trial[keep]
@@ -615,7 +617,7 @@ def batch_doubly_uniform(
     past the epoch's phase range.  Between refills the pair executes
     blocked rounds exactly as :func:`batch_uniform` — one fused
     ``(pairs, block)`` draw, per-pair ``min(block, calls_left)``
-    validity horizons, prefix-sum first-hit scans, and one single-pass
+    validity horizons, sparse first-hit scans, and one single-pass
     compaction per block.
     """
     if target == (0, 0):
@@ -623,7 +625,9 @@ def batch_doubly_uniform(
     (pair_trial, pair_agent, best, best_finder,
      trial_iterations, trial_rounds) = _batch_state(xp, n_trials, n_agents)
     pairs = n_trials * n_agents
-    cumulative = xp.zeros(pairs, dtype=xp.int64)
+    acc = _move_dtype(xp, move_budget)
+    workspace = _sortie_workspace(xp, pairs, acc)
+    cumulative = xp.zeros(pairs, dtype=acc)
     epoch = xp.full(pairs, 1, dtype=xp.int64)
     phase = xp.zeros(pairs, dtype=xp.int64)
     calls_left = xp.zeros(pairs, dtype=xp.int64)
@@ -662,12 +666,12 @@ def batch_doubly_uniform(
         rounds_left -= block
         use = xp.minimum(calls_left, block)
         stop_p = xp.exp2(-(xp.astype(phase, xp.float64) * ell))
-        keep, end_cum = _blocked_phase_rounds(
-            xp, rng, target, move_budget, best, best_finder, n_trials,
-            pair_trial, pair_agent, cumulative, stop_p, use, block,
-            trial_iterations, trial_rounds,
+        keep, end = _sortie_block(
+            xp, rng, workspace, target, move_budget, best, best_finder,
+            n_trials, pair_trial, pair_agent, cumulative, stop_p[:, None],
+            block, trial_iterations, trial_rounds, use,
         )
-        cumulative = end_cum[keep]
+        cumulative = end[keep]
         calls_left = (calls_left - use)[keep]
         epoch = epoch[keep]
         phase = phase[keep]

@@ -71,7 +71,7 @@ class KernelRNG:
         """Geometric on ``{1, 2, ...}``; ``p`` may be an array."""
         raise NotImplementedError
 
-    def random(self, size=None, dtype=None):
+    def random(self, size=None, dtype=None, out=None):
         """Uniform draws on ``[0, 1)``; float64 unless ``dtype`` narrows.
 
         The raw material for inverse-CDF sampling in kernel code: one
@@ -80,7 +80,10 @@ class KernelRNG:
         (NumPy's array-``p`` ``Generator.geometric`` walks elements in
         a C loop; the blocked kernels draw millions per call).  A
         float32 ``dtype`` halves the fill-and-transform bandwidth at
-        24-bit granularity — plenty for distribution gates.
+        24-bit granularity — plenty for distribution gates.  ``out`` (a
+        contiguous array of that dtype, ``size`` left None) is filled in
+        place and returned: the blocked kernels reuse one workspace
+        across draws, with the same stream as a ``size=out.shape`` draw.
         """
         raise NotImplementedError
 
@@ -101,7 +104,6 @@ class ArrayNamespace:
     # Dtype handles (bound per library).
     int8: Any = None
     int16: Any = None
-    int32: Any = None
     int64: Any = None
     uint8: Any = None
     float32: Any = None
@@ -144,10 +146,12 @@ class ArrayNamespace:
     def ceil(self, a):
         raise NotImplementedError
 
-    def floor(self, a):
+    def floor(self, a, out=None):
+        """Elementwise floor; ``out`` receives it in place."""
         raise NotImplementedError
 
-    def log1p(self, a):
+    def log1p(self, a, out=None):
+        """Elementwise ``log(1 + a)``; ``out`` receives it in place."""
         raise NotImplementedError
 
     def astype(self, a, dtype):
@@ -169,8 +173,22 @@ class ArrayNamespace:
         accumulator — the walk kernel sums int8 steps into int16."""
         raise NotImplementedError
 
+    def row_sums(self, a):
+        """Per-row sums of a 2-D float array, in the array's dtype.
+
+        The summation order is the binding's choice: callers must only
+        rely on sums that no order can round differently (the sortie
+        kernels' nonnegative integer legs below the dtype's exact
+        ceiling).
+        """
+        raise NotImplementedError
+
     def first_true(self, mask, axis):
         """Index of the first ``True`` along ``axis`` (0 where none)."""
+        raise NotImplementedError
+
+    def flatnonzero(self, mask):
+        """Ascending flat (row-major) indices of the ``True`` entries."""
         raise NotImplementedError
 
     def size(self, a) -> int:
@@ -226,10 +244,10 @@ class _NumpyRNG(KernelRNG):
     def geometric(self, p, size=None):
         return self.generator.geometric(p, size=size)
 
-    def random(self, size=None, dtype=None):
+    def random(self, size=None, dtype=None, out=None):
         if dtype is None:
-            return self.generator.random(size=size)
-        return self.generator.random(size=size, dtype=dtype)
+            return self.generator.random(size=size, out=out)
+        return self.generator.random(size=size, dtype=dtype, out=out)
 
 
 class NumpyNamespace(ArrayNamespace):
@@ -238,7 +256,6 @@ class NumpyNamespace(ArrayNamespace):
 
     int8 = np.int8
     int16 = np.int16
-    int32 = np.int32
     int64 = np.int64
     uint8 = np.uint8
     float32 = np.float32
@@ -275,11 +292,11 @@ class NumpyNamespace(ArrayNamespace):
     def ceil(self, a):
         return np.ceil(a)
 
-    def floor(self, a):
-        return np.floor(a)
+    def floor(self, a, out=None):
+        return np.floor(a, out=out)
 
-    def log1p(self, a):
-        return np.log1p(a)
+    def log1p(self, a, out=None):
+        return np.log1p(a, out=out)
 
     def astype(self, a, dtype):
         return np.asarray(a).astype(dtype)
@@ -296,8 +313,17 @@ class NumpyNamespace(ArrayNamespace):
     def cumsum(self, a, axis, dtype=None):
         return np.cumsum(a, axis=axis, dtype=dtype)
 
+    def row_sums(self, a):
+        # np.sum(axis=1) pays a per-row reduction setup, which dominates
+        # on the sortie kernels' short rows (2-40 rounds per block);
+        # einsum's contiguous sum kernel does not.
+        return np.einsum("ij->i", a)
+
     def first_true(self, mask, axis):
         return np.argmax(mask, axis=axis)
+
+    def flatnonzero(self, mask):
+        return np.flatnonzero(mask)
 
     def size(self, a) -> int:
         return int(a.size)
@@ -385,7 +411,9 @@ class _TorchRNG(KernelRNG):
         ) + 1.0
         return draws.to(torch.int64)
 
-    def random(self, size=None, dtype=None):
+    def random(self, size=None, dtype=None, out=None):
+        if out is not None:
+            return out.uniform_(generator=self._generator)
         return self._torch.rand(
             self._shape(size), generator=self._generator,
             device=self._device,
@@ -401,7 +429,6 @@ class TorchNamespace(ArrayNamespace):
         self.device = device
         self.int8 = torch_mod.int8
         self.int16 = torch_mod.int16
-        self.int32 = torch_mod.int32
         self.int64 = torch_mod.int64
         self.uint8 = torch_mod.uint8
         self.float32 = torch_mod.float32
@@ -461,11 +488,11 @@ class TorchNamespace(ArrayNamespace):
     def ceil(self, a):
         return self._torch.ceil(a)
 
-    def floor(self, a):
-        return self._torch.floor(a)
+    def floor(self, a, out=None):
+        return self._torch.floor(a, out=out)
 
-    def log1p(self, a):
-        return self._torch.log1p(a)
+    def log1p(self, a, out=None):
+        return self._torch.log1p(a, out=out)
 
     def astype(self, a, dtype):
         return a.to(dtype)
@@ -484,6 +511,9 @@ class TorchNamespace(ArrayNamespace):
     def cumsum(self, a, axis, dtype=None):
         return self._torch.cumsum(a, dim=axis, dtype=dtype)
 
+    def row_sums(self, a):
+        return self._torch.sum(a, dim=1)
+
     def first_true(self, mask, axis):
         # torch.argmax does not promise the *first* maximum, so weight
         # positions in descending order: the first True gets the
@@ -494,6 +524,9 @@ class TorchNamespace(ArrayNamespace):
             length, 0, -1, device=self.device, dtype=self._torch.int64
         )
         return self._torch.argmax(mask.to(self._torch.int64) * weights, dim=axis)
+
+    def flatnonzero(self, mask):
+        return self._torch.nonzero(mask.reshape(-1), as_tuple=True)[0]
 
     def size(self, a) -> int:
         return int(a.numel())
@@ -579,10 +612,11 @@ class _CupyRNG(KernelRNG):
             cupy.floor(cupy.log1p(-u) / cupy.log1p(-p_arr)) + 1.0
         ).astype(cupy.int64)
 
-    def random(self, size=None, dtype=None):
+    def random(self, size=None, dtype=None, out=None):
         return self.generator.random(
             size=size,
             dtype=self._cupy.float64 if dtype is None else dtype,
+            out=out,
         )
 
 
@@ -596,7 +630,6 @@ class CupyNamespace(NumpyNamespace):
         self.device = device
         self.int8 = cupy_mod.int8
         self.int16 = cupy_mod.int16
-        self.int32 = cupy_mod.int32
         self.int64 = cupy_mod.int64
         self.uint8 = cupy_mod.uint8
         self.float32 = cupy_mod.float32
@@ -633,11 +666,11 @@ class CupyNamespace(NumpyNamespace):
     def ceil(self, a):
         return self._cupy.ceil(a)
 
-    def floor(self, a):
-        return self._cupy.floor(a)
+    def floor(self, a, out=None):
+        return self._cupy.floor(a, out=out)
 
-    def log1p(self, a):
-        return self._cupy.log1p(a)
+    def log1p(self, a, out=None):
+        return self._cupy.log1p(a, out=out)
 
     def astype(self, a, dtype):
         return a.astype(dtype)
@@ -654,8 +687,14 @@ class CupyNamespace(NumpyNamespace):
     def cumsum(self, a, axis, dtype=None):
         return self._cupy.cumsum(a, axis=axis, dtype=dtype)
 
+    def row_sums(self, a):
+        return self._cupy.sum(a, axis=1)
+
     def first_true(self, mask, axis):
         return self._cupy.argmax(mask, axis=axis)
+
+    def flatnonzero(self, mask):
+        return self._cupy.flatnonzero(mask)
 
     def scatter_min(self, target, idx, values) -> None:
         import cupyx
@@ -818,12 +857,3 @@ def _reset_accelerator_cache() -> None:
     """Test hook: forget the memoized probe result."""
     global _ACCELERATOR_CACHE
     _ACCELERATOR_CACHE = None
-
-
-def index_dtype(xp: ArrayNamespace, n_pairs: int):
-    """int32 pair/agent index arrays where the range permits.
-
-    Halving the index bandwidth matters on the long-tail workloads
-    where compaction gathers dominate; int64 only past 2^31 pairs.
-    """
-    return xp.int32 if n_pairs < 2**31 - 1 else xp.int64

@@ -16,8 +16,9 @@ from repro.sim.fast import (
     fast_uniform,
     lshape_first_find,
 )
-from repro.sim.kernels import numpy_namespace, sortie_hits
+from repro.sim.kernels import numpy_namespace
 from repro.sim.metrics import FastRunStats
+from test_kernels import _legacy_sortie_hits
 
 
 def _legacy_lshape_first_find(stop_probability, n_agents, target, rng, move_budget):
@@ -42,7 +43,7 @@ def _legacy_lshape_first_find(stop_probability, n_agents, target, rng, move_budg
         sh = rng.integers(0, 2, size=count) * 2 - 1
         lv = rng.geometric(stop_probability, size=count) - 1
         lh = rng.geometric(stop_probability, size=count) - 1
-        hit, moves_at_hit = sortie_hits(numpy_namespace(), target, sv, lv, sh, lh)
+        hit, moves_at_hit = _legacy_sortie_hits(numpy_namespace(), target, sv, lv, sh, lh)
         totals = cumulative + moves_at_hit
         eligible = hit & (totals <= move_budget)
         if np.any(eligible):
@@ -128,7 +129,7 @@ class TestSortieLegacyTwin:
     def test_sampler_and_hit_test_match_four_call_draws(self):
         """The pieces every per-trial loop shares (L-shape, uniform and
         doubly uniform agents) against the four-call draws and the
-        kernel layer's hit test."""
+        dense hit oracle."""
         targets = [(3, 2), (-2, -1), (4, 0), (0, 3), (0, -2), (1, 1)]
         for seed in range(10):
             for stop_probability in (0.1, 0.5):
@@ -146,7 +147,7 @@ class TestSortieLegacyTwin:
                 assert np.array_equal(lengths_h, lh)
                 assert fused_rng.bit_generator.state == legacy_rng.bit_generator.state
                 for target in targets:
-                    hit, moves = sortie_hits(numpy_namespace(), target, sv, lv, sh, lh)
+                    hit, moves = _legacy_sortie_hits(numpy_namespace(), target, sv, lv, sh, lh)
                     found = _sortie_hits(target, *sorties)
                     if found is None:
                         assert not hit.any()

@@ -70,10 +70,16 @@ def _factory(params):
 
 @pytest.fixture
 def fresh_cache(tmp_path):
-    """A private cache installed as the process default (see test_cache)."""
+    """A private cache installed as the process default (see test_cache).
+
+    Pool workers forked while it is installed keep it, and would write
+    later tests' shard spans into its trace sink, so the shared pool is
+    retired with it.
+    """
     cache = configure_cache(directory=tmp_path, max_memory_entries=64)
     cache.clear()
     yield cache
+    get_manager().close()
     configure_cache(
         directory=cache_module.default_cache_dir(), max_memory_entries=256
     )

@@ -14,6 +14,11 @@ importable — under the torch-CPU namespace, asserting:
 The suite is the CI "kernel parity" leg's payload: a torch-equipped
 matrix job runs it to prove the shim's torch binding tracks NumPy
 semantics, and it degrades to NumPy-only everywhere else.
+
+The legacy twins at the end pin the NumPy path bit for bit: in-file
+copies of the prefix-sum sortie kernels (``batch_lshape`` and the phase
+families' ``_blocked_phase_rounds``) as they stood before the sparse
+first-hit scan, run on the same seeds as the current kernels.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ import pytest
 from repro.sim import AlgorithmSpec, SimulationRequest, ks_statistic, \
     ks_two_sample_threshold
 from repro.sim.kernels import (
+    core,
     numpy_namespace,
     run_family,
-    sortie_hits,
     torch_namespace,
 )
 from repro.sim.kernels.core import SENTINEL
@@ -247,18 +252,27 @@ class TestBlockedRoundBoundaries:
 @pytest.mark.parametrize("xp", NAMESPACES)
 class TestSortieHelpers:
     def test_sortie_hits_closed_form(self, xp):
-        """Hand-checked hit cases survive the namespace translation."""
+        """Hand-checked hit cases: the dense oracle and the kernel's
+        candidate scan agree, across the namespace translation."""
         sv = xp.asarray([1, 1, -1, 1], dtype=xp.int64)
         lv = xp.asarray([5, 3, 2, 0], dtype=xp.int64)
         sh = xp.asarray([1, 1, 1, -1], dtype=xp.int64)
         lh = xp.asarray([0, 4, 9, 2], dtype=xp.int64)
-        hit, moves = sortie_hits(xp, (2, 3), sv, lv, sh, lh)
+        hit, moves = _legacy_sortie_hits(xp, (2, 3), sv, lv, sh, lh)
         hit = xp.to_numpy(hit)
         moves = xp.to_numpy(moves)
         # Pair 1: vertical leg ends exactly at y=3, horizontal reaches
         # x=2 after 4 >= 2 moves -> hit after lv + |x| = 5 moves.
         assert list(hit) == [False, True, False, False]
         assert moves[1] == 5
+        # The same four sorties as one-round rows of a block.
+        lengths = xp.astype(xp.asarray([5, 3, 2, 0, 0, 4, 9, 2]), xp.float32)
+        bits = xp.astype(xp.asarray([1, 1, 0, 1, 1, 1, 1, 0]), xp.float32)
+        flat, rows, cols = (
+            xp.to_numpy(a)
+            for a in core._first_hits(xp, (2, 3), lengths, bits, 4, 1, None)
+        )
+        assert list(rows) == list(flat) == [1] and list(cols) == [0]
 
     def test_origin_target_short_circuits(self, xp):
         request = SimulationRequest(
@@ -289,3 +303,299 @@ def test_geometric_distribution_parity():
         numpy_draws.astype(float), torch_draws.astype(float)
     )
     assert statistic <= ks_two_sample_threshold(4000, 4000, alpha=0.01)
+
+
+# ---------------------------------------------------------------------------
+# Legacy twins: the prefix-sum sortie kernels, kept verbatim (comments
+# trimmed) as the bit-identity reference for the sparse first-hit scan.
+# Shared helpers (_batch_state, _score_hits, the block schedule) come
+# from the current core: the twins pin the per-block body.
+# ---------------------------------------------------------------------------
+
+
+def _legacy_sample_sorties_fused(xp, rng, stop_probability, shape):
+    fused = (2, *shape) if isinstance(shape, tuple) else (2, shape)
+    u = rng.random(size=fused, dtype=xp.float32)
+    u += u
+    signs = xp.floor(u)
+    u -= signs
+    signs += signs
+    signs -= 1.0
+    denominator = xp.minimum(
+        xp.astype(xp.log1p(-stop_probability), xp.float32), -1e-30
+    )
+    u *= -1.0
+    lengths = xp.log1p(u)
+    lengths /= denominator
+    lengths = xp.floor(lengths)
+    return signs[0], lengths[0], signs[1], lengths[1]
+
+
+def _legacy_sortie_hits(xp, target, signs_v, lengths_v, signs_h, lengths_h):
+    """Dense L-path hit test + moves-at-hit (the kernels' former oracle,
+    mirroring :func:`repro.grid.geometry.l_path_hit_moves`); also the
+    hit oracle of ``test_fast.py``'s four-call loops."""
+    x, y = target
+    if x != 0:
+        hit = signs_v * lengths_v == y
+        hit &= signs_h == (1 if x > 0 else -1)
+        hit &= lengths_h >= abs(x)
+        return hit, lengths_v + abs(x)
+    hit_vertical = (x == 0) & (signs_v * y >= 0) & (lengths_v >= abs(y))
+    hit_horizontal = (
+        (signs_v * lengths_v == y) & (signs_h * x >= 0) & (lengths_h >= abs(x))
+    )
+    hit = hit_vertical | hit_horizontal
+    moves_at_hit = xp.where(hit_vertical, abs(y), lengths_v + abs(x))
+    return hit, moves_at_hit
+
+
+def _legacy_batch_lshape(xp, rng, stop_probability, n_agents, n_trials,
+                         target, move_budget):
+    if target == (0, 0):
+        return core._origin_batch(xp, n_trials)
+    (pair_trial, pair_agent, best, best_finder,
+     trial_iterations, trial_rounds) = core._batch_state(xp, n_trials, n_agents)
+    cumulative = xp.zeros(n_trials * n_agents, dtype=xp.int64)
+    acc = core._move_dtype(xp, move_budget)
+
+    expected_len = max(1.0, 2.0 * (1.0 / stop_probability - 1.0))
+    rounds_left = int(200 * (move_budget / expected_len + 1)) + 10_000
+    block = 4
+    while xp.size(pair_trial) > 0 and rounds_left > 0:
+        pairs = xp.size(pair_trial)
+        block = core._block_len(pairs, 8, block * 2, rounds_left, core._MAX_BLOCK)
+        rounds_left -= block
+        sv, lv, sh, lh = _legacy_sample_sorties_fused(
+            xp, rng, stop_probability, (pairs, block)
+        )
+        hit, moves_at_hit = _legacy_sortie_hits(xp, target, sv, lv, sh, lh)
+        if acc is xp.float32:
+            leg = lv
+            leg += lh
+        else:
+            leg = xp.astype(lv, acc)
+            leg += lh
+        cum_after = xp.cumsum(leg, axis=1)
+        cum_after += xp.astype(cumulative, acc)[:, None]
+
+        hit_any = xp.astype(xp.sum(hit, axis=1), xp.bool_)
+        first = xp.first_true(hit, axis=1)
+        moves_before = xp.take_along(cum_after, first) - xp.take_along(leg, first)
+        pair_total = xp.astype(
+            xp.minimum(
+                moves_before + xp.take_along(moves_at_hit, first),
+                core._TOTAL_CLAMP,
+            ),
+            xp.int64,
+        )
+        limit = xp.astype(
+            xp.minimum(move_budget, xp.take(best, pair_trial)), acc
+        )
+        end_cum_f = cum_after[:, -1]
+        rounds_in_block = xp.where(hit_any, first + 1, block)
+        exceeds = end_cum_f >= limit
+        if xp.any(exceeds):
+            fe = xp.first_true(
+                cum_after[exceeds] >= limit[exceeds][:, None], axis=1
+            )
+            rounds_in_block[exceeds] = xp.minimum(
+                rounds_in_block[exceeds], fe + 1
+            )
+        xp.scatter_add(trial_iterations, pair_trial, rounds_in_block)
+        block_rounds = xp.zeros(n_trials, dtype=xp.int64)
+        xp.scatter_max(block_rounds, pair_trial, rounds_in_block)
+        trial_rounds += block_rounds
+
+        eligible = hit_any & (pair_total <= move_budget) & (
+            pair_total < xp.take(best, pair_trial)
+        )
+        core._score_hits(
+            xp, best, best_finder, pair_trial, pair_agent, pair_total, eligible
+        )
+        keep = ~hit_any & (
+            end_cum_f
+            < xp.astype(xp.minimum(move_budget, xp.take(best, pair_trial)), acc)
+        )
+        cumulative = xp.astype(end_cum_f[keep], xp.int64)
+        pair_trial = pair_trial[keep]
+        pair_agent = pair_agent[keep]
+    return best, best_finder, trial_iterations, trial_rounds
+
+
+def _legacy_blocked_phase_rounds(xp, rng, target, move_budget, best,
+                                 best_finder, n_trials, pair_trial,
+                                 pair_agent, cumulative, stop_p, use, block,
+                                 trial_iterations, trial_rounds):
+    pairs = xp.size(pair_trial)
+    acc = core._move_dtype(xp, move_budget)
+    sv, lv, sh, lh = _legacy_sample_sorties_fused(
+        xp, rng, stop_p[None, :, None], (pairs, block)
+    )
+    hit, moves_at_hit = _legacy_sortie_hits(xp, target, sv, lv, sh, lh)
+    if int(xp.sum(use)) != pairs * block:
+        cols = xp.arange(block, dtype=xp.int64)
+        hit &= cols[None, :] < use[:, None]
+    if acc is xp.float32:
+        leg = lv
+        leg += lh
+    else:
+        leg = xp.astype(lv, acc)
+        leg += lh
+    cum_after = xp.cumsum(leg, axis=1)
+    cum_after += xp.astype(cumulative, acc)[:, None]
+
+    hit_any = xp.astype(xp.sum(hit, axis=1), xp.bool_)
+    first = xp.first_true(hit, axis=1)
+    moves_before = xp.take_along(cum_after, first) - xp.take_along(leg, first)
+    pair_total = xp.astype(
+        xp.minimum(
+            moves_before + xp.take_along(moves_at_hit, first), core._TOTAL_CLAMP
+        ),
+        xp.int64,
+    )
+    limit = xp.astype(xp.minimum(move_budget, xp.take(best, pair_trial)), acc)
+    end_cum_f = xp.take_along(cum_after, use - 1)
+    rounds_in_block = xp.where(hit_any, first + 1, use)
+    exceeds = end_cum_f >= limit
+    if xp.any(exceeds):
+        fe = xp.first_true(cum_after[exceeds] >= limit[exceeds][:, None], axis=1)
+        alive_sub = xp.minimum(fe, use[exceeds] - 1) + 1
+        rounds_in_block[exceeds] = xp.minimum(rounds_in_block[exceeds], alive_sub)
+    xp.scatter_add(trial_iterations, pair_trial, rounds_in_block)
+    block_rounds = xp.zeros(n_trials, dtype=xp.int64)
+    xp.scatter_max(block_rounds, pair_trial, rounds_in_block)
+    trial_rounds += block_rounds
+
+    eligible = hit_any & (pair_total <= move_budget) & (
+        pair_total < xp.take(best, pair_trial)
+    )
+    core._score_hits(
+        xp, best, best_finder, pair_trial, pair_agent, pair_total, eligible
+    )
+    keep = ~hit_any & (
+        end_cum_f
+        < xp.astype(xp.minimum(move_budget, xp.take(best, pair_trial)), acc)
+    )
+    end_cum = xp.astype(xp.minimum(end_cum_f, core._TOTAL_CLAMP), xp.int64)
+    return keep, end_cum
+
+
+def _legacy_sortie_block(xp, rng, workspace, target, move_budget, best,
+                         best_finder, n_trials, pair_trial, pair_agent,
+                         cumulative, stop_probability, block,
+                         trial_iterations, trial_rounds, use=None):
+    """The phase kernels' per-block call, routed to the legacy body."""
+    assert use is not None, "only the phase kernels are routed here"
+    keep, end_cum = _legacy_blocked_phase_rounds(
+        xp, rng, target, move_budget, best, best_finder, n_trials,
+        pair_trial, pair_agent, cumulative, stop_probability[:, 0], use,
+        block, trial_iterations, trial_rounds,
+    )
+    return keep, xp.astype(end_cum, core._move_dtype(xp, move_budget))
+
+
+#: (id, spec, n_agents, target, move_budget, n_trials).  Together they
+#: cover off-axis, x == 0, y == 0 and origin targets; the float64
+#: accounting path (budget >= 2^23); p >= 1/3 and one agent; a pool
+#: above the scratch cap (block = 1); budgets that expire mid-block;
+#: and point-blank targets where sibling pairs hit in the same block
+#: and tie on moves in the same round (lowest agent wins).
+_LSHAPE_TWIN_CASES = [
+    ("off-axis", AlgorithmSpec.algorithm1(32), 8, (24, -17), 100_000, 300),
+    ("nonuniform", AlgorithmSpec.nonuniform(16, 2), 8, (-9, 11), 100_000, 300),
+    ("x0", AlgorithmSpec.algorithm1(16), 8, (0, -12), 50_000, 200),
+    ("y0", AlgorithmSpec.algorithm1(16), 8, (-12, 0), 50_000, 200),
+    ("origin", AlgorithmSpec.algorithm1(8), 4, (0, 0), 100, 10),
+    ("float64", AlgorithmSpec.algorithm1(64), 4, (40, -30), 1 << 24, 60),
+    ("float64-past-2^24", AlgorithmSpec.algorithm1(1024), 1, (1000, -800),
+     1 << 26, 40),
+    ("p-half-one-agent", AlgorithmSpec.algorithm1(2), 1, (1, -1), 1_000, 400),
+    ("p-third", AlgorithmSpec.algorithm1(3), 3, (2, 1), 10_000, 300),
+    ("above-scratch-cap", AlgorithmSpec.algorithm1(4), 8, (3, 2), 60, 9_000),
+    ("budget-mid-block", AlgorithmSpec.algorithm1(32), 8, (24, 17), 777, 300),
+    ("sibling-ties", AlgorithmSpec.algorithm1(4), 16, (1, 0), 10_000, 200),
+]
+
+_PHASE_TWIN_CASES = [
+    ("off-axis", 8, (6, 5), 300_000, 100),
+    ("x0", 8, (0, 7), 300_000, 100),
+    ("y0", 8, (-7, 0), 300_000, 100),
+    ("origin", 4, (0, 0), 100, 10),
+    ("float64", 4, (9, -6), 1 << 24, 20),
+    ("one-agent", 1, (3, 2), 50_000, 200),
+    ("above-scratch-cap", 8, (2, 1), 40, 9_000),
+    ("budget-mid-block", 4, (6, 5), 777, 128),
+    ("sibling-ties", 16, (1, 0), 10_000, 100),
+]
+
+
+def _twin_request(spec, n_agents, target, move_budget, n_trials):
+    return SimulationRequest(
+        algorithm=spec, n_agents=n_agents, target=target,
+        move_budget=move_budget, n_trials=n_trials, seed=SEED,
+    )
+
+
+def _with_state(xp, request, kernel):
+    """Kernel outputs plus the generator's final state."""
+    rng = xp.rng(request.trial_seed(0))
+    arrays = tuple(xp.to_numpy(a) for a in kernel(rng))
+    return arrays, rng.generator.bit_generator.state
+
+
+def _assert_twins(current, legacy):
+    (arrays, state), (legacy_arrays, legacy_state) = current, legacy
+    for name, a, b in zip(("best", "finder", "iterations", "rounds"),
+                          arrays, legacy_arrays):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert state == legacy_state
+
+
+class TestSortieLegacyTwins:
+    """The sparse first-hit scan is bit-identical to the prefix-sum
+    kernels: same best, finder, diagnostics and final generator state."""
+
+    @pytest.mark.parametrize(
+        "spec, n_agents, target, move_budget, n_trials",
+        [case[1:] for case in _LSHAPE_TWIN_CASES],
+        ids=[case[0] for case in _LSHAPE_TWIN_CASES],
+    )
+    def test_lshape_matches_prefix_sum_kernel(
+        self, spec, n_agents, target, move_budget, n_trials
+    ):
+        xp = numpy_namespace()
+        request = _twin_request(spec, n_agents, target, move_budget, n_trials)
+        p = core.stop_probability_for(request)
+        args = (p, n_agents, n_trials, target, move_budget)
+        _assert_twins(
+            _with_state(xp, request, lambda rng: core.batch_lshape(xp, rng, *args)),
+            _with_state(xp, request, lambda rng: _legacy_batch_lshape(xp, rng, *args)),
+        )
+
+    @pytest.mark.parametrize("family", ["uniform", "doubly-uniform"])
+    @pytest.mark.parametrize("ell", [1, 2])
+    @pytest.mark.parametrize(
+        "n_agents, target, move_budget, n_trials",
+        [case[1:] for case in _PHASE_TWIN_CASES],
+        ids=[case[0] for case in _PHASE_TWIN_CASES],
+    )
+    def test_phase_families_match_prefix_sum_blocks(
+        self, monkeypatch, family, ell, n_agents, target, move_budget,
+        n_trials,
+    ):
+        """Ragged ``use`` horizons come with every phase pool: rows sit
+        in different phases with different calls left."""
+        xp = numpy_namespace()
+        spec = (
+            AlgorithmSpec.uniform(ell) if family == "uniform"
+            else AlgorithmSpec.doubly_uniform(ell)
+        )
+        request = _twin_request(spec, n_agents, target, move_budget, n_trials)
+
+        def kernel(rng):
+            return run_family(xp, rng, request, n_trials)
+
+        current = _with_state(xp, request, kernel)
+        monkeypatch.setattr(core, "_sortie_block", _legacy_sortie_block)
+        _assert_twins(current, _with_state(xp, request, kernel))

@@ -146,12 +146,21 @@ class TestPropagation:
         simulate(request, backend="reference", workers=2, cache=False)
         # The driver thread records the job span moments after
         # ``result()`` unblocks; poll briefly rather than racing it.
+        # Match this request's job: a job left by an earlier test (a
+        # cancelled one settles once its running shards finish) can
+        # record its span into the ring while this test runs.
         import time
 
         job_span = None
         for _ in range(50):
             job_span = next(
-                (sp for sp in ring_spans() if sp.name == "job"), None
+                (
+                    sp for sp in ring_spans()
+                    if sp.name == "job"
+                    and sp.attributes.get("backend") == "reference"
+                    and sp.attributes.get("n_trials") == request.n_trials
+                ),
+                None,
             )
             if job_span is not None:
                 break
