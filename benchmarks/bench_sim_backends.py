@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from repro.sim import AlgorithmSpec, SimulationRequest, simulate
+from repro.sim import AlgorithmSpec, SimulationCache, SimulationRequest, simulate
 
 RECORD_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_sim_backends.json"
 HISTORY_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_history.jsonl"
@@ -36,6 +36,20 @@ WORKLOAD = {
     "target": (32, 32),
     "move_budget": 100_000,
 }
+
+# The size gates' request: perfbench's large algorithm1 shape (n=4000).
+# Its cache entry and wire body sizes are exact byte counts, so the
+# gates carry no noise allowance.
+SIZE_REQUEST = {
+    "distance": 32,
+    "n_agents": 8,
+    "target": (24, 17),
+    "move_budget": 100_000,
+    "n_trials": 4000,
+    "seed": 20140507,
+}
+MAX_ENTRY_KB = 130.0
+MAX_WIRE_BODY_KB = 200.0
 
 # Colonies per timing run, scaled to each backend's expected throughput
 # so every measurement covers a comparable wall-clock slice.
@@ -141,3 +155,36 @@ def test_backend_throughput_record():
         f"batched backend must beat reference by >= 10x colonies/sec, "
         f"got {speedup:.1f}x"
     )
+
+
+def test_outcome_size_gates(tmp_path):
+    """The n=4000 cache entry and wire body stay columnar-sized.
+
+    One int64 column per outcome field is 4 x 32,000 bytes of payload;
+    a cache frame stores it raw and the wire base64-encodes it.  A
+    per-trial record encoding (pickled tuples, JSON objects) is several
+    times larger and fails both gates.
+    """
+    from repro.server.wire import result_to_wire
+
+    spec = dict(SIZE_REQUEST)
+    request = SimulationRequest(
+        algorithm=AlgorithmSpec.algorithm1(spec.pop("distance")), **spec
+    )
+    result = simulate(request, backend="batched", cache=False)
+    SimulationCache(directory=tmp_path).store(request, "batched", result.outcomes)
+    entry_kb = sum(path.stat().st_size for path in tmp_path.glob("*.pkl")) / 1024
+    body_kb = len(json.dumps(result_to_wire(result))) / 1024
+    update_record(
+        "outcome_sizes",
+        {
+            "request": SIZE_REQUEST,
+            "cache_entry_kb": round(entry_kb, 2),
+            "wire_body_kb": round(body_kb, 2),
+            "max_cache_entry_kb": MAX_ENTRY_KB,
+            "max_wire_body_kb": MAX_WIRE_BODY_KB,
+        },
+    )
+    print(f"\ncache entry {entry_kb:.1f} KB, wire body {body_kb:.1f} KB")
+    assert entry_kb <= MAX_ENTRY_KB, f"cache entry {entry_kb:.1f} KB > {MAX_ENTRY_KB} KB"
+    assert body_kb <= MAX_WIRE_BODY_KB, f"wire body {body_kb:.1f} KB > {MAX_WIRE_BODY_KB} KB"

@@ -68,6 +68,7 @@ from repro.grid import (
 from repro.sim import (
     AlgorithmSpec,
     EngineConfig,
+    OutcomeBatch,
     SearchEngine,
     SearchOutcome,
     SimulationJob,
@@ -103,6 +104,7 @@ __all__ = [
     "RingTarget",
     "AlgorithmSpec",
     "EngineConfig",
+    "OutcomeBatch",
     "SearchEngine",
     "SearchOutcome",
     "SimulationJob",

@@ -56,6 +56,7 @@ from repro.sim.backends import (
     registered_backends,
     resolve_backend,
 )
+from repro.sim.metrics import ABSENT
 from repro.sim.service import simulate
 
 BACKEND_CHOICES = ("auto", "reference", "closed_form", "batched", "accelerator")
@@ -183,14 +184,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     complexity = algorithm.selection_complexity()
     if complexity is not None:
         print(f"chi       : {complexity}")
-    outcome = result.outcome
-    if outcome.found:
-        steps = "" if outcome.m_steps is None else f", steps {outcome.m_steps}"
-        print(f"found     : yes — M_moves = {outcome.m_moves} "
-              f"(agent {outcome.finder}{steps})")
+    outcomes = result.outcomes
+    if outcomes.found[0]:
+        m_steps = int(outcomes.m_steps_column()[0])
+        steps = "" if m_steps == ABSENT else f", steps {m_steps}"
+        print(f"found     : yes — M_moves = {int(outcomes.m_moves[0])} "
+              f"(agent {int(outcomes.finder[0])}{steps})")
     else:
         print(f"found     : no within budget {args.budget}")
-    trials_done = len(result.outcomes)
+    trials_done = len(outcomes)
     if trials_done > 1:
         moves = result.moves_or_budget()
         print(

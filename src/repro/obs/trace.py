@@ -20,8 +20,11 @@ tree:
   cache directory is configured, an append-only JSONL sink at
   ``<cache>/traces/<trace_id>.jsonl`` — one small ``O_APPEND`` line
   per span, safe across the shard worker processes that share the
-  directory.  Sink files are pruned oldest-first past
-  ``_SINK_MAX_FILES`` so long-lived servers do not grow without bound.
+  directory.  Pooled shard tasks also carry the driver's sink
+  directory and write under :func:`sink_directory`, because a forked
+  worker keeps the cache configuration of the moment it was forked.
+  Sink files are pruned oldest-first past ``_SINK_MAX_FILES`` so
+  long-lived servers do not grow without bound.
 * **Rendering.**  :func:`render_trace` draws the tree with per-span
   durations and self-time (duration minus child durations) for
   ``repro-ants trace``; ``GET /v1/jobs/{id}/trace`` serves the raw
@@ -61,6 +64,7 @@ __all__ = [
     "parse_traceparent",
     "render_trace",
     "ring_spans",
+    "sink_directory",
     "span",
     "spans_for_trace",
     "trace_dir",
@@ -321,8 +325,33 @@ def clear_ring() -> None:
 # JSONL sink under the cache directory
 
 
+_SINK_DIR: contextvars.ContextVar[Optional[str]] = contextvars.ContextVar(
+    "repro_obs_sink_dir", default=None
+)
+
+
+@contextlib.contextmanager
+def sink_directory(directory: Optional[str]) -> Iterator[None]:
+    """Write the body's spans to ``directory`` instead of the local
+    cache's trace sink (``None`` keeps the local one).
+
+    A pool worker runs a shard under the submitting driver's sink
+    directory, so the shard's spans join the submitter's trace even
+    after the driver's cache moved.
+    """
+    token = _SINK_DIR.set(directory)
+    try:
+        yield
+    finally:
+        _SINK_DIR.reset(token)
+
+
 def trace_dir() -> Optional[str]:
-    """``<cache>/traces``, or ``None`` when no cache dir is usable."""
+    """``<cache>/traces`` (or the :func:`sink_directory` in force), or
+    ``None`` when no cache dir is usable."""
+    override = _SINK_DIR.get()
+    if override is not None:
+        return override
     try:
         from repro.sim.cache import get_cache  # lazy: cache imports obs.metrics
 

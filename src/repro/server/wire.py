@@ -11,37 +11,46 @@ seed stream (``seed``/``seed_keys``), which is what makes remote
 execution reproduce local execution bit for bit on the per-trial
 backends.
 
-All request and outcome fields that feed the seed stream or the cache
-fingerprint are integers (or ``None``), so JSON represents them exactly
-— there is no float rounding anywhere that could perturb
-reproducibility.  The one float in the schema, ``deadline_seconds``, is
-an execution detail excluded from the fingerprint.  Numpy integer
-scalars that backends may leave in outcomes are normalized to Python
-ints on encode.
+All request fields that feed the seed stream or the cache fingerprint
+are integers (or ``None``), so JSON represents them exactly — there is
+no float rounding anywhere that could perturb reproducibility.  The one
+float in the schema, ``deadline_seconds``, is an execution detail
+excluded from the fingerprint.  Outcomes travel as the columns of their
+:class:`~repro.sim.metrics.OutcomeBatch`: each column's raw
+little-endian int64 bytes, base64-encoded, so they are exact too.
 
 Decoding is strict: a payload with the wrong wire version, a missing
-field, or a value outside the request's validated domain raises
-:class:`WireError` (the server maps it to HTTP 400).
+field, a malformed outcome column, or a value outside the request's
+validated domain raises :class:`WireError` (the server maps it to HTTP
+400; out-of-domain request values raise the request's own
+:class:`~repro.errors.InvalidParameterError`, also a 400).
 """
 
 from __future__ import annotations
 
+import base64
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ReproError
+from repro.errors import InvalidParameterError, ReproError
 from repro.sim.backends.base import (
     AlgorithmSpec,
     SimulationRequest,
     SimulationResult,
 )
 from repro.sim.jobs import JobProgress, JobState, ShardResult
-from repro.sim.metrics import AgentOutcome, FastRunStats, SearchOutcome
+from repro.sim.metrics import (
+    COLUMN_DTYPE,
+    OutcomeBatch,
+    column_bytes,
+    column_from_bytes,
+)
 from repro.sim.selector import SimulationPlan
 
 #: Version of the JSON schema; bumped on any incompatible change.  The
 #: server rejects payloads carrying a different version, so a stale
 #: client fails loudly instead of silently misinterpreting fields.
-WIRE_VERSION = 1
+#: v2 carries outcomes as base64 int64 columns (v1: one object per trial).
+WIRE_VERSION = 2
 
 
 class WireError(ReproError):
@@ -193,93 +202,60 @@ def request_from_wire(payload: Any) -> SimulationRequest:
 # -- outcomes ------------------------------------------------------------
 
 
-def _agent_to_wire(agent: AgentOutcome) -> Dict[str, Any]:
+def outcomes_to_wire(outcomes: OutcomeBatch) -> Dict[str, Any]:
+    """Encode an :class:`OutcomeBatch` as base64 columns.
+
+    Each column travels as its raw little-endian int64 bytes
+    (``{"dtype": "<i8", "data": <base64>}``), the same bytes a cache
+    frame stores; the batch's shape rides alongside.
+    """
     return {
-        "agent_id": int(agent.agent_id),
-        "found": bool(agent.found),
-        "moves_at_find": (
-            None if agent.moves_at_find is None else int(agent.moves_at_find)
-        ),
-        "steps_at_find": (
-            None if agent.steps_at_find is None else int(agent.steps_at_find)
-        ),
-        "total_moves": int(agent.total_moves),
-        "total_steps": int(agent.total_steps),
-        "final_position": [
-            int(agent.final_position[0]),
-            int(agent.final_position[1]),
-        ],
-    }
-
-
-def _agent_from_wire(payload: Any) -> AgentOutcome:
-    if not isinstance(payload, Mapping):
-        raise WireError("per_agent entries must be objects")
-    return AgentOutcome(
-        agent_id=req_int(payload.get("agent_id"), "agent_id"),
-        found=bool(payload.get("found")),
-        moves_at_find=opt_int(payload.get("moves_at_find"), "moves_at_find"),
-        steps_at_find=opt_int(payload.get("steps_at_find"), "steps_at_find"),
-        total_moves=req_int(payload.get("total_moves"), "total_moves"),
-        total_steps=req_int(payload.get("total_steps"), "total_steps"),
-        final_position=point(payload.get("final_position"), "final_position"),
-    )
-
-
-def outcome_to_wire(outcome: SearchOutcome) -> Dict[str, Any]:
-    """Encode one :class:`SearchOutcome`, per-agent details included."""
-    return {
-        "found": bool(outcome.found),
-        "m_moves": None if outcome.m_moves is None else int(outcome.m_moves),
-        "m_steps": None if outcome.m_steps is None else int(outcome.m_steps),
-        "finder": None if outcome.finder is None else int(outcome.finder),
-        "n_agents": int(outcome.n_agents),
-        "move_budget": (
-            None if outcome.move_budget is None else int(outcome.move_budget)
-        ),
-        "per_agent": [_agent_to_wire(agent) for agent in outcome.per_agent],
-        "stats": (
-            None
-            if outcome.stats is None
-            else {
-                "iterations_executed": int(outcome.stats.iterations_executed),
-                "rounds_executed": int(outcome.stats.rounds_executed),
+        "n_trials": outcomes.n_trials,
+        "n_agents": outcomes.n_agents,
+        "move_budget": outcomes.move_budget,
+        "columns": {
+            name: {
+                "dtype": COLUMN_DTYPE,
+                "data": base64.b64encode(column_bytes(values)).decode("ascii"),
             }
-        ),
+            for name, values in outcomes.columns().items()
+        },
     }
 
 
-def outcome_from_wire(payload: Any) -> SearchOutcome:
-    """Decode one outcome record."""
+def outcomes_from_wire(payload: Any) -> OutcomeBatch:
+    """Decode an outcome batch; every malformation is a :class:`WireError`
+    (bad base64, an unknown dtype tag, a missing or unknown column, or a
+    column whose length does not fit ``n_trials``)."""
     if not isinstance(payload, Mapping):
-        raise WireError("outcome must be an object")
-    stats = payload.get("stats")
-    if stats is not None and not isinstance(stats, Mapping):
-        raise WireError("stats must be an object or null")
-    per_agent = payload.get("per_agent", [])
-    if not isinstance(per_agent, Sequence):
-        raise WireError("per_agent must be an array")
-    return SearchOutcome(
-        found=bool(payload.get("found")),
-        m_moves=opt_int(payload.get("m_moves"), "m_moves"),
-        m_steps=opt_int(payload.get("m_steps"), "m_steps"),
-        finder=opt_int(payload.get("finder"), "finder"),
-        n_agents=req_int(payload.get("n_agents"), "n_agents"),
-        move_budget=opt_int(payload.get("move_budget"), "move_budget"),
-        per_agent=[_agent_from_wire(agent) for agent in per_agent],
-        stats=(
-            None
-            if stats is None
-            else FastRunStats(
-                iterations_executed=req_int(
-                    stats.get("iterations_executed"), "stats.iterations_executed"
-                ),
-                rounds_executed=req_int(
-                    stats.get("rounds_executed"), "stats.rounds_executed"
-                ),
-            )
-        ),
-    )
+        raise WireError("outcomes must be an object")
+    columns = payload.get("columns")
+    if not isinstance(columns, Mapping):
+        raise WireError("outcomes.columns must be an object")
+    decoded = {}
+    for name, column in columns.items():
+        if not isinstance(column, Mapping):
+            raise WireError(f"outcomes.columns.{name} must be an object")
+        data = column.get("data")
+        if not isinstance(data, str):
+            raise WireError(f"outcomes.columns.{name}.data must be a base64 string")
+        try:
+            raw = base64.b64decode(data, validate=True)
+        except ValueError as error:
+            raise WireError(f"outcomes.columns.{name}: bad base64 ({error})") from None
+        try:
+            decoded[name] = column_from_bytes(raw, column.get("dtype"))
+        except InvalidParameterError as error:
+            raise WireError(f"outcomes.columns.{name}: {error}") from None
+    try:
+        return OutcomeBatch.from_columns(
+            req_int(payload.get("n_trials"), "outcomes.n_trials"),
+            req_int(payload.get("n_agents"), "outcomes.n_agents"),
+            opt_int(payload.get("move_budget"), "outcomes.move_budget"),
+            decoded,
+        )
+    except InvalidParameterError as error:
+        raise WireError(f"malformed outcomes: {error}") from None
 
 
 # -- results, shards, progress -------------------------------------------
@@ -291,7 +267,7 @@ def result_to_wire(result: SimulationResult) -> Dict[str, Any]:
         "wire": WIRE_VERSION,
         "request": request_to_wire(result.request),
         "backend": result.backend,
-        "outcomes": [outcome_to_wire(outcome) for outcome in result.outcomes],
+        "outcomes": outcomes_to_wire(result.outcomes),
     }
 
 
@@ -303,24 +279,22 @@ def result_from_wire(payload: Any) -> SimulationResult:
     backend = payload.get("backend")
     if not isinstance(backend, str):
         raise WireError("result.backend must be a string")
-    outcomes = payload.get("outcomes")
-    if not isinstance(outcomes, Sequence):
-        raise WireError("result.outcomes must be an array")
     return SimulationResult(
         request=request_from_wire(payload.get("request")),
         backend=backend,
-        outcomes=tuple(outcome_from_wire(outcome) for outcome in outcomes),
+        outcomes=outcomes_from_wire(payload.get("outcomes")),
     )
 
 
 def shard_to_wire(shard: ShardResult) -> Dict[str, Any]:
     """Encode one streamed shard completion (an SSE ``shard`` event)."""
     return {
+        "wire": WIRE_VERSION,
         "shard_index": int(shard.shard_index),
         "trial_start": int(shard.trial_start),
         "trial_count": int(shard.trial_count),
         "from_cache": bool(shard.from_cache),
-        "outcomes": [outcome_to_wire(outcome) for outcome in shard.outcomes],
+        "outcomes": outcomes_to_wire(shard.outcomes),
     }
 
 
@@ -328,14 +302,12 @@ def shard_from_wire(payload: Any) -> ShardResult:
     """Decode one shard event back into a :class:`ShardResult`."""
     if not isinstance(payload, Mapping):
         raise WireError("shard must be an object")
-    outcomes = payload.get("outcomes")
-    if not isinstance(outcomes, Sequence):
-        raise WireError("shard.outcomes must be an array")
+    check_version(payload)
     return ShardResult(
         shard_index=req_int(payload.get("shard_index"), "shard_index"),
         trial_start=req_int(payload.get("trial_start"), "trial_start"),
         trial_count=req_int(payload.get("trial_count"), "trial_count"),
-        outcomes=tuple(outcome_from_wire(outcome) for outcome in outcomes),
+        outcomes=outcomes_from_wire(payload.get("outcomes")),
         from_cache=bool(payload.get("from_cache")),
     )
 

@@ -69,7 +69,13 @@ from repro.sim.jobs import (
     SimulationJob,
     get_manager,
 )
-from repro.sim.metrics import AgentOutcome, FastRunStats, SearchOutcome, speedup
+from repro.sim.metrics import (
+    AgentOutcome,
+    FastRunStats,
+    OutcomeBatch,
+    SearchOutcome,
+    speedup,
+)
 from repro.sim.rng import generator_from, spawn_generators
 from repro.sim.runner import (
     ExperimentRow,
@@ -134,6 +140,7 @@ __all__ = [
     "EngineConfig",
     "AgentOutcome",
     "FastRunStats",
+    "OutcomeBatch",
     "SearchOutcome",
     "speedup",
     "generator_from",

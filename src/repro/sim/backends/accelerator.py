@@ -33,7 +33,7 @@ of splitting trials across pool workers.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.resilience.faults import maybe_inject
 from repro.sim.backends.base import SimulationBackend, SimulationRequest
@@ -43,7 +43,7 @@ from repro.sim.kernels.xp import (
     accelerator_unavailable_reason,
     resolve_accelerator,
 )
-from repro.sim.metrics import SearchOutcome
+from repro.sim.metrics import OutcomeBatch
 
 
 class AcceleratorBackend(KernelBackendMixin, SimulationBackend):
@@ -58,7 +58,7 @@ class AcceleratorBackend(KernelBackendMixin, SimulationBackend):
         self,
         request: SimulationRequest,
         trial_indices: Optional[Sequence[int]] = None,
-    ) -> Tuple[SearchOutcome, ...]:
+    ) -> OutcomeBatch:
         # The device is probed on every execution — the seam where the
         # chaos harness simulates a device disappearing mid-job (a real
         # loss would surface from the array library at the same point).

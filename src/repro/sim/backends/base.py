@@ -4,7 +4,8 @@ A :class:`SimulationRequest` is the uniform unit of work every caller
 in this repository ultimately produces: *which algorithm*, *how many
 agents*, *which target/world*, *what budgets*, *how many trials*, and
 *which deterministic seed stream*.  A :class:`SimulationBackend` turns
-a request into one :class:`~repro.sim.metrics.SearchOutcome` per trial.
+a request into an :class:`~repro.sim.metrics.OutcomeBatch`: one int64
+column per outcome field, one row per trial.
 
 The seeding contract is the load-bearing part: trial ``t`` of a request
 draws from ``derive_seed(seed, *seed_keys, t)``.  Backends that simulate
@@ -24,7 +25,7 @@ import numpy as np
 
 from repro.errors import InvalidParameterError, ReproError
 from repro.grid.geometry import Point, chebyshev_norm
-from repro.sim.metrics import SearchOutcome
+from repro.sim.metrics import OutcomeBatch, SearchOutcome
 
 
 class BackendError(ReproError):
@@ -253,23 +254,21 @@ class SimulationResult:
 
     request: SimulationRequest
     backend: str
-    outcomes: Tuple[SearchOutcome, ...]
+    outcomes: OutcomeBatch
 
     @property
     def outcome(self) -> SearchOutcome:
-        """The first (often only) trial's outcome."""
+        """The first (often only) trial's outcome, built on demand."""
         return self.outcomes[0]
 
     @property
     def find_rate(self) -> float:
         """Fraction of trials that found the target within budget."""
-        return float(np.mean([outcome.found for outcome in self.outcomes]))
+        return float(np.mean(self.outcomes.found))
 
     def moves_or_budget(self) -> np.ndarray:
         """Per-trial censored move counts (``m_moves`` or the budget)."""
-        return np.array(
-            [outcome.moves_or_budget for outcome in self.outcomes], dtype=np.int64
-        )
+        return self.outcomes.moves_or_budget()
 
 
 class SimulationBackend(ABC):
@@ -299,7 +298,7 @@ class SimulationBackend(ABC):
         self,
         request: SimulationRequest,
         trial_indices: Optional[Sequence[int]] = None,
-    ) -> Tuple[SearchOutcome, ...]:
+    ) -> OutcomeBatch:
         """Execute the request's trials (or the given subset of them).
 
         ``trial_indices`` lets the parallel sweep executor shard one

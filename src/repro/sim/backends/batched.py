@@ -17,21 +17,24 @@ every supported algorithm.  Unlike the per-trial backends, the whole
 batch shares one generator stream, so individual trials are not
 separately re-seedable (request-level determinism still holds).
 
-Diagnostics are per colony: each trial's outcome carries its own
+Diagnostics are per colony: each trial carries its own
 :class:`~repro.sim.metrics.FastRunStats` — the iterations its own
-pairs executed and the rounds in which it still had active pairs.
+pairs executed and the rounds in which it still had active pairs.  The
+kernel's four result arrays become the columns of the returned
+:class:`~repro.sim.metrics.OutcomeBatch` directly; no per-trial record
+is built.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.sim.backends.base import SimulationBackend, SimulationRequest
 from repro.sim.kernels import SENTINEL, numpy_namespace, run_family
 from repro.sim.kernels.xp import ArrayNamespace
-from repro.sim.metrics import FastRunStats, SearchOutcome
-
-_SENTINEL = SENTINEL
+from repro.sim.metrics import ABSENT, OutcomeBatch
 
 #: Families with a batch kernel (see :func:`repro.sim.kernels.run_family`).
 BATCHED_ALGORITHMS = (
@@ -49,9 +52,9 @@ class KernelBackendMixin:
 
     Subclasses provide :meth:`namespace`; everything else — the
     request-gating reasons, seeding the pooled stream, dispatching to
-    the family kernel, converting the result arrays into per-trial
-    :class:`SearchOutcome` records — is identical between the NumPy
-    and device bindings.
+    the family kernel, wrapping the result arrays into one
+    :class:`OutcomeBatch` — is identical between the NumPy and device
+    bindings.
     """
 
     _SUPPORTED = BATCHED_ALGORITHMS
@@ -76,37 +79,37 @@ class KernelBackendMixin:
         self,
         request: SimulationRequest,
         trial_indices: Optional[Sequence[int]] = None,
-    ) -> Tuple[SearchOutcome, ...]:
+    ) -> OutcomeBatch:
         return self._run_kernels(request, trial_indices)
 
     def _run_kernels(
         self,
         request: SimulationRequest,
         trial_indices: Optional[Sequence[int]],
-    ) -> Tuple[SearchOutcome, ...]:
-        indices = (
-            list(range(request.n_trials))
-            if trial_indices is None
-            else list(trial_indices)
-        )
-        if not indices:
-            return ()
+    ) -> OutcomeBatch:
+        if trial_indices is None:
+            first, n_trials = 0, request.n_trials
+        else:
+            indices = list(trial_indices)
+            first, n_trials = (indices[0] if indices else 0), len(indices)
+        if not n_trials:
+            return OutcomeBatch.empty(request.n_agents, request.move_budget)
         xp = self.namespace()
         # One pooled stream for the whole batch, anchored at the first
         # trial's address so sharded runs stay deterministic.
-        rng = xp.rng(request.trial_seed(indices[0]))
-        n_trials = len(indices)
+        rng = xp.rng(request.trial_seed(first))
         best, finder, iters, rounds = (
             xp.to_numpy(array)
             for array in run_family(xp, rng, request, n_trials)
         )
-        return tuple(
-            _outcome(
-                int(best[i]), int(finder[i]), request.n_agents,
-                request.move_budget,
-                FastRunStats(int(iters[i]), int(rounds[i])),
-            )
-            for i in range(n_trials)
+        found = best != SENTINEL
+        return OutcomeBatch(
+            request.n_agents,
+            request.move_budget,
+            np.where(found, best, ABSENT),
+            np.where(found, finder, ABSENT),
+            iters,
+            rounds,
         )
 
 
@@ -129,16 +132,3 @@ class BatchedBackend(KernelBackendMixin, SimulationBackend):
         # requests with a step budget via supports() gating.)
         return 30 if request.n_trials > 1 else 5
 
-
-def _outcome(
-    best: int, finder: int, n_agents: int, move_budget: int, stats: FastRunStats
-) -> SearchOutcome:
-    if best == _SENTINEL:
-        return SearchOutcome(
-            found=False, m_moves=None, m_steps=None, finder=None,
-            n_agents=n_agents, move_budget=move_budget, stats=stats,
-        )
-    return SearchOutcome(
-        found=True, m_moves=best, m_steps=0 if best == 0 else None,
-        finder=finder, n_agents=n_agents, move_budget=move_budget, stats=stats,
-    )

@@ -12,12 +12,12 @@ numbers.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.sim.backends.base import SimulationBackend, SimulationRequest
-from repro.sim.metrics import SearchOutcome
+from repro.sim.metrics import OutcomeBatch, SearchOutcome
 
 
 def _run_algorithm1(request: SimulationRequest, rng: np.random.Generator):
@@ -132,12 +132,15 @@ class ClosedFormBackend(SimulationBackend):
         self,
         request: SimulationRequest,
         trial_indices: Optional[Sequence[int]] = None,
-    ) -> Tuple[SearchOutcome, ...]:
+    ) -> OutcomeBatch:
         simulate_one = _SIMULATORS[request.algorithm.name]
         indices = range(request.n_trials) if trial_indices is None else trial_indices
-        return tuple(
+        outcomes = [
             simulate_one(
                 request, np.random.default_rng(request.trial_seed(trial_index))
             )
             for trial_index in indices
-        )
+        ]
+        if not outcomes:
+            return OutcomeBatch.empty(request.n_agents, request.move_budget)
+        return OutcomeBatch.from_outcomes(outcomes)

@@ -10,12 +10,12 @@ step budget resolve here under ``auto``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.grid.world import GridWorld
 from repro.sim.backends.base import SimulationBackend, SimulationRequest
 from repro.sim.engine import EngineConfig, SearchEngine
-from repro.sim.metrics import SearchOutcome
+from repro.sim.metrics import OutcomeBatch
 
 
 class ReferenceBackend(SimulationBackend):
@@ -39,7 +39,7 @@ class ReferenceBackend(SimulationBackend):
         self,
         request: SimulationRequest,
         trial_indices: Optional[Sequence[int]] = None,
-    ) -> Tuple[SearchOutcome, ...]:
+    ) -> OutcomeBatch:
         indices = range(request.n_trials) if trial_indices is None else trial_indices
         engine = SearchEngine(
             EngineConfig(
@@ -61,4 +61,6 @@ class ReferenceBackend(SimulationBackend):
                     rng=request.trial_seed(trial_index),
                 )
             )
-        return tuple(outcomes)
+        if not outcomes:
+            return OutcomeBatch.empty(request.n_agents, request.move_budget)
+        return OutcomeBatch.from_outcomes(outcomes)

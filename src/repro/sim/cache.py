@@ -11,9 +11,12 @@ Two layers sit behind one :class:`SimulationCache`:
 
 * an in-memory LRU (per process, bounded entry count) serving repeated
   sweep points and re-run experiments within one session, and
-* an on-disk store of pickled outcome tuples under
-  ``~/.cache/repro-ants/`` (override with ``REPRO_ANTS_CACHE_DIR``)
-  serving repeated CLI invocations and cross-process sweeps.
+* an on-disk store of outcome frames under ``~/.cache/repro-ants/``
+  (override with ``REPRO_ANTS_CACHE_DIR``) serving repeated CLI
+  invocations and cross-process sweeps.  A frame holds the raw
+  little-endian int64 columns of one
+  :class:`~repro.sim.metrics.OutcomeBatch` behind a JSON header line;
+  nothing on the outcome path is pickled.
 
 Invalidation is by construction: mutate any request field, pick a
 different backend, or bump :data:`CODE_VERSION` (done whenever a
@@ -31,14 +34,17 @@ Disk failures (read-only home, concurrent writers, corrupt files) are
 never fatal — the disk layer degrades to memory-only and records the
 reason in :meth:`SimulationCache.info`.
 
-Since PR 10 every disk entry is **checksummed**: the on-disk container
-is a one-line header carrying the SHA-256 of the pickled payload,
-verified on every read.  A truncated, bit-flipped, or otherwise
-unreadable entry is detected, moved into a ``quarantine/`` subdirectory
-(never served, preserved for inspection), and the lookup reports a
-miss — the caller transparently re-simulates and the next store
-replaces the entry.  :meth:`SimulationCache.verify` scans the whole
-store against the checksums (``repro-ants cache verify [--repair]``).
+Every disk entry is **checksummed**: the on-disk container is a
+one-line header carrying the SHA-256 of the frame, verified on every
+read.  A truncated, bit-flipped, or otherwise unreadable entry — and a
+digest-valid frame whose header does not parse or whose columns do not
+fit the request — is detected, moved into a ``quarantine/``
+subdirectory (never served, preserved for inspection), and the lookup
+reports a miss — the caller transparently re-simulates and the next
+store replaces the entry.  :meth:`SimulationCache.verify` scans the
+whole store against the checksums (``repro-ants cache verify
+[--repair]``).  The frame format is part of the key, so entries of an
+older format are never read: they are stale misses, not corruption.
 
 Two extensions serve the job layer (:mod:`repro.sim.jobs`):
 
@@ -59,7 +65,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 import threading
 from collections import OrderedDict
@@ -67,12 +72,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import InvalidParameterError, TransientFaultError
+from repro.errors import InvalidParameterError, ReproError, TransientFaultError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import child_span
 from repro.resilience.faults import maybe_inject
 from repro.sim.backends.base import SimulationRequest
-from repro.sim.metrics import SearchOutcome
+from repro.sim.metrics import (
+    COLUMN_DTYPE,
+    OutcomeBatch,
+    column_bytes,
+    column_from_bytes,
+)
 
 # Process-wide observability: the per-instance ints below survive for
 # fresh-instance snapshots (`CacheInfo`), while these registry series
@@ -97,15 +107,19 @@ _QUARANTINED_TOTAL = _REGISTRY.counter(
 #: can never be served for new semantics.
 CODE_VERSION = "sim-v4"  # blocked kernels: fused draw order moved again
 
-#: Disk payload layout version (independent of the simulator version).
-#: v2 wraps the pickled payload in a checksummed container (below).
-_FORMAT_VERSION = 2
+#: Disk frame layout version (independent of the simulator version),
+#: folded into every key.  v3 frames hold raw outcome columns (v2
+#: entries, pickled tuples, sit under other keys and are never read).
+_FORMAT_VERSION = 3
 
-#: On-disk container header.  The full layout is one ASCII header line
-#: ``repro-ants-cache v2 sha256=<64 hex>\n`` followed by the pickled
-#: payload the digest covers.  Anything that does not parse — legacy
-#: v1 raw pickles included — is treated as corrupt and quarantined.
-_MAGIC = b"repro-ants-cache v2 sha256="
+#: On-disk container: one ASCII line ``repro-ants-cache v3
+#: sha256=<64 hex>\n``, then the frame the digest covers.  The frame is
+#: one JSON header line (entry identity, ``n_trials``, ``n_agents``,
+#: ``move_budget`` and ``columns``: ``[name, dtype, values]`` triples)
+#: followed by the columns' bytes, back to back in header order.
+#: Anything that does not parse is treated as corrupt and quarantined.
+_MAGIC_PREFIX = b"repro-ants-cache v"
+_MAGIC = _MAGIC_PREFIX + str(_FORMAT_VERSION).encode("ascii") + b" sha256="
 _DIGEST_LEN = 64  # hex chars of sha256
 
 #: Subdirectory (under the cache root) holding quarantined entries.
@@ -116,37 +130,88 @@ QUARANTINE_DIR = "quarantine"
 _DEFAULT_MAX_MEMORY_ENTRIES = 256
 
 
-def _encode_entry(payload: dict) -> bytes:
-    """Serialize a payload into the checksummed v2 container."""
-    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(body).hexdigest().encode("ascii")
-    return _MAGIC + digest + b"\n" + body
+def _encode_entry(meta: dict, outcomes: OutcomeBatch) -> bytes:
+    """Serialize one entry into the checksummed v3 container."""
+    columns = outcomes.columns()
+    header = dict(
+        meta,
+        n_trials=outcomes.n_trials,
+        n_agents=outcomes.n_agents,
+        move_budget=outcomes.move_budget,
+        columns=[
+            [name, COLUMN_DTYPE, int(values.shape[0])]
+            for name, values in columns.items()
+        ],
+    )
+    frame = b"".join(
+        [json.dumps(header, separators=(",", ":")).encode("utf-8"), b"\n"]
+        + [column_bytes(values) for values in columns.values()]
+    )
+    digest = hashlib.sha256(frame).hexdigest().encode("ascii")
+    return _MAGIC + digest + b"\n" + frame
 
 
-def _decode_entry(data: bytes) -> Optional[dict]:
-    """Parse and integrity-check a v2 container; ``None`` if damaged.
+def _open_container(data: bytes) -> Optional[Tuple[int, int]]:
+    """(format version, frame offset) of a digest-valid container, else
+    ``None``.
+
+    Format-independent, so an integrity scan can vouch for entries of
+    an older format without reading their frames.
+    """
+    if not data.startswith(_MAGIC_PREFIX):
+        return None
+    marker = data.find(b" sha256=", len(_MAGIC_PREFIX), len(_MAGIC_PREFIX) + 24)
+    if marker < 0 or not data[len(_MAGIC_PREFIX):marker].isdigit():
+        return None
+    digest_end = marker + len(b" sha256=") + _DIGEST_LEN
+    if data[digest_end:digest_end + 1] != b"\n":
+        return None
+    digest = hashlib.sha256(memoryview(data)[digest_end + 1:]).hexdigest()
+    if digest.encode("ascii") != data[digest_end - _DIGEST_LEN:digest_end]:
+        return None
+    return int(data[len(_MAGIC_PREFIX):marker]), digest_end + 1
+
+
+def _decode_entry(data: bytes) -> Optional[Tuple[dict, OutcomeBatch]]:
+    """Parse and integrity-check a v3 container: (header, outcomes), or
+    ``None`` if damaged.
 
     ``None`` covers every way an entry can be bad — missing or mangled
-    header, digest mismatch (bit flips, truncation), or an unpicklable
-    body — so callers have exactly one corrupt path.
+    container line, digest mismatch (bit flips, truncation), or a frame
+    whose header does not parse or whose columns are missing, mistyped
+    or of the wrong length — so callers have exactly one corrupt path.
     """
-    header_len = len(_MAGIC) + _DIGEST_LEN + 1
-    if len(data) < header_len or not data.startswith(_MAGIC):
+    opened = _open_container(data)
+    if opened is None or opened[0] != _FORMAT_VERSION:
         return None
-    digest = data[len(_MAGIC):header_len - 1]
-    if data[header_len - 1:header_len] != b"\n":
-        return None
-    body = data[header_len:]
-    if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
-        return None
+    start = opened[1]
+    view = memoryview(data)  # columns are read in place, not copied
     try:
-        payload = pickle.loads(body)
-    except Exception:
-        # A matching digest with an unpicklable body means the file was
+        newline = data.index(b"\n", start)
+        header = json.loads(data[start:newline])
+        if not isinstance(header, dict):
+            return None
+        columns = {}
+        offset = newline + 1
+        for name, dtype, count in header["columns"]:
+            if not isinstance(count, int) or count < 0 or name in columns:
+                return None
+            size = 8 * count
+            if offset + size > len(data):
+                return None
+            columns[name] = column_from_bytes(view[offset:offset + size], dtype)
+            offset += size
+        if offset != len(data):
+            return None
+        outcomes = OutcomeBatch.from_columns(
+            header["n_trials"], header["n_agents"], header["move_budget"], columns
+        )
+    except (ValueError, TypeError, KeyError, RecursionError, ReproError):
+        # A matching digest with an unreadable frame means the file was
         # *written* damaged (e.g. an injected pre-checksum corruption);
         # still one corrupt path.
         return None
-    return payload if isinstance(payload, dict) else None
+    return header, outcomes
 
 
 def default_cache_dir() -> Path:
@@ -184,9 +249,10 @@ def request_fingerprint(request: SimulationRequest) -> str:
 
 
 def cache_key(request: SimulationRequest, backend_name: str) -> str:
-    """The full content address: request x backend x code version."""
+    """The full content address: request x backend x code version (and
+    the frame format, so entries of another format are never read)."""
     fingerprint = request_fingerprint(request)
-    composite = f"{fingerprint}:{backend_name}:{CODE_VERSION}"
+    composite = f"{fingerprint}:{backend_name}:{CODE_VERSION}:frame-v{_FORMAT_VERSION}"
     return hashlib.sha256(composite.encode("utf-8")).hexdigest()
 
 
@@ -206,7 +272,7 @@ def shard_cache_key(
     """
     fingerprint = request_fingerprint(request)
     composite = (
-        f"{fingerprint}:{backend_name}:{CODE_VERSION}"
+        f"{fingerprint}:{backend_name}:{CODE_VERSION}:frame-v{_FORMAT_VERSION}"
         f":shard:{trial_start}:{trial_count}"
     )
     return hashlib.sha256(composite.encode("utf-8")).hexdigest()
@@ -334,7 +400,7 @@ class CacheInfo:
 
 
 class SimulationCache:
-    """Memory-LRU + on-disk store of simulation outcome tuples."""
+    """Memory-LRU + on-disk store of simulation outcome batches."""
 
     def __init__(
         self,
@@ -354,7 +420,7 @@ class SimulationCache:
         self._disk_configured = disk
         self._disk_enabled = disk
         self._disk_error: Optional[str] = None if disk else "disk layer off"
-        self._memory: OrderedDict[str, Tuple[SearchOutcome, ...]] = OrderedDict()
+        self._memory: OrderedDict[str, OutcomeBatch] = OrderedDict()
         # The job layer reads and writes from concurrent driver
         # threads; the lock guards the memory OrderedDict and counters
         # (disk publication is already atomic via os.replace).
@@ -375,7 +441,7 @@ class SimulationCache:
 
     def lookup(
         self, request: SimulationRequest, backend_name: str
-    ) -> Optional[Tuple[SearchOutcome, ...]]:
+    ) -> Optional[OutcomeBatch]:
         """The cached outcomes for ``(request, backend)``, or ``None``."""
         return self._lookup(
             cache_key(request, backend_name), request, backend_name, None
@@ -386,7 +452,7 @@ class SimulationCache:
         request: SimulationRequest,
         backend_name: str,
         trial_indices: Sequence[int],
-    ) -> Optional[Tuple[SearchOutcome, ...]]:
+    ) -> Optional[OutcomeBatch]:
         """The cached outcomes of one trial shard, or ``None``.
 
         ``trial_indices`` must be the contiguous range the shard was
@@ -402,7 +468,7 @@ class SimulationCache:
         request: SimulationRequest,
         backend_name: str,
         shard: Optional[Tuple[int, int]],
-    ) -> Optional[Tuple[SearchOutcome, ...]]:
+    ) -> Optional[OutcomeBatch]:
         level = "entry" if shard is None else "shard"
         with child_span("cache.lookup", level=level) as sp:
             outcome, cached = self._lookup_counted(
@@ -419,7 +485,7 @@ class SimulationCache:
         request: SimulationRequest,
         backend_name: str,
         shard: Optional[Tuple[int, int]],
-    ) -> Tuple[str, Optional[Tuple[SearchOutcome, ...]]]:
+    ) -> Tuple[str, Optional[OutcomeBatch]]:
         with self._lock:
             cached = self._memory.get(key)
             if cached is not None:
@@ -445,7 +511,7 @@ class SimulationCache:
         self,
         request: SimulationRequest,
         backend_name: str,
-        outcomes: Tuple[SearchOutcome, ...],
+        outcomes: OutcomeBatch,
     ) -> None:
         """Record the outcomes of one executed request."""
         key = cache_key(request, backend_name)
@@ -460,7 +526,7 @@ class SimulationCache:
         request: SimulationRequest,
         backend_name: str,
         trial_indices: Sequence[int],
-        outcomes: Tuple[SearchOutcome, ...],
+        outcomes: OutcomeBatch,
     ) -> None:
         """Record the outcomes of one completed trial shard.
 
@@ -555,7 +621,10 @@ class SimulationCache:
                 except OSError:
                     corrupt.append(path.name)
                     continue
-                if _decode_entry(data) is None:
+                opened = _open_container(data)
+                if opened is None or (
+                    opened[0] == _FORMAT_VERSION and _decode_entry(data) is None
+                ):
                     corrupt.append(path.name)
                     if repair:
                         self._quarantine(path)
@@ -600,7 +669,7 @@ class SimulationCache:
                 quarantined=self._quarantined,
             )
 
-    def _remember(self, key: str, outcomes: Tuple[SearchOutcome, ...]) -> None:
+    def _remember(self, key: str, outcomes: OutcomeBatch) -> None:
         self._memory[key] = outcomes
         self._memory.move_to_end(key)
         while len(self._memory) > self._max_memory_entries:
@@ -638,7 +707,7 @@ class SimulationCache:
         request: SimulationRequest,
         backend_name: str,
         shard: Optional[Tuple[int, int]] = None,
-    ) -> Optional[Tuple[SearchOutcome, ...]]:
+    ) -> Optional[OutcomeBatch]:
         if not self._disk_enabled:
             return None
         path = self._path_for(key)
@@ -656,25 +725,27 @@ class SimulationCache:
             return None
         except OSError:
             return None
-        payload = _decode_entry(data)
-        if payload is None:
-            # Failed the checksum (or predates it): quarantine and
-            # report a miss so the caller transparently re-simulates.
+        decoded = _decode_entry(data)
+        expected_trials = request.n_trials if shard is None else shard[1]
+        if decoded is None or (
+            len(decoded[1]), decoded[1].n_agents, decoded[1].move_budget
+        ) != (expected_trials, request.n_agents, request.move_budget):
+            # Failed the checksum, or its frame does not parse or does
+            # not fit the request: quarantine and report a miss so the
+            # caller transparently re-simulates.
             self._quarantine(path)
             return None
-        if payload.get("format") != _FORMAT_VERSION:
+        header, outcomes = decoded
+        if header.get("format") != _FORMAT_VERSION:
             return None
-        if payload.get("code_version") != CODE_VERSION:
+        if header.get("code_version") != CODE_VERSION:
             return None
-        if payload.get("backend") != backend_name:
+        if header.get("backend") != backend_name:
             return None
-        if payload.get("fingerprint") != request_fingerprint(request):
+        if header.get("fingerprint") != request_fingerprint(request):
             return None
-        stored_shard = payload.get("shard")
+        stored_shard = header.get("shard")
         if (None if stored_shard is None else tuple(stored_shard)) != shard:
-            return None
-        outcomes = payload.get("outcomes")
-        if not isinstance(outcomes, tuple):
             return None
         # Record last_used for LRU pruning; best-effort.
         try:
@@ -688,20 +759,19 @@ class SimulationCache:
         key: str,
         request: SimulationRequest,
         backend_name: str,
-        outcomes: Tuple[SearchOutcome, ...],
+        outcomes: OutcomeBatch,
         shard: Optional[Tuple[int, int]] = None,
     ) -> None:
         if not self._disk_enabled:
             return
-        payload = {
+        meta = {
             "format": _FORMAT_VERSION,
             "code_version": CODE_VERSION,
             "backend": backend_name,
             "fingerprint": request_fingerprint(request),
             "shard": None if shard is None else list(shard),
-            "outcomes": outcomes,
         }
-        data = _encode_entry(payload)
+        data = _encode_entry(meta, outcomes)
         fault = maybe_inject(
             "cache.disk_write",
             level="entry" if shard is None else "shard",

@@ -66,7 +66,15 @@ from repro.errors import (
     TransientFaultError,
 )
 from repro.obs.metrics import get_registry
-from repro.obs.trace import SpanContext, child_span, current_context, current_span, span
+from repro.obs.trace import (
+    SpanContext,
+    child_span,
+    current_context,
+    current_span,
+    sink_directory,
+    span,
+    trace_dir,
+)
 from repro.resilience.faults import maybe_inject
 from repro.sim.backends.base import (
     SimulationBackend,
@@ -75,7 +83,7 @@ from repro.sim.backends.base import (
 )
 from repro.sim.backends.registry import AUTO, resolve_backend
 from repro.sim.cache import cache_enabled, get_cache
-from repro.sim.metrics import SearchOutcome
+from repro.sim.metrics import OutcomeBatch
 from repro.sim.selector import plan_fallback
 from repro.sim.stats import mean_ci, normal_quantile
 
@@ -232,7 +240,7 @@ class ShardResult:
     shard_index: int
     trial_start: int
     trial_count: int
-    outcomes: Tuple[SearchOutcome, ...]
+    outcomes: OutcomeBatch
     from_cache: bool
 
     @property
@@ -282,9 +290,10 @@ def _run_shard_task(
     backend_name: str,
     trial_indices: Optional[Sequence[int]],
     trace_context: Optional[Dict[str, str]] = None,
+    trace_directory: Optional[str] = None,
     shard_index: Optional[int] = None,
     attempt: int = 0,
-) -> Tuple[Tuple[SearchOutcome, ...], float]:
+) -> Tuple[OutcomeBatch, float]:
     """Worker-process entry point: run one shard of a request.
 
     Returns ``(outcomes, elapsed_seconds)`` — the timing is measured in
@@ -295,7 +304,10 @@ def _run_shard_task(
     explicitly because contextvars do not cross the process boundary:
     the worker opens its "shard" span under it, so pooled shards (and
     the kernel spans beneath them) stitch into the submitting trace via
-    the shared JSONL sink.
+    the shared JSONL sink.  ``trace_directory`` is the driver's sink
+    directory: a forked worker keeps the cache configuration of the
+    moment it was forked, so without it the worker would write its
+    spans wherever the cache pointed back then.
 
     ``attempt`` is the retry generation (0 = first try).  It feeds the
     ``worker.shard`` fault seam so chaos rules can target exactly one
@@ -322,7 +334,7 @@ def _run_shard_task(
         if context is not None
         else contextlib.nullcontext(None)
     )
-    with opened as sp:
+    with sink_directory(trace_directory), opened as sp:
         if sp is not None and attempt > 0:
             sp.set_attribute("attempt", attempt)
         maybe_inject(
@@ -374,7 +386,7 @@ class SimulationJob:
         self._lock = threading.Lock()
         self._condition = threading.Condition(self._lock)
         self._state = JobState.PENDING
-        self._shard_outcomes: List[Optional[Tuple[SearchOutcome, ...]]] = [
+        self._shard_outcomes: List[Optional[OutcomeBatch]] = [
             None for _ in shards
         ]
         self._emitted: List[ShardResult] = []
@@ -499,13 +511,10 @@ class SimulationJob:
                 raise self._error
             if self._state is JobState.CANCELLED:
                 raise JobCancelledError(f"job {self.job_id} was cancelled")
-            outcomes: List[SearchOutcome] = []
-            for shard_outcomes in self._shard_outcomes:
-                outcomes.extend(shard_outcomes or ())
             return SimulationResult(
                 request=self.request,
                 backend=self.backend,
-                outcomes=tuple(outcomes),
+                outcomes=OutcomeBatch.concat(self._shard_outcomes),
             )
 
     # -- control side ----------------------------------------------------
@@ -535,7 +544,7 @@ class SimulationJob:
     def _record_shard(
         self,
         shard_index: int,
-        outcomes: Tuple[SearchOutcome, ...],
+        outcomes: OutcomeBatch,
         from_cache: bool,
     ) -> None:
         shard = self._shards[shard_index]
@@ -590,7 +599,7 @@ class SimulationJob:
             self._cached_shards = 0
             self._condition.notify_all()
 
-    def _complete_from_cache(self, outcomes: Tuple[SearchOutcome, ...]) -> None:
+    def _complete_from_cache(self, outcomes: OutcomeBatch) -> None:
         """Full-request cache hit: collapse to one cached shard, DONE."""
         _SHARDS_TOTAL.inc(source="cache")
         with self._condition:
@@ -1209,15 +1218,15 @@ class JobManager:
         if cache is not None and len(job._shards) > 1:
             # Publish the assembled full-request entry next to the
             # shard entries so future lookups hit in one probe.
-            outcomes = []
-            for shard_outcomes in job._shard_outcomes:
-                outcomes.extend(shard_outcomes or ())
-            cache.store(request, job.cache_backend, tuple(outcomes))
+            cache.store(
+                request, job.cache_backend,
+                OutcomeBatch.concat(job._shard_outcomes),
+            )
         job._finish(JobState.DONE)
 
     def _run_inline(
         self, job: SimulationJob, backend: SimulationBackend, shard_index: int
-    ) -> Tuple[Tuple[SearchOutcome, ...], float]:
+    ) -> Tuple[OutcomeBatch, float]:
         """Run the whole request on the driver thread, with retries."""
         request = job.request
         attempt = 0
@@ -1295,6 +1304,7 @@ class JobManager:
         # pool boundary is where contextvars stop.
         context = current_context()
         trace_payload = None if context is None else context.to_payload()
+        trace_directory = trace_dir()
         attempts: Dict[int, int] = {index: 0 for index in pending}
         retry_budget = max(_MIN_RETRY_BUDGET, 2 * len(pending))
         futures: Dict[Future, int] = {}
@@ -1307,6 +1317,7 @@ class JobManager:
                 job.backend,
                 None if indices is None else list(indices),
                 trace_payload,
+                trace_directory,
                 shard_index,
                 attempts[shard_index],
             )
@@ -1477,7 +1488,7 @@ class AdaptiveRun:
 
 
 def _adaptive_estimate(
-    metric: str, outcomes: Sequence[SearchOutcome], confidence: float
+    metric: str, outcomes: OutcomeBatch, confidence: float
 ) -> Tuple[float, float]:
     """(point estimate, CI half-width) for the accumulated outcomes.
 
@@ -1491,14 +1502,14 @@ def _adaptive_estimate(
     n = len(outcomes)
     if metric == "hit_probability":
         z = normal_quantile(0.5 + confidence / 2.0)
-        hits = sum(1 for outcome in outcomes if outcome.found)
+        hits = int(outcomes.found.sum())
         n_tilde = n + z * z
         p_tilde = (hits + z * z / 2.0) / n_tilde
         half = z * math.sqrt(max(p_tilde * (1.0 - p_tilde), 0.0) / n_tilde)
         return p_tilde, half
-    samples = [float(outcome.moves_or_budget) for outcome in outcomes]
+    samples = outcomes.moves_or_budget().astype(float)
     if n < 2:
-        return samples[0] if samples else math.inf, math.inf
+        return (float(samples[0]) if n else math.inf), math.inf
     est = mean_ci(samples, confidence)
     return est.mean, (est.ci_high - est.ci_low) / 2.0
 
@@ -1557,11 +1568,12 @@ def simulate_adaptive(
     use_cache = cache_enabled() if cache is None else cache
     cache_obj = get_cache() if use_cache else None
 
-    full: Optional[Tuple[SearchOutcome, ...]] = None
+    full: Optional[OutcomeBatch] = None
     if cache_obj is not None:
         full = cache_obj.lookup(request, cache_backend)
 
-    outcomes: List[SearchOutcome] = []
+    batches: List[OutcomeBatch] = []
+    outcomes = OutcomeBatch.empty(request.n_agents, request.move_budget)
     batches_run = 0
     batches_cached = 0
     converged = False
@@ -1570,19 +1582,18 @@ def simulate_adaptive(
     while start < request.n_trials:
         stop = min(start + batch_size, request.n_trials)
         indices = range(start, stop)
-        batch: Optional[Tuple[SearchOutcome, ...]] = None
+        batch: Optional[OutcomeBatch] = None
         if full is not None:
-            batch = tuple(full[start:stop])
+            batch = full[start:stop]
             batches_cached += 1
         else:
             if cache_obj is not None:
-                hit = cache_obj.lookup_shard(request, cache_backend, indices)
-                if hit is not None:
-                    batch = tuple(hit)
+                batch = cache_obj.lookup_shard(request, cache_backend, indices)
+                if batch is not None:
                     batches_cached += 1
             if batch is None:
                 batch_start = time.perf_counter()
-                batch = tuple(chosen.run(request, trial_indices=list(indices)))
+                batch = chosen.run(request, trial_indices=list(indices))
                 _count_execution(
                     request.algorithm.name,
                     chosen.name,
@@ -1593,7 +1604,8 @@ def simulate_adaptive(
                 batches_run += 1
                 if cache_obj is not None:
                     cache_obj.store_shard(request, cache_backend, indices, batch)
-        outcomes.extend(batch)
+        batches.append(batch)
+        outcomes = OutcomeBatch.concat(batches)
         start = stop
         estimate, half_width = _adaptive_estimate(metric, outcomes, confidence)
         if len(outcomes) >= min_trials and half_width <= target_half_width:
@@ -1607,11 +1619,11 @@ def simulate_adaptive(
     ):
         # Budget fully consumed: publish the assembled entry so future
         # fixed-n lookups of the same request hit in one probe.
-        cache_obj.store(request, cache_backend, tuple(outcomes))
+        cache_obj.store(request, cache_backend, outcomes)
 
     return AdaptiveRun(
         result=SimulationResult(
-            request=request, backend=chosen.name, outcomes=tuple(outcomes)
+            request=request, backend=chosen.name, outcomes=outcomes
         ),
         metric=metric,
         target_half_width=target_half_width,

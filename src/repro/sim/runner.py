@@ -76,7 +76,9 @@ class SimulationTrial:
     ``seed_keys`` with the sweep's addressing ``(seed, *seed_keys,
     point_index)`` — so the template's own values for those fields are
     irrelevant.  ``metric`` maps each trial's
-    :class:`~repro.sim.metrics.SearchOutcome` to the measured float.
+    :class:`~repro.sim.metrics.SearchOutcome` to the measured float
+    (the default, :func:`censored_moves`, is read off the outcome
+    columns without building the records).
 
     ``backend`` defaults to ``"auto"``, which resolves trial batches to
     the vectorized ``batched`` backend for every algorithm it covers;
@@ -292,7 +294,12 @@ class SweepJob:
                     submitted += 1
                 params, _ = self._entries[completed]
                 result = self._children[completed].result()
-                samples = [trial.metric(o) for o in result.outcomes]
+                if trial.metric is censored_moves:
+                    # The default metric, read off the columns: the
+                    # same floats in the same order as per record.
+                    samples = result.moves_or_budget().astype(float)
+                else:
+                    samples = [trial.metric(o) for o in result.outcomes]
                 row = ExperimentRow(
                     params=params,
                     estimate=mean_ci(samples),

@@ -34,7 +34,7 @@ from repro.sim.jobs import (
     get_manager,
     job_status_record,
 )
-from repro.sim.metrics import SearchOutcome
+from repro.sim.metrics import OutcomeBatch, SearchOutcome
 from repro.sim.runner import SimulationTrial, Sweep
 
 
@@ -72,13 +72,13 @@ class _SlowBackend(SimulationBackend):
         count = (
             request.n_trials if trial_indices is None else len(trial_indices)
         )
-        return tuple(
+        return OutcomeBatch.from_outcomes([
             SearchOutcome(
                 found=False, m_moves=None, m_steps=None, finder=None,
                 n_agents=request.n_agents, move_budget=request.move_budget,
             )
             for _ in range(count)
-        )
+        ])
 
 
 def _slow_request(**overrides):
@@ -230,13 +230,13 @@ class TestConcurrencyLimit:
             import urllib.error
             import urllib.request
 
-            from repro.server.wire import request_to_wire
+            from repro.server.wire import WIRE_VERSION, request_to_wire
 
             raw = urllib.request.Request(
                 f"{server.url}/v1/jobs",
                 data=json_module.dumps(
                     {
-                        "wire": 1,
+                        "wire": WIRE_VERSION,
                         "request": request_to_wire(
                             _slow_request(seed=3, n_trials=1)
                         ),
@@ -499,6 +499,19 @@ class TestIntrospectionRoutes:
         with pytest.raises(RemoteServerError) as excinfo:
             client._call("POST", "/v1/jobs", payload={"wire": 1})
         assert excinfo.value.status == 400
+
+    def test_version_one_client_gets_400(self, client):
+        """A client speaking wire v1 (one JSON object per outcome) is
+        refused at the door, not misread."""
+        from repro.server.wire import request_to_wire
+
+        stale = dict(request_to_wire(_request()), wire=1)
+        with pytest.raises(RemoteServerError) as excinfo:
+            client._call(
+                "POST", "/v1/jobs", payload={"wire": 1, "request": stale}
+            )
+        assert excinfo.value.status == 400
+        assert "wire version" in str(excinfo.value)
 
     def test_unknown_route_404(self, client):
         with pytest.raises(RemoteServerError) as excinfo:

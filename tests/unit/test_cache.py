@@ -189,11 +189,11 @@ class TestDiskLayer:
         cache.store(request, "batched", outcomes)
         other = _request(seed=99)
         path = cache._path_for(cache_key(request, "batched"))
-        payload = cache_module._decode_entry(path.read_bytes())
-        payload["fingerprint"] = request_fingerprint(other)
+        header, stored = cache_module._decode_entry(path.read_bytes())
+        header["fingerprint"] = request_fingerprint(other)
         # Re-encode with a *valid* checksum so only the fingerprint
         # validation — not the integrity layer — rejects the entry.
-        path.write_bytes(cache_module._encode_entry(payload))
+        path.write_bytes(cache_module._encode_entry(header, stored))
         reader = SimulationCache(directory=tmp_path)
         assert reader.lookup(request, "batched") is None
         assert reader.info().quarantined == 0

@@ -22,7 +22,7 @@ import pathlib
 
 import pytest
 
-from repro.server.wire import request_from_wire
+from repro.server.wire import WIRE_VERSION, request_from_wire
 from repro.sim import ks_statistic, ks_two_sample_threshold, simulate
 from repro.sim.cache import CODE_VERSION
 
@@ -33,6 +33,13 @@ GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*_moves.json"))
 
 def _load(path: pathlib.Path) -> dict:
     return json.loads(path.read_text())
+
+
+def _golden_request(payload: dict):
+    """The recorded request.  Its envelope carries the wire version
+    current when it was recorded; the request fields have been the same
+    in every version so far (v2 changed only how outcomes travel)."""
+    return request_from_wire({**payload["request"], "wire": WIRE_VERSION})
 
 
 #: Every family the batched kernels cover must have a recording — the
@@ -68,7 +75,7 @@ def test_golden_metadata(path):
         "CODE_VERSION changed — regenerate the golden samples with "
         "scripts/make_golden_samples.py if the sampling semantics moved"
     )
-    request = request_from_wire(payload["request"])
+    request = _golden_request(payload)
     assert request.n_trials == len(payload["samples"])
 
 
@@ -83,7 +90,7 @@ def test_batched_backend_matches_golden_distribution(path):
     seeds mean a failure is a real distribution shift, not noise.
     """
     payload = _load(path)
-    request = request_from_wire(payload["request"])
+    request = _golden_request(payload)
     golden = payload["samples"]
 
     result = simulate(request, backend="batched", cache=False)

@@ -72,9 +72,9 @@ def _factory(params):
 def fresh_cache(tmp_path):
     """A private cache installed as the process default (see test_cache).
 
-    Pool workers forked while it is installed keep it, and would write
-    later tests' shard spans into its trace sink, so the shared pool is
-    retired with it.
+    Pool workers forked while it is installed keep it, and the shared
+    pool is retired with it, so no work a test leaves on the pool
+    outlives its cache.
     """
     cache = configure_cache(directory=tmp_path, max_memory_entries=64)
     cache.clear()

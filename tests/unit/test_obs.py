@@ -175,6 +175,52 @@ class TestPropagation:
             job_span.attributes["job_id"]
         ) == job_span.trace_id
 
+    def test_pooled_shards_write_to_the_submitters_trace_sink(self, tmp_path):
+        """Pool workers keep the cache configuration of the moment they
+        were forked; their shard spans must still land in the sink of
+        the cache the submitter uses now."""
+        import json
+        import time
+
+        from repro.sim import AlgorithmSpec, SimulationRequest, simulate
+        from repro.sim.cache import configure_cache, default_cache_dir
+
+        def request(n_trials):
+            return SimulationRequest(
+                algorithm=AlgorithmSpec.algorithm1(8), n_agents=2,
+                target=(5, 3), move_budget=200_000, n_trials=n_trials,
+                seed=20261019,
+            )
+
+        configure_cache(directory=tmp_path / "old")
+        try:
+            # Warms (or grows) the shared pool under the old directory.
+            simulate(request(4), backend="reference", workers=2, cache=False)
+            configure_cache(directory=tmp_path / "new")
+            simulate(request(6), backend="reference", workers=2, cache=False)
+            job_span = None
+            for _ in range(50):
+                job_span = next(
+                    (sp for sp in ring_spans() if sp.name == "job"
+                     and sp.attributes.get("n_trials") == 6),
+                    None,
+                )
+                if job_span is not None:
+                    break
+                time.sleep(0.02)
+            assert job_span is not None, "job span never recorded"
+            sink = tmp_path / "new" / "traces" / f"{job_span.trace_id}.jsonl"
+            recorded = [
+                json.loads(line) for line in sink.read_text().splitlines()
+            ]
+            shards = [sp for sp in recorded if sp["name"] == "shard"]
+            assert len(shards) == 2
+            assert not (
+                tmp_path / "old" / "traces" / f"{job_span.trace_id}.jsonl"
+            ).exists()
+        finally:
+            configure_cache(directory=default_cache_dir())
+
 
 class TestRenderTrace:
     def test_tree_shows_durations_and_promotes_orphans(self):

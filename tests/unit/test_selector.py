@@ -172,15 +172,15 @@ class TestAdaptiveSampling:
         """At p_hat=1 a Wald interval is zero-width; Agresti-Coull must
         keep the width honest so tiny all-hit batches don't stop."""
         from repro.sim.jobs import _adaptive_estimate
-        from repro.sim.metrics import SearchOutcome
+        from repro.sim.metrics import OutcomeBatch, SearchOutcome
 
-        outcomes = [
+        outcomes = OutcomeBatch.from_outcomes([
             SearchOutcome(
                 found=True, m_moves=10, m_steps=None, finder=0,
                 n_agents=2, move_budget=100,
             )
             for _ in range(8)
-        ]
+        ])
         estimate, half_width = _adaptive_estimate(
             "hit_probability", outcomes, 0.95
         )

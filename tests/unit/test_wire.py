@@ -11,7 +11,7 @@ from repro.server import wire
 from repro.server.wire import WIRE_VERSION, WireError
 from repro.sim import AlgorithmSpec, SimulationRequest, simulate
 from repro.sim.jobs import JobProgress, JobState, ShardResult
-from repro.sim.metrics import AgentOutcome, FastRunStats, SearchOutcome
+from repro.sim.metrics import AgentOutcome, FastRunStats, OutcomeBatch, SearchOutcome
 
 
 def _request(**overrides) -> SimulationRequest:
@@ -145,8 +145,10 @@ class TestOutcomeRoundTrip:
 
     def test_full_outcome_round_trips(self):
         outcome = self._outcome()
-        decoded = wire.outcome_from_wire(
-            json.loads(json.dumps(wire.outcome_to_wire(outcome)))
+        (decoded,) = wire.outcomes_from_wire(
+            json.loads(json.dumps(
+                wire.outcomes_to_wire(OutcomeBatch.from_outcomes([outcome]))
+            ))
         )
         assert decoded == outcome
         assert decoded.per_agent == outcome.per_agent
@@ -157,7 +159,8 @@ class TestOutcomeRoundTrip:
             found=False, m_moves=None, m_steps=None, finder=None,
             n_agents=4, move_budget=100,
         )
-        assert wire.outcome_from_wire(wire.outcome_to_wire(outcome)) == outcome
+        batch = OutcomeBatch.from_outcomes([outcome])
+        assert wire.outcomes_from_wire(wire.outcomes_to_wire(batch)) == (outcome,)
 
     def test_simulated_outcomes_round_trip(self):
         """Real backend output — numpy scalars and all — survives."""
@@ -181,7 +184,7 @@ class TestShardAndProgress:
             shard_index=2,
             trial_start=8,
             trial_count=1,
-            outcomes=(outcome,),
+            outcomes=OutcomeBatch.from_outcomes([outcome]),
             from_cache=True,
         )
         decoded = wire.shard_from_wire(
