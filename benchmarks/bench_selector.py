@@ -51,8 +51,7 @@ from repro.sim.stats import normal_quantile
 SEED = 20140507
 REPEATS = 2
 
-#: The CPU backends every matrix workload is measured on (the
-#: accelerator declines without a device and would hole the table).
+#: The backends every matrix workload is measured on.
 CANDIDATES = ("batched", "closed_form", "reference")
 
 _SPECS = {

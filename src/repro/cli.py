@@ -59,7 +59,7 @@ from repro.sim.backends import (
 from repro.sim.metrics import ABSENT
 from repro.sim.service import simulate
 
-BACKEND_CHOICES = ("auto", "reference", "closed_form", "batched", "accelerator")
+BACKEND_CHOICES = ("auto", "reference", "closed_form", "batched")
 
 
 def _build_spec(name: str, distance: int, ell: int) -> AlgorithmSpec:
@@ -165,8 +165,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         plan = plan_request(
             request, backend=args.backend, workers=args.workers
         )
-        device = f" on {plan.device}" if plan.device else ""
-        print(f"plan      : {plan.backend}{device} — {plan.n_shards} "
+        print(f"plan      : {plan.backend} — {plan.n_shards} "
               f"shard(s) x {plan.workers} worker(s)")
         result = simulate(
             request, backend=plan.backend, workers=plan.workers,
@@ -258,7 +257,6 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     print()
     print("\n".join(lines))
     print()
-    _print_kernel_binding(backends)
     print('what "auto" resolves to for each algorithm:')
     for algo in KNOWN_ALGORITHMS:
         single = probe_request(algo)
@@ -292,26 +290,8 @@ def _print_selector_plans(payload) -> None:
     print(f"planned execution for a {payload['batch_trials']}-trial batch "
           f"(backend, shards x workers):")
     for family, plan in payload["plans"].items():
-        device = f" on {plan['device']}" if plan.get("device") else ""
-        print(f"  {family:15s} -> {plan['backend']:12s}"
-              f"{device} {plan['n_shards']} shard(s) x "
-              f"{plan['workers']} worker(s)")
-    print()
-
-
-def _print_kernel_binding(backends) -> None:
-    """One line on what the kernel namespaces are bound to."""
-    from repro.sim.kernels import available_namespace_names
-
-    accelerator = backends.get("accelerator")
-    device = (
-        accelerator.device_description()
-        if accelerator is not None and hasattr(accelerator, "device_description")
-        else "unregistered"
-    )
-    print(f"kernel namespaces importable: "
-          f"{', '.join(available_namespace_names())}; "
-          f"batched -> numpy:cpu, accelerator -> {device}")
+        print(f"  {family:15s} -> {plan['backend']:12s} "
+              f"{plan['n_shards']} shard(s) x {plan['workers']} worker(s)")
     print()
 
 
@@ -430,7 +410,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
         for key in ("job_id", "state", "algorithm", "backend", "n_agents",
                     "n_trials", "seed", "total_shards", "done_shards",
                     "done_trials", "cached_shards", "pid", "error",
-                    "retries", "degraded_from", "degradation_reason"):
+                    "retries"):
             print(f"{key:13s}: {record.get(key)}")
         return 0
     print(f"error: no record for job {args.job_id!r}", file=sys.stderr)

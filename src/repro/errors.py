@@ -58,18 +58,6 @@ class DeadlineExceededError(ReproError, TimeoutError):
     """
 
 
-class DeviceLostError(ReproError, RuntimeError):
-    """An accelerator device disappeared or failed mid-execution.
-
-    Backends raise this (and the fault harness injects it) when the
-    device a job was planned onto stops answering.  The job layer treats
-    it as a degradation signal, not a terminal failure: the job is
-    re-executed on the next supporting backend (normally ``batched``)
-    with the decline reason recorded, producing results bit-identical
-    to a run that had used the fallback from the start.
-    """
-
-
 class TransientFaultError(ReproError, RuntimeError):
     """An injected (or genuinely transient) retryable execution fault.
 

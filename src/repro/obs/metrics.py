@@ -3,11 +3,11 @@
 The runtime counterpart of the paper's metric discipline — measured,
 attributable cost per simulated colony — for the *system* that runs
 the colonies: jobs submitted/completed, shards run vs cache-served,
-cache hit/miss/store traffic, selector plan sources (static or
-degraded), kernel colonies/sec per family, HTTP per-route request
-counts and latency.  Zero dependencies, cheap enough
-to stay on by default (an increment is one dict lookup and an integer
-add under a lock), and exported three ways:
+cache hit/miss/store traffic, selector plans per backend, kernel
+colonies/sec per family, HTTP per-route request counts and latency.
+Zero dependencies, cheap enough to stay on by default (an increment
+is one dict lookup and an integer add under a lock), and exported
+three ways:
 
 * ``GET /v1/metrics`` — Prometheus text exposition format 0.0.4
   (:meth:`MetricsRegistry.render_prometheus`), scrapeable by any

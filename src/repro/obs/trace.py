@@ -549,7 +549,7 @@ def render_trace(spans: Sequence[Span]) -> str:
 
 _DETAIL_KEYS = (
     "job_id", "backend", "family", "algorithm", "n_trials",
-    "shard_index", "source", "outcome", "level", "route", "status_code",
+    "shard_index", "outcome", "level", "route", "status_code",
 )
 
 

@@ -11,9 +11,8 @@ to a single ``is None`` check.
 
 The machinery the harness exercises lives where the work happens:
 shard-level retry with backoff in :mod:`repro.sim.jobs`, checksummed
-cache entries with quarantine in :mod:`repro.sim.cache`, backend
-degradation on device loss, idempotent POST retries and SSE resume in
-:mod:`repro.server`.  The chaos suite
+cache entries with quarantine in :mod:`repro.sim.cache`, idempotent
+POST retries and SSE resume in :mod:`repro.server`.  The chaos suite
 (``tests/integration/test_chaos.py``) and
 ``benchmarks/bench_resilience.py`` prove the combination: a sweep with
 a worker killed mid-run completes bit-identical to the unfaulted run

@@ -4,9 +4,9 @@ A :class:`FaultPlan` is a small declarative registry of
 :class:`FaultSpec` rules.  Instrumented seams call
 :func:`maybe_inject` with their site name and a context dict; when the
 active plan has a matching rule whose schedule says "fire now", the
-harness acts — kills the worker process, stalls, raises a transient or
-device-loss error, resets the connection, or (for the corruption
-kinds) returns the fired spec so the seam applies the damage itself.
+harness acts — kills the worker process, stalls, raises a transient
+error, resets the connection, or (for the corruption kinds) returns
+the fired spec so the seam applies the damage itself.
 
 Everything is deterministic by construction:
 
@@ -33,7 +33,6 @@ Instrumented sites (context fields in parentheses)::
     cache.disk_write(level)                           disk entry writes
     client.http     (method, path, attempt)           RemoteClient calls
     server.sse      (event_index, kind)               SSE event writes
-    accelerator.probe ()                              device probes
 """
 
 from __future__ import annotations
@@ -46,11 +45,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.errors import (
-    DeviceLostError,
-    InvalidParameterError,
-    TransientFaultError,
-)
+from repro.errors import InvalidParameterError, TransientFaultError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import current_span
 
@@ -61,9 +56,8 @@ ENV_VAR = "REPRO_ANTS_FAULTS"
 #: The fault kinds and what firing does.
 KINDS = (
     "kill",         # os._exit the current process (pool-worker death)
-    "stall",        # sleep `seconds` (slow shard / stuck device)
+    "stall",        # sleep `seconds` (slow shard)
     "error",        # raise TransientFaultError (retryable blip)
-    "device_lost",  # raise DeviceLostError (degradation trigger)
     "reset",        # raise ConnectionResetError (flaky socket)
     "corrupt",      # returned to the seam: flip bytes in what it wrote
     "truncate",     # returned to the seam: cut what it wrote short
@@ -306,10 +300,10 @@ def _should_fire(
 def maybe_inject(site: str, **context: Any) -> Optional[FaultSpec]:
     """The seam hook: act on any matching, scheduled fault rule.
 
-    Raising kinds (``error``, ``device_lost``, ``reset``) raise their
-    exception; ``kill`` exits the process; ``stall`` sleeps and returns
-    the spec; the :data:`ACTION_KINDS` are returned to the caller to
-    apply (byte corruption and truncation happen where the bytes are).
+    Raising kinds (``error``, ``reset``) raise their exception;
+    ``kill`` exits the process; ``stall`` sleeps and returns the spec;
+    the :data:`ACTION_KINDS` are returned to the caller to apply (byte
+    corruption and truncation happen where the bytes are).
     Returns ``None`` when nothing fired — the only outcome when no plan
     is active, at the cost of one environment lookup.
     """
@@ -342,8 +336,6 @@ def maybe_inject(site: str, **context: Any) -> Optional[FaultSpec]:
         return spec
     if spec.kind == "error":
         raise TransientFaultError(f"injected transient fault at {site}")
-    if spec.kind == "device_lost":
-        raise DeviceLostError(f"injected device loss at {site}")
     if spec.kind == "reset":
         raise ConnectionResetError(f"injected connection reset at {site}")
     return spec  # corrupt / truncate: the seam applies the damage

@@ -329,7 +329,7 @@ def plan_to_wire(plan: SimulationPlan) -> Dict[str, Any]:
     """Encode a selector plan (echoed on planned job submissions).
 
     Same shape as the plans inside the ``/v1/backends`` selector
-    section: backend, shard layout and optional device pin.
+    section: backend and shard layout.
     """
     return plan.to_payload()
 

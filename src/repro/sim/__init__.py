@@ -11,12 +11,8 @@ seed stream) and let the backend registry dispatch it:
 * ``closed_form`` (:mod:`repro.sim.fast`) — numpy-vectorized per-colony
   simulators sampling whole iterations; distribution-exact.
 * ``batched`` (:mod:`repro.sim.backends.batched`) — many colonies and
-  many trials in one pass of the device-portable kernel core
-  (:mod:`repro.sim.kernels`) on the NumPy namespace; the
-  high-throughput CPU batch path.
-* ``accelerator`` (:mod:`repro.sim.backends.accelerator`) — the same
-  kernels bound to CuPy or torch-CUDA; declines cleanly (with a
-  reason) when the host has no device.
+  many trials in one pass of the NumPy kernel core
+  (:mod:`repro.sim.kernels`); the high-throughput batch path.
 
 In front of the backends sits a content-addressed result cache
 (:mod:`repro.sim.cache`): repeated requests are served from memory or

@@ -1,6 +1,6 @@
 """Pluggable simulation backends behind one request interface.
 
-Four backends register by default:
+Three backends register by default:
 
 * ``reference`` — the faithful step-level :class:`~repro.sim.engine.SearchEngine`;
   supports every algorithm, tracks ``M_steps`` and per-agent outcomes.
@@ -8,10 +8,7 @@ Four backends register by default:
   bit-compatible with the historical experiment loops.
 * ``batched`` — many colonies x many trials in one pass of the shared
   kernel core (:mod:`repro.sim.kernels`) on the NumPy namespace; the
-  high-throughput CPU path for trial batches.
-* ``accelerator`` — the same kernels bound to a device array library
-  (CuPy or torch-CUDA); ``supports()`` declines cleanly when the host
-  has no device, so ``auto`` falls back to ``batched``.
+  high-throughput path for trial batches.
 
 See :mod:`repro.sim.service` for the ``simulate()`` facade and
 :mod:`repro.sim.backends.registry` for ``auto`` resolution.

@@ -284,8 +284,8 @@ class SimulationBackend(ABC):
     def support_reason(self, request: SimulationRequest) -> Optional[str]:
         """Why :meth:`supports` declines ``request`` (None when it doesn't).
 
-        Backends override this with specific gating reasons ("no
-        device", "step_budget set", ...) so the CLI ``backends`` table
+        Backends override this with specific gating reasons
+        ("step_budget set", ...) so the CLI ``backends`` table
         and the ``/v1/backends`` route can explain declines instead of
         printing a bare dash.
         """
@@ -310,24 +310,9 @@ class SimulationBackend(ABC):
         return 0
 
     def cache_name(self) -> str:
-        """The identity the result cache keys this backend under.
-
-        Defaults to the registry name.  Backends whose output stream
-        depends on more than their code — the accelerator's depends on
-        which array namespace/device is bound — must fold that binding
-        in, so a host whose binding changes can never replay another
-        binding's cached stream.
-        """
+        """The identity the result cache keys this backend under: the
+        registry name."""
         return self.name
-
-    def device_description(self) -> Optional[str]:
-        """Human-readable device binding, or ``None`` for host backends.
-
-        Introspection surfaces include a ``device`` entry only when this
-        returns a string; the accelerator backend overrides it with its
-        bound namespace/device (or the unavailability reason).
-        """
-        return None
 
     def coverage_and_reasons(self) -> Tuple[Dict[str, bool], Dict[str, str]]:
         """One probe pass: (family -> supported?, family -> decline reason).

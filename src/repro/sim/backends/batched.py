@@ -5,10 +5,7 @@ backend flattens the whole request — ``n_trials`` colonies of
 ``n_agents`` agents — into one pool of (trial, agent) pairs and samples
 *every active pair's next iteration in a single draw*.  Since the
 kernel extraction the actual math lives in :mod:`repro.sim.kernels`:
-six per-family kernels written against the array-namespace shim, which
-this backend binds to **NumPy**.  (The ``accelerator`` backend binds
-the same kernels to a device namespace; see
-:mod:`repro.sim.backends.accelerator`.)
+six per-family kernels written against the NumPy array-namespace shim.
 
 Iterations are drawn from exactly the process distribution, so outcomes
 are equal in distribution to the ``reference`` engine — the
@@ -33,7 +30,6 @@ import numpy as np
 
 from repro.sim.backends.base import SimulationBackend, SimulationRequest
 from repro.sim.kernels import SENTINEL, numpy_namespace, run_family
-from repro.sim.kernels.xp import ArrayNamespace
 from repro.sim.metrics import ABSENT, OutcomeBatch
 
 #: Families with a batch kernel (see :func:`repro.sim.kernels.run_family`).
@@ -47,45 +43,33 @@ BATCHED_ALGORITHMS = (
 )
 
 
-class KernelBackendMixin:
-    """Shared request -> kernel -> outcome plumbing for kernel backends.
+class BatchedBackend(SimulationBackend):
+    """Whole-batch vectorized simulation on the NumPy namespace."""
 
-    Subclasses provide :meth:`namespace`; everything else — the
-    request-gating reasons, seeding the pooled stream, dispatching to
-    the family kernel, wrapping the result arrays into one
-    :class:`OutcomeBatch` — is identical between the NumPy and device
-    bindings.
-    """
+    name = "batched"
 
-    _SUPPORTED = BATCHED_ALGORITHMS
-
-    def namespace(self) -> ArrayNamespace:
-        raise NotImplementedError
-
-    def _kernel_support_reason(
-        self, request: SimulationRequest
-    ) -> Optional[str]:
-        """The request-shaped gating shared by every kernel binding."""
+    def support_reason(self, request: SimulationRequest) -> Optional[str]:
         if request.step_budget is not None:
             return "step_budget set (only reference tracks M_steps)"
-        if request.algorithm.name not in self._SUPPORTED:
+        if request.algorithm.name not in BATCHED_ALGORITHMS:
             return f"no batch kernel for algorithm {request.algorithm.name!r}"
         return None
 
     def supports(self, request: SimulationRequest) -> bool:
         return self.support_reason(request) is None
 
+    def auto_priority(self, request: SimulationRequest) -> int:
+        # The batch pass amortizes across trials, so it outranks every
+        # per-trial backend for trial batches of any supported
+        # algorithm; a single trial is better served by the closed-form
+        # per-colony simulators.  (The reference engine still wins
+        # requests with a step budget via supports() gating.)
+        return 30 if request.n_trials > 1 else 5
+
     def run(
         self,
         request: SimulationRequest,
         trial_indices: Optional[Sequence[int]] = None,
-    ) -> OutcomeBatch:
-        return self._run_kernels(request, trial_indices)
-
-    def _run_kernels(
-        self,
-        request: SimulationRequest,
-        trial_indices: Optional[Sequence[int]],
     ) -> OutcomeBatch:
         if trial_indices is None:
             first, n_trials = 0, request.n_trials
@@ -94,7 +78,7 @@ class KernelBackendMixin:
             first, n_trials = (indices[0] if indices else 0), len(indices)
         if not n_trials:
             return OutcomeBatch.empty(request.n_agents, request.move_budget)
-        xp = self.namespace()
+        xp = numpy_namespace()
         # One pooled stream for the whole batch, anchored at the first
         # trial's address so sharded runs stay deterministic.
         rng = xp.rng(request.trial_seed(first))
@@ -111,24 +95,3 @@ class KernelBackendMixin:
             iters,
             rounds,
         )
-
-
-class BatchedBackend(KernelBackendMixin, SimulationBackend):
-    """Whole-batch vectorized simulation on the NumPy namespace."""
-
-    name = "batched"
-
-    def namespace(self) -> ArrayNamespace:
-        return numpy_namespace()
-
-    def support_reason(self, request: SimulationRequest) -> Optional[str]:
-        return self._kernel_support_reason(request)
-
-    def auto_priority(self, request: SimulationRequest) -> int:
-        # The batch pass amortizes across trials, so it outranks every
-        # per-trial backend for trial batches of any supported
-        # algorithm; a single trial is better served by the closed-form
-        # per-colony simulators.  (The reference engine still wins
-        # requests with a step budget via supports() gating.)
-        return 30 if request.n_trials > 1 else 5
-

@@ -1,17 +1,16 @@
 """Backend registry and ``auto`` resolution.
 
 Backends register under a short name (``reference``, ``closed_form``,
-``batched``, ``accelerator``).  Callers address them by name or pass
-``"auto"`` and let :func:`resolve_backend` pick the best supporting
-backend: each backend reports an
+``batched``).  Callers address them by name or pass ``"auto"`` and let
+:func:`resolve_backend` pick the best supporting backend: each backend
+reports an
 :meth:`~repro.sim.backends.base.SimulationBackend.auto_priority`
-for the concrete request, so the device-bound accelerator (p40, only
-when real hardware is present — otherwise its ``supports()`` declines
-outright) outranks the vectorized whole-batch backend (p30) on trial
-batches, the closed-form simulators (p10) win single trials, and the
-faithful engine is the universal fallback (p100 when a step budget
-demands it, p0 otherwise).  ``repro-ants backends`` prints these
-numbers per probed request, along with each backend's decline reasons.
+for the concrete request, so the vectorized whole-batch backend (p30)
+wins trial batches, the closed-form simulators (p10) win single
+trials, and the faithful engine is the universal fallback (p100 when a
+step budget demands it, p0 otherwise).  ``repro-ants backends`` prints
+these numbers per probed request, along with each backend's decline
+reasons.
 """
 
 from __future__ import annotations
@@ -91,51 +90,27 @@ def resolve_backend(request: SimulationRequest, name: str = AUTO) -> SimulationB
     return max(candidates, key=lambda b: (b.auto_priority(request), b.name))
 
 
-def supporting_backends(request: SimulationRequest) -> List[SimulationBackend]:
-    """Every backend that supports ``request``, in static-rank order.
-
-    The degradation ladder of :func:`repro.sim.selector.plan_fallback`:
-    sorted by descending ``auto_priority`` with name as the tiebreak,
-    so iteration order — and therefore the fallback choice — is
-    deterministic.  The first element is exactly what
-    :func:`resolve_backend` would pick for ``"auto"``.
-    """
-    _ensure_default_backends()
-    candidates = [
-        backend for backend in _REGISTRY.values() if backend.supports(request)
-    ]
-    candidates.sort(key=lambda b: (-b.auto_priority(request), b.name))
-    return candidates
-
-
 def backends_introspection() -> Dict[str, Any]:
     """The shared backends payload for CLI ``--json`` and ``/v1/backends``.
 
     One builder so both surfaces ship the identical shape: per backend
-    the family coverage map, the decline reason for **every** declined
-    family, and — when the backend is device-bound — its device
-    description; plus the ``auto`` resolution per family and the
-    available kernel namespaces.  Callers wrap it with their own
-    envelope (the server adds ``wire``; both add the selector section).
+    the family coverage map and the decline reason for **every**
+    declined family, plus the ``auto`` resolution per family.  Callers
+    wrap it with their own envelope (the server adds ``wire``; both add
+    the selector section).
     """
     from repro.errors import ReproError
     from repro.sim.backends.base import KNOWN_ALGORITHMS, probe_request
-    from repro.sim.kernels import available_namespace_names
 
     backends: Dict[str, Any] = {}
     for name, backend in sorted(registered_backends().items()):
         coverage, declines = backend.coverage_and_reasons()
-        entry: Dict[str, Any] = {
+        backends[name] = {
             "algorithms": coverage,
-            # Why each declined family is declined — "no device",
-            # "step_budget set", ... — so an operator can tell a
-            # missing GPU from a missing kernel.
+            # Why each declined family is declined — "step_budget set",
+            # "no batch kernel", ... — instead of a bare dash.
             "declines": declines,
         }
-        device = backend.device_description()
-        if device is not None:
-            entry["device"] = device
-        backends[name] = entry
     auto: Dict[str, Optional[str]] = {}
     for algorithm in KNOWN_ALGORITHMS:
         probe = probe_request(algorithm)
@@ -143,15 +118,11 @@ def backends_introspection() -> Dict[str, Any]:
             auto[algorithm] = resolve_backend(probe).name
         except ReproError:
             auto[algorithm] = None
-    return {
-        "backends": backends,
-        "auto_resolution": auto,
-        "kernel_namespaces": list(available_namespace_names()),
-    }
+    return {"backends": backends, "auto_resolution": auto}
 
 
 def _ensure_default_backends() -> None:
-    """Idempotently register the four built-in backends.
+    """Idempotently register the three built-in backends.
 
     Import-cycle-safe lazy registration: the backend modules import the
     simulators, which import ``repro.sim.metrics``, so registration
@@ -163,7 +134,6 @@ def _ensure_default_backends() -> None:
     if _DEFAULTS_LOADED:
         return
     _DEFAULTS_LOADED = True
-    from repro.sim.backends.accelerator import AcceleratorBackend
     from repro.sim.backends.batched import BatchedBackend
     from repro.sim.backends.closed_form import ClosedFormBackend
     from repro.sim.backends.reference import ReferenceBackend
@@ -171,4 +141,3 @@ def _ensure_default_backends() -> None:
     register_backend(ReferenceBackend())
     register_backend(ClosedFormBackend())
     register_backend(BatchedBackend())
-    register_backend(AcceleratorBackend())

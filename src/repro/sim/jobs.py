@@ -60,7 +60,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     DeadlineExceededError,
-    DeviceLostError,
     InvalidParameterError,
     JobCancelledError,
     TransientFaultError,
@@ -84,7 +83,6 @@ from repro.sim.backends.base import (
 from repro.sim.backends.registry import AUTO, resolve_backend
 from repro.sim.cache import cache_enabled, get_cache
 from repro.sim.metrics import OutcomeBatch
-from repro.sim.selector import plan_fallback
 from repro.sim.stats import mean_ci, normal_quantile
 
 _RUNS_LOCK = threading.Lock()
@@ -131,12 +129,6 @@ _RETRIES_TOTAL = _REGISTRY.counter(
     "(shard: pool shard re-execution; client: HTTP re-request).",
     ["layer"],
 )
-_DEGRADATIONS_TOTAL = _REGISTRY.counter(
-    "repro_degradations_total",
-    "Jobs degraded to a fallback backend after a mid-run backend "
-    "failure, by failed and fallback backend.",
-    ["from_backend", "to_backend"],
-)
 
 
 def _count_execution(
@@ -163,21 +155,10 @@ _RETRY_MAX_SECONDS = 2.0
 #: two per shard on average.
 _MIN_RETRY_BUDGET = 4
 
-#: How many times one job may fall back to another backend before a
-#: device loss becomes terminal.
-_MAX_DEGRADATIONS = 2
-
 #: Errors the shard retry machinery treats as transient.  Deliberately
 #: narrow: deterministic failures (bad parameters, backend bugs) would
-#: fail identically on every attempt, and :class:`DeviceLostError` is a
-#: degradation signal, not a retry signal.
+#: fail identically on every attempt.
 _RETRYABLE_ERRORS = (BrokenProcessPool, TransientFaultError, OSError)
-
-
-def _is_retryable(error: BaseException) -> bool:
-    return isinstance(error, _RETRYABLE_ERRORS) and not isinstance(
-        error, DeviceLostError
-    )
 
 
 def _retry_delay(job_id: str, shard_index: int, attempt: int) -> float:
@@ -371,15 +352,10 @@ class SimulationJob:
         use_cache: bool,
         pool_workers: int,
         ledger: bool = True,
-        cache_backend: Optional[str] = None,
     ) -> None:
         self.job_id = job_id
         self.request = request
         self.backend = backend_name
-        # Cache identity: usually the registry name, but backends whose
-        # stream depends on a runtime binding (accelerator namespace/
-        # device) key their entries under the qualified form.
-        self.cache_backend = cache_backend or backend_name
         self._shards = shards
         self._use_cache = use_cache
         self._pool_workers = pool_workers
@@ -402,11 +378,8 @@ class SimulationJob:
             if request.deadline_seconds is None
             else time.monotonic() + request.deadline_seconds
         )
-        # Resilience bookkeeping: shard retries performed, and — when a
-        # backend failed mid-run — where the job degraded from and why.
+        # Resilience bookkeeping: shard retries performed.
         self._retries = 0
-        self._degraded_from: Optional[str] = None
-        self._degradation_reason: Optional[str] = None
         # Jobs served entirely from the result cache skip the ledger —
         # no disk I/O for replays that simulated nothing.
         self._served_from_cache = False
@@ -576,29 +549,6 @@ class SimulationJob:
             self._finished_at = time.time()
             self._condition.notify_all()
 
-    def _reset_for_degradation(
-        self, backend_name: str, cache_backend: str, reason: str
-    ) -> None:
-        """Restart the job's result state under a fallback backend.
-
-        Called by the degradation path after a mid-run backend failure:
-        every shard re-executes under the fallback so the final result
-        is wholly the fallback's stream (the failed backend's partial
-        output — possibly a different distribution — must never be
-        stitched in).  ``_emitted`` is deliberately left alone: streams
-        are append-only, so consumers may observe superseded shards
-        from before the degradation; ``result()`` assembles only from
-        the reset ``_shard_outcomes``.
-        """
-        with self._condition:
-            self._degraded_from = self.backend
-            self._degradation_reason = reason
-            self.backend = backend_name
-            self.cache_backend = cache_backend
-            self._shard_outcomes = [None for _ in self._shards]
-            self._cached_shards = 0
-            self._condition.notify_all()
-
     def _complete_from_cache(self, outcomes: OutcomeBatch) -> None:
         """Full-request cache hit: collapse to one cached shard, DONE."""
         _SHARDS_TOTAL.inc(source="cache")
@@ -698,8 +648,6 @@ def job_record(job: SimulationJob) -> dict:
             str(job.exception()) if job.exception() is not None else None
         ),
         "retries": job._retries,
-        "degraded_from": job._degraded_from,
-        "degradation_reason": job._degradation_reason,
     }
 
 
@@ -894,7 +842,6 @@ class JobManager:
             job_id=f"job-{uuid.uuid4().hex[:12]}",
             request=request,
             backend_name=chosen.name,
-            cache_backend=chosen.cache_name(),
             shards=shards,
             use_cache=use_cache,
             pool_workers=(pool_size or workers) if (run_in_pool or len(shards) > 1) else 0,
@@ -1084,31 +1031,9 @@ class JobManager:
     def _drive_pipeline(
         self, job: SimulationJob, backend: SimulationBackend
     ) -> None:
-        """Degradation guard around the canonical pipeline.
-
-        A :class:`~repro.errors.DeviceLostError` escaping the pipeline
-        is a backend failure, not a job failure: the job re-plans onto
-        the next supporting backend (the selector's static ranking,
-        excluding everything that already failed) and re-executes the
-        whole pipeline under the fallback's cache identity — producing
-        results bit-identical to a run that had used the fallback from
-        the start.  Any other error, or running out of fallbacks, fails
-        the job.
-        """
-        failed_backends: List[str] = []
+        """The canonical pipeline, its failure and its ledger record."""
         try:
-            while True:
-                try:
-                    self._execute(job, backend)
-                    return
-                except DeviceLostError as error:
-                    failed_backends.append(backend.name)
-                    if len(failed_backends) > _MAX_DEGRADATIONS:
-                        raise
-                    fallback = self._degrade(job, failed_backends, error)
-                    if fallback is None:
-                        raise
-                    backend = fallback
+            self._execute(job, backend)
         except BaseException as error:  # noqa: BLE001 — surfaced via result()
             job._finish(JobState.FAILED, error)
         finally:
@@ -1118,32 +1043,6 @@ class JobManager:
                     _cancel_marker(job.job_id).unlink()
                 except OSError:
                     pass
-
-    def _degrade(
-        self,
-        job: SimulationJob,
-        failed_backends: List[str],
-        error: DeviceLostError,
-    ) -> Optional[SimulationBackend]:
-        """Re-plan a job onto a fallback backend after a device loss."""
-        plan = plan_fallback(
-            job.request, exclude=failed_backends, reason=str(error)
-        )
-        if plan is None:
-            return None
-        fallback = resolve_backend(job.request, plan.backend)
-        _DEGRADATIONS_TOTAL.inc(
-            from_backend=failed_backends[-1], to_backend=fallback.name
-        )
-        sp = current_span()
-        if sp is not None:
-            sp.set_attribute("degraded_from", failed_backends[-1])
-            sp.set_attribute("degradation_reason", str(error))
-        job._reset_for_degradation(
-            fallback.name, fallback.cache_name(), str(error)
-        )
-        self._write_ledger(job)
-        return fallback
 
     def _check_deadline(
         self,
@@ -1166,13 +1065,13 @@ class JobManager:
     def _execute(
         self, job: SimulationJob, backend: SimulationBackend
     ) -> None:
-        """The canonical execution pipeline (one backend generation)."""
+        """The canonical execution pipeline."""
         job._mark_running()
         cache = get_cache() if job._use_cache else None
         request = job.request
 
         if cache is not None:
-            full = cache.lookup(request, job.cache_backend)
+            full = cache.lookup(request, job.backend)
             if full is not None:
                 # Served entirely from memory/disk cache: skip the
                 # ledger altogether — a replay that simulated
@@ -1186,7 +1085,7 @@ class JobManager:
         for shard_index, indices in enumerate(job._shards):
             hit = None
             if cache is not None and indices is not None:
-                hit = cache.lookup_shard(request, job.cache_backend, indices)
+                hit = cache.lookup_shard(request, job.backend, indices)
             if hit is not None:
                 job._record_shard(shard_index, hit, from_cache=True)
             else:
@@ -1208,7 +1107,7 @@ class JobManager:
             )
             job._record_shard(pending[0], outcomes, from_cache=False)
             if cache is not None:
-                cache.store(request, job.cache_backend, outcomes)
+                cache.store(request, job.backend, outcomes)
         elif pending:
             cancelled = self._run_pooled(job, cache, pending)
             if cancelled:
@@ -1219,7 +1118,7 @@ class JobManager:
             # Publish the assembled full-request entry next to the
             # shard entries so future lookups hit in one probe.
             cache.store(
-                request, job.cache_backend,
+                request, job.backend,
                 OutcomeBatch.concat(job._shard_outcomes),
             )
         job._finish(JobState.DONE)
@@ -1250,9 +1149,7 @@ class JobManager:
                     run_start = time.perf_counter()
                     outcomes = backend.run(request)
                     return outcomes, time.perf_counter() - run_start
-            except _RETRYABLE_ERRORS as error:
-                if not _is_retryable(error):
-                    raise
+            except _RETRYABLE_ERRORS:
                 attempt += 1
                 if attempt >= _MAX_SHARD_ATTEMPTS:
                     raise
@@ -1353,7 +1250,7 @@ class JobManager:
                 except BaseException as error:
                     retryable = (
                         not cancelled
-                        and _is_retryable(error)
+                        and isinstance(error, _RETRYABLE_ERRORS)
                         and attempts[shard_index] + 1 < _MAX_SHARD_ATTEMPTS
                         and job._retries < retry_budget
                     )
@@ -1382,10 +1279,10 @@ class JobManager:
                 if cache is not None:
                     indices = job._shards[shard_index]
                     if indices is None:
-                        cache.store(request, job.cache_backend, outcomes)
+                        cache.store(request, job.backend, outcomes)
                     else:
                         cache.store_shard(
-                            request, job.cache_backend, indices, outcomes
+                            request, job.backend, indices, outcomes
                         )
                 self._write_ledger(job)
             if retry_indices:
@@ -1564,13 +1461,12 @@ def simulate_adaptive(
     if min_trials < 2:
         raise InvalidParameterError(f"min_trials must be >= 2, got {min_trials}")
     chosen = resolve_backend(request, backend)
-    cache_backend = chosen.cache_name()
     use_cache = cache_enabled() if cache is None else cache
     cache_obj = get_cache() if use_cache else None
 
     full: Optional[OutcomeBatch] = None
     if cache_obj is not None:
-        full = cache_obj.lookup(request, cache_backend)
+        full = cache_obj.lookup(request, chosen.name)
 
     batches: List[OutcomeBatch] = []
     outcomes = OutcomeBatch.empty(request.n_agents, request.move_budget)
@@ -1588,7 +1484,7 @@ def simulate_adaptive(
             batches_cached += 1
         else:
             if cache_obj is not None:
-                batch = cache_obj.lookup_shard(request, cache_backend, indices)
+                batch = cache_obj.lookup_shard(request, chosen.name, indices)
                 if batch is not None:
                     batches_cached += 1
             if batch is None:
@@ -1603,7 +1499,7 @@ def simulate_adaptive(
                 _count_backend_runs(1)
                 batches_run += 1
                 if cache_obj is not None:
-                    cache_obj.store_shard(request, cache_backend, indices, batch)
+                    cache_obj.store_shard(request, chosen.name, indices, batch)
         batches.append(batch)
         outcomes = OutcomeBatch.concat(batches)
         start = stop
@@ -1619,7 +1515,7 @@ def simulate_adaptive(
     ):
         # Budget fully consumed: publish the assembled entry so future
         # fixed-n lookups of the same request hit in one probe.
-        cache_obj.store(request, cache_backend, outcomes)
+        cache_obj.store(request, chosen.name, outcomes)
 
     return AdaptiveRun(
         result=SimulationResult(

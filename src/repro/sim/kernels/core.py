@@ -1,10 +1,10 @@
-"""Device-portable batched kernels for the six simulable families.
+"""Batched kernels for the six simulable families.
 
 These are the whole-batch kernels the ``batched`` backend historically
 kept inline (one pool of (trial, agent) pairs, one vectorized draw per
-round, scatter-min colony folds) — extracted to run against *any*
-:class:`~repro.sim.kernels.xp.ArrayNamespace`, and optimized on the way
-out:
+round, scatter-min colony folds) — extracted to run against the
+:class:`~repro.sim.kernels.xp.ArrayNamespace` op surface, and optimized
+on the way out:
 
 * **Blocked multi-round draws (lshape, uniform, doubly-uniform)** —
   the sortie families sample *blocks* of rounds per RNG call: a
@@ -47,7 +47,7 @@ out:
 Outcome distributions are unchanged: iterations are still drawn from
 exactly the process distribution, and the golden KS gates
 (``tests/unit/test_golden_distributions.py``) hold for all six families
-on the default namespace.  Draw *order* differs from the pre-extraction
+on the NumPy namespace.  Draw *order* differs from the pre-extraction
 kernels, so per-request streams moved once — recorded by the
 ``CODE_VERSION`` bump that shipped with the extraction.
 
@@ -174,10 +174,9 @@ def _count_round(
 def _score_hits(xp, best, best_finder, pair_trial, pair_agent, totals, eligible):
     """Fold eligible finds into each colony's running minimum.
 
-    The finder is resolved with a scatter-min over agent ids (lowest
-    agent wins a same-round tie) rather than a plain scatter write:
-    duplicate-index writes are nondeterministic on CUDA, and the
-    backends promise per-request determinism per namespace.
+    The finder is resolved with a scatter-min over agent ids rather
+    than a plain scatter write, so the lowest agent wins a same-round
+    tie whatever order the duplicate-index writes land in.
     """
     if not xp.any(eligible):
         return
@@ -238,9 +237,8 @@ def _draw_sorties(xp, rng, workspace, stop_probability, pairs: int, block: int):
     u += u
     xp.floor(u, out=bits)
     u -= bits
-    # Inverse-CDF geometric minus one: floor(log1p(-U) / log1p(-p)),
-    # the same scheme as the torch and cupy bindings' geometric(), so
-    # every namespace shares one sampling formula.  The clamp guards
+    # Inverse-CDF geometric minus one: floor(log1p(-U) / log1p(-p)).
+    # The clamp guards
     # the p -> 0 corner where log1p(-p) underflows to -0.0 and the
     # division would NaN (no realistic phase reaches it: sorties at
     # such p overshoot any budget in one round).
@@ -974,13 +972,11 @@ def run_family(
     """Dispatch one :class:`~repro.sim.backends.base.SimulationRequest`
     batch to its family kernel.
 
-    Shared by the ``batched`` (NumPy) and ``accelerator`` (device)
-    backends — the only difference between them is the namespace bound
-    here.  Returns the four namespace arrays.
+    Returns the four namespace arrays.
 
     When an ambient trace exists the dispatch is wrapped in a
     ``kernel.<family>`` span carrying the kernel's working set —
-    family, trials, agents, namespace/device, scratch budget, and the
+    family, trials, agents, namespace, scratch budget, and the
     number of blocked RNG draw calls the kernel issued.
     """
     spec = request.algorithm
@@ -990,11 +986,6 @@ def run_family(
         n_trials=n_trials,
         n_agents=request.n_agents,
         namespace=xp.name,
-        device=(
-            None
-            if getattr(xp, "device", None) is None
-            else str(xp.device)
-        ),
         move_budget=request.move_budget,
         scratch_bytes=SCRATCH_BYTES,
     ) as sp:

@@ -6,13 +6,10 @@ sharded.  The backend is the static ``auto`` resolution
 (:func:`repro.sim.backends.registry.resolve_backend`: hand-assigned
 priorities, "batch kernels beat per-trial loops on trial batches"), or
 the named backend when one is given.  The shard count is the job
-layer's ``min(workers, n_trials)`` rule, with the accelerator pinned to
-one shard because device state does not survive pool workers.  The
-function is pure: same request, same worker cap, same plan.
+layer's ``min(workers, n_trials)`` rule.  The function is pure: same
+request, same worker cap, same plan.
 
-:func:`plan_fallback` is the degradation path: after a backend fails
-mid-job it re-plans onto the best remaining supporting backend by the
-same static ranking.  ``repro-ants backends --json`` and
+``repro-ants backends --json`` and
 ``GET /v1/backends`` surface one plan per family through
 :func:`selector_payload`; ``benchmarks/bench_selector.py`` scores the
 static rule against oracle / single-best / random policies on a
@@ -23,22 +20,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.errors import InvalidParameterError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import child_span
 from repro.sim.backends.base import SimulationRequest, probe_request
-from repro.sim.backends.registry import (
-    AUTO,
-    resolve_backend,
-    supporting_backends,
-)
+from repro.sim.backends.registry import AUTO, resolve_backend
 
 _PLANS_TOTAL = get_registry().counter(
     "repro_selector_plans_total",
-    "Execution plans issued, by source (static/degraded) and backend.",
-    ["source", "backend"],
+    "Execution plans issued, by backend.",
+    ["backend"],
 )
 
 #: Families with batch kernels, shown in the ``selector`` introspection
@@ -60,7 +53,6 @@ class SimulationPlan:
     backend: str
     n_shards: int
     workers: int
-    device: Optional[str] = None
 
     def to_payload(self) -> Dict[str, Any]:
         """JSON-ready encoding (CLI ``--json`` and ``/v1/backends``)."""
@@ -68,7 +60,6 @@ class SimulationPlan:
             "backend": self.backend,
             "n_shards": self.n_shards,
             "workers": self.workers,
-            "device": self.device,
         }
 
 
@@ -91,8 +82,7 @@ def plan_request(
     that pins the choice.  ``workers`` caps the shard count (``None``:
     the machine's core count); a multi-trial request gets
     ``min(workers, n_trials)`` shards, the layout ``simulate(...,
-    workers=...)`` uses, except on the accelerator, which always runs
-    one shard.
+    workers=...)`` uses.
     """
     with child_span("selector.plan", family=request.algorithm.name) as sp:
         cap = _worker_cap(workers)
@@ -100,67 +90,15 @@ def plan_request(
         n_shards = (
             min(cap, request.n_trials) if request.n_trials > 1 else 1
         )
-        device = None
-        if chosen.name == "accelerator":
-            device = chosen.device_description()
-            n_shards = 1
         plan = SimulationPlan(
             backend=chosen.name,
             n_shards=n_shards,
             workers=n_shards,
-            device=device,
         )
-        _PLANS_TOTAL.inc(source="static", backend=plan.backend)
+        _PLANS_TOTAL.inc(backend=plan.backend)
         if sp is not None:
             sp.set_attribute("backend", plan.backend)
-            sp.set_attribute("source", "static")
         return plan
-
-
-def plan_fallback(
-    request: SimulationRequest,
-    exclude: Sequence[str],
-    reason: str,
-    workers: int = 1,
-) -> Optional[SimulationPlan]:
-    """Re-plan a request after a backend failed mid-job.
-
-    The degradation path of the job layer: ``exclude`` names the
-    backends that already failed (device loss, repeated worker death),
-    and the plan falls to the best remaining supporting backend by
-    static priority — the same ranking ``auto`` resolution uses, so
-    the degraded run is bit-identical to a run that had picked the
-    fallback from the start.  The decline ``reason`` is recorded on
-    the plan span and in the plans-total metric; ``None`` when no
-    supporting backend remains.
-    """
-    excluded = set(exclude)
-    with child_span(
-        "selector.plan", family=request.algorithm.name
-    ) as sp:
-        chosen = next(
-            (
-                candidate
-                for candidate in supporting_backends(request)
-                if candidate.name not in excluded
-            ),
-            None,
-        )
-        if sp is not None:
-            sp.set_attribute("source", "degraded")
-            sp.set_attribute("declined", ",".join(sorted(excluded)))
-            sp.set_attribute("decline_reason", reason)
-            sp.set_attribute(
-                "backend", "none" if chosen is None else chosen.name
-            )
-        if chosen is None:
-            return None
-        _PLANS_TOTAL.inc(source="degraded", backend=chosen.name)
-        return SimulationPlan(
-            backend=chosen.name,
-            n_shards=1,
-            workers=max(workers, 1),
-        )
 
 
 #: Trial count of the representative batch :func:`selector_payload` plans.

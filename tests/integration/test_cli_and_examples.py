@@ -149,18 +149,18 @@ class TestCli:
         assert "single trial -> closed_form" in captured
         assert "single trial -> reference" in captured  # spiral/levy
 
-    def test_backends_subcommand_shows_decline_reasons_and_binding(
-        self, capsys
-    ):
+    def test_backends_subcommand_shows_decline_reasons(self, capsys):
         code = main(["backends"])
         captured = capsys.readouterr().out
         assert code == 0
-        # The accelerator row exists, the kernel-binding summary names
-        # the namespaces, and declines come with their reasons.
-        assert "accelerator" in captured
-        assert "kernel namespaces importable" in captured
         assert "why backends decline" in captured
         assert "no batch kernel" in captured
+
+    def test_run_rejects_removed_accelerator_backend(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--backend", "accelerator"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_run_unsupported_backend_reports_error(self, capsys):
         code = main(
@@ -234,6 +234,46 @@ class TestJobsStatusFallback:
         assert code == 0
         assert "state        : done" in captured
         assert job.job_id in captured
+
+    def test_status_reads_a_record_with_dropped_fields(self, capsys):
+        """A ledger record written before the degradation fields were
+        dropped still loads and prints."""
+        import json
+        import os
+
+        from repro.sim.jobs import job_status_record, ledger_dir
+
+        record = {
+            "job_id": "job-0ld5hape0001",
+            "state": "done",
+            "algorithm": "algorithm1",
+            "backend": "batched",
+            "n_trials": 8,
+            "n_agents": 2,
+            "seed": 7,
+            "total_shards": 1,
+            "done_shards": 1,
+            "done_trials": 8,
+            "cached_shards": 0,
+            "submitted_at": 1.0,
+            "finished_at": 2.0,
+            "updated_at": 2.0,
+            "pid": os.getpid(),
+            "error": None,
+            "retries": 0,
+            "degraded_from": "accelerator",
+            "degradation_reason": "injected device loss at backend.run",
+        }
+        directory = ledger_dir()
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{record['job_id']}.json").write_text(json.dumps(record))
+        assert job_status_record(record["job_id"]) == record
+
+        code = main(["jobs", "status", record["job_id"]])
+        captured = capsys.readouterr().out
+        assert code == 0
+        assert "state        : done" in captured
+        assert "backend      : batched" in captured
 
     def test_status_of_unknown_job_still_errors(self, capsys):
         code = main(["jobs", "status", "job-never-existed"])

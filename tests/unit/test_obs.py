@@ -68,20 +68,22 @@ class TestSpans:
         with pytest.raises(RuntimeError):
             with span("doomed"):
                 raise RuntimeError("boom")
-        (recorded,) = ring_spans()
+        # Select by name: a late span from an earlier test's driver
+        # thread may land in the ring too.
+        (recorded,) = [sp for sp in ring_spans() if sp.name == "doomed"]
         assert recorded.status == "error"
 
     def test_child_span_is_noop_without_ambient_parent(self):
         assert current_context() is None
         with child_span("orphan") as sp:
             assert sp is None
-        assert ring_spans() == []
+        assert not [sp for sp in ring_spans() if sp.name == "orphan"]
 
     def test_disabled_tracing_yields_none_and_records_nothing(self):
         configure_tracing(enabled=False)
         with span("invisible") as sp:
             assert sp is None
-        assert ring_spans() == []
+        assert not [sp for sp in ring_spans() if sp.name == "invisible"]
 
     def test_explicit_context_overrides_ambient(self):
         remote = SpanContext(trace_id="a" * 32, span_id="b" * 16)

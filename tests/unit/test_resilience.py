@@ -7,10 +7,8 @@ The contracts under test:
   plan seed, so two activations of the same plan fire identically;
 * inline shard execution retries transient faults with bounded
   attempts and settles bit-identical to an unfaulted run;
-* a mid-run ``DeviceLostError`` degrades the job onto the next
-  supporting backend and the final result is wholly the fallback's
-  stream — bit-identical to a run that used the fallback from the
-  start;
+* a run that fails settles the job once, on the backend it asked for,
+  and the ledger records the failure;
 * ``deadline_seconds`` is validated, excluded from the cache
   fingerprint, and enforced at shard boundaries;
 * a non-terminal ledger record whose owning process is dead reports
@@ -22,6 +20,7 @@ The contracts under test:
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -29,7 +28,6 @@ import repro.sim.cache as cache_module
 from repro.cli import main
 from repro.errors import (
     DeadlineExceededError,
-    DeviceLostError,
     InvalidParameterError,
     TransientFaultError,
 )
@@ -45,11 +43,14 @@ from repro.resilience.faults import (
 )
 from repro.sim import AlgorithmSpec, SimulationRequest, simulate, simulate_async
 from repro.sim.cache import cache_key, configure_cache
+from repro.sim.backends import get_backend
 from repro.sim.jobs import (
     FAILED_RECOVERABLE,
     JobManager,
     _retry_delay,
     effective_state,
+    find_job_record,
+    job_record,
     ledger_dir,
 )
 from repro.sim.service import backend_run_count
@@ -88,8 +89,16 @@ def no_leftover_faults():
 
 class TestFaultSpecValidation:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidParameterError, match="unknown fault kind"):
-            FaultSpec(site="worker.shard", kind="explode")
+        # "device_lost" was a kind while the degradation ladder existed;
+        # a plan still naming it must fail loudly, not half-apply.
+        for kind in ("explode", "device_lost"):
+            with pytest.raises(InvalidParameterError, match="unknown fault kind"):
+                FaultSpec(site="worker.shard", kind=kind)
+            encoded = json.dumps(
+                {"specs": [{"site": "backend.run", "kind": kind}]}
+            )
+            with pytest.raises(InvalidParameterError, match="unknown fault kind"):
+                FaultPlan.from_json(encoded)
 
     def test_schedules_are_mutually_exclusive(self):
         with pytest.raises(InvalidParameterError, match="mutually exclusive"):
@@ -260,43 +269,68 @@ class TestShardRetries:
         assert job._retries == 2  # attempts 1 and 2 of _MAX_SHARD_ATTEMPTS=3
 
 
-class TestDegradation:
-    def test_device_loss_falls_back_bit_identical(self, fresh_cache):
-        request = _request(seed=43)
+class TestPipelineFailure:
+    """A failed run settles the job once, on the backend it asked for."""
+
+    def _persistent_fault(self):
         activate(
             FaultPlan(
                 specs=(
                     FaultSpec(
                         site="backend.run",
-                        kind="device_lost",
-                        match={"backend": "closed_form", "attempt": 0},
+                        kind="error",
+                        match={"backend": "closed_form"},
                     ),
                 )
             )
         )
-        job = simulate_async(request, backend="closed_form", cache=False)
-        result = job.result(timeout=60)
-        deactivate()
-        assert job._degraded_from == "closed_form"
-        assert job.backend != "closed_form"
-        assert "device loss" in (job._degradation_reason or "")
-        pure_fallback = simulate(request, backend=job.backend, cache=False)
-        assert result.outcomes == pure_fallback.outcomes
-        assert result.backend == pure_fallback.backend
 
-    def test_device_loss_with_no_fallback_fails(self, fresh_cache):
-        # Every backend reports the loss: the ladder runs out and the
-        # original error surfaces.
-        activate(
-            FaultPlan(
-                specs=(FaultSpec(site="backend.run", kind="device_lost"),)
-            )
-        )
-        job = simulate_async(
-            _request(seed=44), backend="closed_form", cache=False
-        )
-        with pytest.raises(DeviceLostError):
+    def test_failure_is_written_to_the_ledger(self, fresh_cache):
+        self._persistent_fault()
+        job = simulate_async(_request(seed=44), backend="closed_form")
+        with pytest.raises(TransientFaultError):
             job.result(timeout=60)
+        # result() returns at the state change; the driver thread writes
+        # the terminal ledger record just after.
+        for thread in threading.enumerate():
+            if thread.name == f"repro-job-{job.job_id}":
+                thread.join(timeout=60)
+        record = find_job_record(job.job_id)
+        assert record is not None
+        assert record["state"] == "failed"
+        assert record["backend"] == "closed_form"
+        assert "injected" in record["error"]
+        # The persisted record has exactly the live record's fields.
+        assert set(record) == set(job_record(job))
+
+    def test_failure_runs_no_other_backend(self, fresh_cache):
+        self._persistent_fault()
+        before = backend_run_count()
+        job = simulate_async(
+            _request(seed=45), backend="closed_form", cache=False
+        )
+        with pytest.raises(TransientFaultError):
+            job.result(timeout=60)
+        assert job.backend == "closed_form"
+        assert backend_run_count() == before
+
+    def test_non_retryable_error_fails_on_first_attempt(
+        self, fresh_cache, monkeypatch
+    ):
+        calls = []
+
+        def broken_run(request):
+            calls.append(request)
+            raise ValueError("backend bug")
+
+        monkeypatch.setattr(get_backend("closed_form"), "run", broken_run)
+        job = simulate_async(
+            _request(seed=46), backend="closed_form", cache=False
+        )
+        with pytest.raises(ValueError, match="backend bug"):
+            job.result(timeout=60)
+        assert len(calls) == 1
+        assert job._retries == 0
 
 
 class TestDeadlines:

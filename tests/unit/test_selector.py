@@ -72,7 +72,7 @@ class TestPlanning:
             "doubly-uniform", "random-walk", "feinerman",
         }
         for plan in payload["plans"].values():
-            assert set(plan) == {"backend", "n_shards", "workers", "device"}
+            assert set(plan) == {"backend", "n_shards", "workers"}
 
 
 class TestPlanExecution:
@@ -208,7 +208,6 @@ class TestIntrospectionSurfaces:
         plan = SimulationPlan(backend="batched", n_shards=2, workers=2)
         assert plan_to_wire(plan) == {
             "backend": "batched", "n_shards": 2, "workers": 2,
-            "device": None,
         }
 
     def test_cli_backends_json_matches_server_shape(self, capsys):
@@ -217,7 +216,7 @@ class TestIntrospectionSurfaces:
         assert main(["backends", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert {"wire", "backends", "auto_resolution",
-                "kernel_namespaces", "selector"} <= set(payload)
+                "selector"} <= set(payload)
         for entry in payload["backends"].values():
             assert "algorithms" in entry and "declines" in entry
         assert "plans" in payload["selector"]
