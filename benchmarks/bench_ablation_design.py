@@ -1,7 +1,7 @@
 """Ablation benches for DESIGN.md's key implementation choices.
 
-* faithful step engine vs distribution-exact fast simulator — the
-  price of step-level fidelity (design decision 2);
+* faithful step engine vs the distribution-exact ``batched`` kernel —
+  the price of step-level fidelity (design decision 2);
 * counting vs ignoring oracle return moves — the model's factor-2
   claim (design decision 4);
 * faithful k-flip composite coin vs single-draw equivalent (design
@@ -43,7 +43,7 @@ def run_engine(count_returns: bool = False) -> int:
 
 
 def run_fast() -> int:
-    return simulate(_REQUEST, backend="closed_form").outcome.moves_or_budget
+    return simulate(_REQUEST, backend="batched").outcome.moves_or_budget
 
 
 def test_ablation_faithful_engine(benchmark):

@@ -17,7 +17,7 @@ _REQUEST = SimulationRequest(
 
 
 def test_e03_first_find_kernel(benchmark):
-    result = benchmark(simulate, _REQUEST, "closed_form")
+    result = benchmark(simulate, _REQUEST, "batched")
     assert result.outcome.found
 
 

@@ -18,7 +18,7 @@ _REQUEST = SimulationRequest(
 
 
 def test_e14_coarse_coin_kernel(benchmark):
-    result = benchmark(simulate, _REQUEST, "closed_form")
+    result = benchmark(simulate, _REQUEST, "batched")
     assert result.outcome.found
 
 

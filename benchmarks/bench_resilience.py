@@ -61,7 +61,7 @@ RECOVERY_WORKLOAD = {
     "target": (6, 4),
     "move_budget": 200_000,
     "n_trials": 8,
-    "backend": "closed_form",
+    "backend": "batched",
     "workers": 4,
     "killed_shard": 2,
 }

@@ -52,7 +52,7 @@ SEED = 20140507
 REPEATS = 2
 
 #: The backends every matrix workload is measured on.
-CANDIDATES = ("batched", "closed_form", "reference")
+CANDIDATES = ("batched", "reference")
 
 _SPECS = {
     "algorithm1": lambda: AlgorithmSpec.algorithm1(8),

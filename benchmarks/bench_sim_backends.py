@@ -53,7 +53,7 @@ MAX_WIRE_BODY_KB = 200.0
 
 # Colonies per timing run, scaled to each backend's expected throughput
 # so every measurement covers a comparable wall-clock slice.
-_TRIALS = {"reference": 5, "closed_form": 100, "batched": 400}
+_TRIALS = {"reference": 5, "batched": 400}
 
 
 def machine_fingerprint() -> dict:

@@ -31,10 +31,10 @@ REQUEST = SimulationRequest(
     distance_bound=8,
 )
 
-# A per-trial backend: seed-exact under sharding, so the remote
-# (workers=2, two shards) and local (workers=1) runs must agree
+# The per-trial reference engine: seed-exact under sharding, so the
+# remote (workers=2, two shards) and local (workers=1) runs must agree
 # outcome for outcome.
-BACKEND = "closed_form"
+BACKEND = "reference"
 
 
 def main() -> None:

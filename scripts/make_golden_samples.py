@@ -2,8 +2,12 @@
 """Regenerate the golden KS reference samples under ``tests/golden/``.
 
 Each golden file freezes one algorithm family's move-count distribution
-as produced by a trusted per-trial backend (``closed_form`` — bit-exact
-under the ``derive_seed`` contract, so regeneration is reproducible).
+as produced by the per-trial ``reference`` engine (bit-exact under the
+``derive_seed`` contract, so regeneration is reproducible).  The
+committed samples record the backend that generated them in
+``generator_backend``; the current ones came from a since-deleted
+per-trial vectorized backend and stay as they are until a semantic
+sampling change forces regeneration.
 The distribution-regression test
 (``tests/unit/test_golden_distributions.py``) diffs the ``batched``
 backend's output against these recorded samples with a two-sample KS
@@ -32,13 +36,14 @@ from repro.sim.cache import CODE_VERSION  # noqa: E402
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden"
 
 #: The backend whose samples are frozen: per-trial, seed-exact.
-GENERATOR_BACKEND = "closed_form"
+GENERATOR_BACKEND = "reference"
 
 #: One entry per recorded algorithm family — all six batched-covered
 #: families since the kernel extraction (ROADMAP "more golden
-#: families" item).  Modest D keeps generation around a second per
-#: family; 400 samples give the KS test power without bloating the
-#: repository.
+#: families" item).  On the step-level reference engine one full
+#: regeneration takes about two minutes on a 2-core x86 machine, 100 s
+#: of it random_walk; 400 samples give the KS test power without
+#: bloating the repository.
 FAMILIES = {
     "algorithm1": SimulationRequest(
         algorithm=AlgorithmSpec.algorithm1(8),

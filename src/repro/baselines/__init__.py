@@ -14,7 +14,7 @@
   standard biological-foraging comparator (extension beyond the paper).
 """
 
-from repro.baselines.feinerman import FeinermanSearch, fast_feinerman
+from repro.baselines.feinerman import FeinermanSearch
 from repro.baselines.levy import LevyWalk
 from repro.baselines.random_walk import RandomWalkSearch
 from repro.baselines.spiral import (
@@ -26,7 +26,6 @@ from repro.baselines.spiral import (
 
 __all__ = [
     "FeinermanSearch",
-    "fast_feinerman",
     "LevyWalk",
     "RandomWalkSearch",
     "SpiralSearch",

@@ -26,13 +26,12 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.baselines.spiral import spiral_index, spiral_moves
+from repro.baselines.spiral import spiral_moves
 from repro.core.actions import ACTION_FOR_DIRECTION, Action
 from repro.core.base import SearchAlgorithm
 from repro.core.selection import MemoryMeter, SelectionComplexity
 from repro.errors import InvalidParameterError
-from repro.grid.geometry import Direction, Point, manhattan_norm
-from repro.sim.metrics import FastRunStats, SearchOutcome
+from repro.grid.geometry import Direction, Point
 
 
 def stage_radius(stage: int) -> int:
@@ -130,89 +129,3 @@ class FeinermanSearch(SearchAlgorithm):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FeinermanSearch(n_agents={self._n_agents}, c={self._c})"
-
-
-def fast_feinerman(
-    n_agents: int,
-    target: Point,
-    rng: np.random.Generator,
-    move_budget: int,
-    c: float = 4.0,
-    max_stage: int = 40,
-) -> SearchOutcome:
-    """Vectorized Feinerman baseline with closed-form spiral hit tests.
-
-    A stage's sortie hits the target iff ``spiral_index(target -
-    center) <= quota``; the move count at the hit is the staircase
-    length to the center plus the spiral index.  (Hits scored while
-    merely walking the staircase toward the center are ignored — a
-    conservative undercount shared by the faithful accounting in [12].)
-    """
-    if n_agents < 1:
-        raise InvalidParameterError(f"n_agents must be >= 1, got {n_agents}")
-    if move_budget < 1:
-        raise InvalidParameterError(f"move_budget must be >= 1, got {move_budget}")
-    if target == (0, 0):
-        return SearchOutcome(
-            found=True, m_moves=0, m_steps=0, finder=0,
-            n_agents=n_agents, move_budget=move_budget,
-        )
-
-    cumulative = np.zeros(n_agents, dtype=np.int64)
-    stages = np.ones(n_agents, dtype=np.int64)
-    agent_ids = np.arange(n_agents)
-    best: int | None = None
-    best_finder: int | None = None
-    rounds_executed = 0
-    iterations_executed = 0
-
-    while agent_ids.size:
-        count = agent_ids.size
-        rounds_executed += 1
-        iterations_executed += count
-        radii = 2**stages
-        quotas = np.array(
-            [stage_quota(int(s), n_agents, c) for s in stages], dtype=np.int64
-        )
-        centers_x = rng.integers(-radii, radii + 1)
-        centers_y = rng.integers(-radii, radii + 1)
-        walk_moves = np.abs(centers_x) + np.abs(centers_y)
-        offsets_x = target[0] - centers_x
-        offsets_y = target[1] - centers_y
-        indices = np.array(
-            [
-                spiral_index((int(ox), int(oy)))
-                for ox, oy in zip(offsets_x, offsets_y)
-            ],
-            dtype=np.int64,
-        )
-        hit = indices <= quotas
-        totals = cumulative + walk_moves + indices
-        eligible = hit & (totals <= move_budget)
-        if np.any(eligible):
-            masked = np.where(eligible, totals, np.iinfo(np.int64).max)
-            candidate_index = int(np.argmin(masked))
-            candidate_total = int(totals[candidate_index])
-            if best is None or candidate_total < best:
-                best = candidate_total
-                best_finder = int(agent_ids[candidate_index])
-        survivors = ~hit
-        cumulative = cumulative[survivors] + (walk_moves + quotas)[survivors]
-        stages = stages[survivors] + 1
-        agent_ids = agent_ids[survivors]
-        limit = move_budget if best is None else min(move_budget, best)
-        keep = (cumulative < limit) & (stages <= max_stage)
-        cumulative = cumulative[keep]
-        stages = stages[keep]
-        agent_ids = agent_ids[keep]
-
-    stats = FastRunStats(iterations_executed, rounds_executed)
-    if best is None:
-        return SearchOutcome(
-            found=False, m_moves=None, m_steps=None, finder=None,
-            n_agents=n_agents, move_budget=move_budget, stats=stats,
-        )
-    return SearchOutcome(
-        found=True, m_moves=best, m_steps=None, finder=best_finder,
-        n_agents=n_agents, move_budget=move_budget, stats=stats,
-    )

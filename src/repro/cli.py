@@ -59,7 +59,7 @@ from repro.sim.backends import (
 from repro.sim.metrics import ABSENT
 from repro.sim.service import simulate
 
-BACKEND_CHOICES = ("auto", "reference", "closed_form", "batched")
+BACKEND_CHOICES = ("auto", "reference", "batched")
 
 
 def _build_spec(name: str, distance: int, ell: int) -> AlgorithmSpec:
@@ -213,9 +213,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if result.find_rate > 0 else 1
 
 
-_PROBE_BATCH_TRIALS = 100
-
-
 def _cmd_backends(args: argparse.Namespace) -> int:
     from repro.sim.selector import selector_payload
 
@@ -242,29 +239,20 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         backend = backends[name]
         cells = []
         for algo in KNOWN_ALGORITHMS:
-            single = probe_request(algo)
-            batch = probe_request(algo, n_trials=_PROBE_BATCH_TRIALS)
-            if single is None or not backend.supports(single):
+            probe = probe_request(algo)
+            if probe is None or not backend.supports(probe):
                 cells.append("-")
                 continue
-            cells.append(
-                f"p{backend.auto_priority(single)}/"
-                f"p{backend.auto_priority(batch)}"
-            )
+            cells.append(f"p{backend.auto_priority(probe)}")
         lines.append("| " + " | ".join([name, *cells]) + " |")
     print("registered simulation backends: supports() coverage and "
-          "auto_priority (single trial / trial batch; higher wins):")
+          "auto_priority (higher wins):")
     print()
     print("\n".join(lines))
     print()
     print('what "auto" resolves to for each algorithm:')
     for algo in KNOWN_ALGORITHMS:
-        single = probe_request(algo)
-        batch = probe_request(algo, n_trials=_PROBE_BATCH_TRIALS)
-        picked_single = resolve_backend(single).name
-        picked_batch = resolve_backend(batch).name
-        print(f"  {algo:15s} single trial -> {picked_single}, "
-              f"trial batch -> {picked_batch}")
+        print(f"  {algo:15s} -> {resolve_backend(probe_request(algo)).name}")
     print()
     print("why backends decline (supports() gating reasons):")
     for name in sorted(backends):

@@ -8,10 +8,10 @@ against ``log2 log2 D`` across four orders of magnitude of ``D``, and
 verifies that replacing Algorithm 1's ``1/D`` coin with the composite
 coin leaves performance within the ``2^l``-factor the proof allows.
 
-The performance-parity section is a declared sweep (closed-form
-backend, one point per algorithm variant) so the experiment compiler
-can fuse and cache it with the rest of the program; the chi accounting
-is pure arithmetic and stays in the analysis pass.
+The performance-parity section is a declared sweep (one point per
+algorithm variant, resolved by ``auto`` to the ``batched`` kernels) so
+the experiment compiler can cache it with the rest of the program; the
+chi accounting is pure arithmetic and stays in the analysis pass.
 """
 
 from __future__ import annotations
@@ -70,14 +70,9 @@ def parity_request(params: Mapping[str, object]) -> SimulationRequest:
 
 def _perf_grid(params) -> tuple:
     distance = params["perf_distance"]
-    # l = 0 encodes the Algorithm 1 comparator; grid order matches the
-    # historical loop (algorithm1 first, then ascending l).  With the
-    # sweep's point-index seed addressing this reproduces the previous
-    # derive_seed(seed, 7, ell, trial) streams exactly whenever the
-    # ells are consecutive from 1 (both committed scales); a sparse
-    # ell grid would re-key those streams — equal in distribution, and
-    # E07's checks are margin-based (the module has re-keyed this
-    # stream once before, for the same request-contract reason).
+    # l = 0 encodes the Algorithm 1 comparator; grid order is
+    # algorithm1 first, then ascending l.  Point i's trials share one
+    # batched stream anchored at derive_seed(seed, 7, i, 0).
     return tuple(
         {"D": distance, "n": _PERF_AGENTS, "l": ell}
         for ell in (0, *params["ells"])
@@ -92,7 +87,7 @@ def spec(scale: str = "smoke") -> ExperimentSpec:
         sweeps=(
             SweepSpec(
                 name="parity",
-                trial=SimulationTrial(parity_request, backend="closed_form"),
+                trial=SimulationTrial(parity_request),
                 grid=_perf_grid(params),
                 trials=params["trials"],
                 seed_keys=(7,),

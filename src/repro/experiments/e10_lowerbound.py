@@ -133,7 +133,7 @@ def _measure(scale: str = "smoke", seed: int = DEFAULT_SEED) -> ExperimentResult
             seed=seed,
             seed_keys=(20, distance),
         )
-        rate = simulate(request, backend="closed_form").find_rate
+        rate = simulate(request).find_rate
         chi = NonUniformSearch(distance, 1).selection_complexity().chi
         contrast_rows.append(
             ExperimentRow(

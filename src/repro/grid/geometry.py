@@ -9,7 +9,7 @@ functions.  One iteration of the paper's Algorithm 1 (and one call of
 Algorithm 4's ``search``) walks a vertical leg followed by a horizontal
 leg — an "L" shape anchored at the origin.  Testing whether such a
 sortie visits a given target, and after how many moves, has a closed
-form; the vectorized fast simulators in :mod:`repro.sim.fast` are built
+form; the vectorized kernels in :mod:`repro.sim.kernels` are built
 on exactly these predicates, and the property tests check them against
 brute-force enumeration of the path.
 """

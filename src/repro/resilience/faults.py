@@ -23,7 +23,10 @@ Everything is deterministic by construction:
   chaos suite engineers.
 
 When ``REPRO_ANTS_FAULTS`` is unset the whole module reduces to one
-``is None`` check per seam call: production paths pay nothing.
+``is None`` check per seam call: production paths pay nothing.  A value
+that does not parse as a plan raises
+:class:`~repro.errors.InvalidParameterError` at every seam instead of
+silently running unarmed.
 
 Instrumented sites (context fields in parentheses)::
 
@@ -217,17 +220,21 @@ def _resolve_locked() -> Optional[FaultPlan]:
         # explicit off.
         value = None if value == "0" else value
     if value != _STATE.env_value or not _STATE.resolved:
+        plan = None
+        if value is not None and value != "1":
+            try:
+                plan = FaultPlan.from_json(value)
+            except (ValueError, KeyError, TypeError) as error:
+                # Left unresolved, so every seam raises until the
+                # variable is fixed: a typo must not disarm the harness.
+                raise InvalidParameterError(
+                    f"{ENV_VAR} holds an invalid fault plan: {error}"
+                ) from None
         _STATE.env_value = value
         _STATE.resolved = True
         _STATE.matches.clear()
         _STATE.fires.clear()
-        if value is None or value == "1":
-            _STATE.plan = None
-        else:
-            try:
-                _STATE.plan = FaultPlan.from_json(value)
-            except (ValueError, KeyError, TypeError):
-                _STATE.plan = None
+        _STATE.plan = plan
     return _STATE.plan
 
 

@@ -8,8 +8,6 @@ seed stream) and let the backend registry dispatch it:
   synchronous engine driving agent processes (or automata); tracks
   ``M_steps`` and per-agent outcomes, executes arbitrary automata for
   the lower-bound experiments.
-* ``closed_form`` (:mod:`repro.sim.fast`) — numpy-vectorized per-colony
-  simulators sampling whole iterations; distribution-exact.
 * ``batched`` (:mod:`repro.sim.backends.batched`) — many colonies and
   many trials in one pass of the NumPy kernel core
   (:mod:`repro.sim.kernels`); the high-throughput batch path.

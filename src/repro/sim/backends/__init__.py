@@ -1,11 +1,9 @@
 """Pluggable simulation backends behind one request interface.
 
-Three backends register by default:
+Two backends register by default:
 
 * ``reference`` — the faithful step-level :class:`~repro.sim.engine.SearchEngine`;
   supports every algorithm, tracks ``M_steps`` and per-agent outcomes.
-* ``closed_form`` — the per-trial vectorized ``fast_*`` simulators;
-  bit-compatible with the historical experiment loops.
 * ``batched`` — many colonies x many trials in one pass of the shared
   kernel core (:mod:`repro.sim.kernels`) on the NumPy namespace; the
   high-throughput path for trial batches.

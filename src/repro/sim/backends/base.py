@@ -8,11 +8,10 @@ a request into an :class:`~repro.sim.metrics.OutcomeBatch`: one int64
 column per outcome field, one row per trial.
 
 The seeding contract is the load-bearing part: trial ``t`` of a request
-draws from ``derive_seed(seed, *seed_keys, t)``.  Backends that simulate
-one trial at a time (``reference``, ``closed_form``) honor it exactly,
-which makes their outputs bit-identical to the historical hand-rolled
-loops in ``experiments/``; the vectorized ``batched`` backend pools the
-batch into one stream and is equal in distribution instead.
+draws from ``derive_seed(seed, *seed_keys, t)``.  The per-trial
+``reference`` engine honors it exactly, so its outputs are the same
+however the trials are sharded; the vectorized ``batched`` backend
+pools the batch into one stream and is equal in distribution instead.
 """
 
 from __future__ import annotations
@@ -347,11 +346,8 @@ def probe_request(
 ) -> Optional[SimulationRequest]:
     """A representative request per algorithm family.
 
-    Coverage reports probe with the default single trial; the CLI also
-    probes with a trial batch to show each backend's
-    ``auto_priority`` for the batch case — the number that explains
-    what ``auto`` picks for sweeps (the selector's introspection section
-    plans the same batch).
+    Coverage reports probe with the default single trial; the
+    selector's introspection section plans a trial batch.
     """
     builders = {
         "algorithm1": lambda: AlgorithmSpec.algorithm1(8),

@@ -1,7 +1,6 @@
 """The ``batched`` backend: many colonies x many trials in one kernel pass.
 
-The closed-form simulators vectorize over one colony's agents; this
-backend flattens the whole request — ``n_trials`` colonies of
+This backend flattens the whole request — ``n_trials`` colonies of
 ``n_agents`` agents — into one pool of (trial, agent) pairs and samples
 *every active pair's next iteration in a single draw*.  Since the
 kernel extraction the actual math lives in :mod:`repro.sim.kernels`:
@@ -59,12 +58,9 @@ class BatchedBackend(SimulationBackend):
         return self.support_reason(request) is None
 
     def auto_priority(self, request: SimulationRequest) -> int:
-        # The batch pass amortizes across trials, so it outranks every
-        # per-trial backend for trial batches of any supported
-        # algorithm; a single trial is better served by the closed-form
-        # per-colony simulators.  (The reference engine still wins
-        # requests with a step budget via supports() gating.)
-        return 30 if request.n_trials > 1 else 5
+        # Every request of a supported family, single trials included;
+        # a step budget reaches the reference engine via supports().
+        return 30
 
     def run(
         self,

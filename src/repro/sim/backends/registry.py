@@ -1,14 +1,14 @@
 """Backend registry and ``auto`` resolution.
 
-Backends register under a short name (``reference``, ``closed_form``,
-``batched``).  Callers address them by name or pass ``"auto"`` and let
+Backends register under a short name (``reference``, ``batched``).
+Callers address them by name or pass ``"auto"`` and let
 :func:`resolve_backend` pick the best supporting backend: each backend
 reports an
 :meth:`~repro.sim.backends.base.SimulationBackend.auto_priority`
-for the concrete request, so the vectorized whole-batch backend (p30)
-wins trial batches, the closed-form simulators (p10) win single
-trials, and the faithful engine is the universal fallback (p100 when a
-step budget demands it, p0 otherwise).  ``repro-ants backends`` prints
+for the concrete request, so ``auto`` is ``reference`` when a step
+budget is set (p100; only the engine tracks ``M_steps``) and
+``batched`` otherwise (p30), with the engine as the fallback for the
+families without a batch kernel (p0).  ``repro-ants backends`` prints
 these numbers per probed request, along with each backend's decline
 reasons.
 """
@@ -122,7 +122,7 @@ def backends_introspection() -> Dict[str, Any]:
 
 
 def _ensure_default_backends() -> None:
-    """Idempotently register the three built-in backends.
+    """Idempotently register the two built-in backends.
 
     Import-cycle-safe lazy registration: the backend modules import the
     simulators, which import ``repro.sim.metrics``, so registration
@@ -135,9 +135,7 @@ def _ensure_default_backends() -> None:
         return
     _DEFAULTS_LOADED = True
     from repro.sim.backends.batched import BatchedBackend
-    from repro.sim.backends.closed_form import ClosedFormBackend
     from repro.sim.backends.reference import ReferenceBackend
 
     register_backend(ReferenceBackend())
-    register_backend(ClosedFormBackend())
     register_backend(BatchedBackend())

@@ -14,7 +14,7 @@ its budget, or accumulated at least as many moves as the best find so
 far (at which point it can no longer improve the minimum).
 
 This engine is deliberately unoptimized Python: it is the reference
-implementation the vectorized simulators in :mod:`repro.sim.fast` are
+implementation the vectorized kernels in :mod:`repro.sim.kernels` are
 validated against, and the executor for arbitrary automata in the
 lower-bound experiments.
 """

@@ -1,7 +1,7 @@
-"""Vectorized, distribution-exact simulators for the paper's algorithms.
+"""Per-colony L-sortie simulator for experiments with bespoke noise.
 
-The faithful engine advances one coin flip at a time; these simulators
-advance one *iteration* at a time, exploiting the closed forms:
+:func:`lshape_first_find` advances one *iteration* at a time rather
+than one coin flip, exploiting the closed forms:
 
 * each walk leg's length is ``Geometric(p) - 1`` (one numpy draw);
 * whether an L-shaped sortie visits the target, and after how many
@@ -10,33 +10,23 @@ advance one *iteration* at a time, exploiting the closed forms:
 
 Because the sorties are sampled from exactly the process distribution
 (no conditioning tricks, no approximation), the outputs are equal in
-distribution to the faithful engine's — an equivalence the integration
-tests check statistically.
-
-All simulators compute the exact colony minimum ``M_moves`` with the
-same retire-when-unimprovable policy as the engine.
+distribution to the faithful engine's.  The colony minimum ``M_moves``
+is exact, with the same retire-when-unimprovable policy as the engine.
+E15 calls it once per trial with a per-trial stop probability; every
+other caller goes through the ``batched`` kernels.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.core.uniform import phase_coin_exponent
 from repro.errors import InvalidParameterError
 from repro.grid.geometry import Point
 from repro.sim.metrics import FastRunStats, SearchOutcome
 
-__all__ = [
-    "FastRunStats",
-    "lshape_first_find",
-    "fast_algorithm1",
-    "fast_nonuniform",
-    "fast_uniform",
-    "fast_doubly_uniform",
-    "fast_random_walk",
-]
+__all__ = ["FastRunStats", "lshape_first_find"]
 
 
 def _sample_sorties(rng: np.random.Generator, stop_probability: float, count: int):
@@ -118,7 +108,10 @@ def lshape_first_find(
     if move_budget < 1:
         raise InvalidParameterError(f"move_budget must be >= 1, got {move_budget}")
     if target == (0, 0):
-        return _found_at_origin(n_agents, move_budget)
+        return SearchOutcome(
+            found=True, m_moves=0, m_steps=0, finder=0,
+            n_agents=n_agents, move_budget=move_budget, stats=FastRunStats(0, 0),
+        )
 
     cumulative = np.zeros(n_agents, dtype=np.int64)
     agent_ids = np.arange(n_agents)
@@ -163,319 +156,12 @@ def lshape_first_find(
             cumulative = cumulative[keep]
             agent_ids = agent_ids[keep]
 
-    stats = FastRunStats(iterations_executed, rounds_executed)
-    if best is None:
-        return _not_found(n_agents, move_budget, stats)
     return SearchOutcome(
-        found=True,
+        found=best is not None,
         m_moves=best,
         m_steps=None,
         finder=best_finder,
         n_agents=n_agents,
         move_budget=move_budget,
-        stats=stats,
-    )
-
-
-def fast_algorithm1(
-    distance: int,
-    n_agents: int,
-    target: Point,
-    rng: np.random.Generator,
-    move_budget: int,
-) -> SearchOutcome:
-    """Fast path for Algorithm 1: sorties with stop probability ``1/D``."""
-    if distance < 2:
-        raise InvalidParameterError(f"distance must be >= 2, got {distance}")
-    return lshape_first_find(1.0 / distance, n_agents, target, rng, move_budget)
-
-
-def fast_nonuniform(
-    distance: int,
-    ell: int,
-    n_agents: int,
-    target: Point,
-    rng: np.random.Generator,
-    move_budget: int,
-) -> SearchOutcome:
-    """Fast path for Non-Uniform-Search: stop probability ``2^{-kl}``."""
-    from repro.core.nonuniform import NonUniformSearch
-
-    algorithm = NonUniformSearch(distance, ell)
-    return lshape_first_find(
-        algorithm.stop_probability, n_agents, target, rng, move_budget
-    )
-
-
-_SORTIE_CHUNK = 1 << 18
-
-
-def fast_uniform(
-    n_agents: int,
-    ell: int,
-    K: int,
-    target: Point,
-    rng: np.random.Generator,
-    move_budget: int,
-    max_phase: int = 50,
-) -> SearchOutcome:
-    """Fast path for Algorithm 5 (uniform in ``D``).
-
-    Agents are independent, so each is simulated to completion in turn:
-    per phase, the number of sorties is one geometric draw
-    (``Geometric(1/rho_i) - 1``) and the sorties themselves are sampled
-    as one vectorized batch with a closed-form first-hit scan.  Later
-    agents stop early once they can no longer beat the best find so
-    far, preserving the exact colony minimum.
-    """
-    if n_agents < 1:
-        raise InvalidParameterError(f"n_agents must be >= 1, got {n_agents}")
-    if ell < 1:
-        raise InvalidParameterError(f"ell must be >= 1, got {ell}")
-    if move_budget < 1:
-        raise InvalidParameterError(f"move_budget must be >= 1, got {move_budget}")
-    if target == (0, 0):
-        return _found_at_origin(n_agents, move_budget)
-
-    best: Optional[int] = None
-    best_finder: Optional[int] = None
-    iterations_executed = 0
-    rounds_executed = 0
-
-    for agent_id in range(n_agents):
-        limit = move_budget if best is None else min(move_budget, best)
-        total, iterations, rounds = _simulate_uniform_agent(
-            n_agents, ell, K, target, rng, limit, max_phase
-        )
-        iterations_executed += iterations
-        rounds_executed += rounds
-        if total is not None and (best is None or total < best):
-            best = total
-            best_finder = agent_id
-
-    stats = FastRunStats(iterations_executed, rounds_executed)
-    if best is None:
-        return _not_found(n_agents, move_budget, stats)
-    return SearchOutcome(
-        found=True,
-        m_moves=best,
-        m_steps=None,
-        finder=best_finder,
-        n_agents=n_agents,
-        move_budget=move_budget,
-        stats=stats,
-    )
-
-
-def _simulate_uniform_agent(
-    n_agents: int,
-    ell: int,
-    K: int,
-    target: Point,
-    rng: np.random.Generator,
-    move_limit: int,
-    max_phase: int,
-) -> Tuple[Optional[int], int, int]:
-    """One agent's ``(moves_at_first_find, iterations, rounds)``.
-
-    The move count is None if the agent exceeds the limit.  Sorties
-    within one phase are sampled in chunks so that a phase with
-    millions of expected calls (large ``K * l``) stays memory-bounded.
-    """
-    cumulative = 0
-    phase = 0
-    iterations = 0
-    rounds = 0
-    while phase < max_phase and cumulative < move_limit:
-        phase += 1
-        rounds += 1
-        rho_i = 2.0 ** (phase_coin_exponent(phase, n_agents, ell, K) * ell)
-        calls = int(rng.geometric(1.0 / rho_i)) - 1
-        stop_p = 2.0 ** -(phase * ell)
-        while calls > 0 and cumulative < move_limit:
-            batch = min(calls, _SORTIE_CHUNK)
-            calls -= batch
-            iterations += batch
-            pv, lv, ph, lh = _sample_sorties(rng, stop_p, batch)
-            hits = _sortie_hits(target, pv, lv, ph, lh)
-            lengths = lv + lh
-            if hits is not None:
-                hit, moves_at_hit = hits
-                first = int(hit.argmax())
-                moves_before = int(lengths[:first].sum())
-                total = cumulative + moves_before + int(moves_at_hit[first])
-                return (total if total <= move_limit else None), iterations, rounds
-            cumulative += int(lengths.sum())
-    return None, iterations, rounds
-
-
-def fast_doubly_uniform(
-    n_agents: int,
-    ell: int,
-    K: int,
-    target: Point,
-    rng: np.random.Generator,
-    move_budget: int,
-    max_epoch: int = 40,
-) -> SearchOutcome:
-    """Fast path for the doubly uniform search (unknown ``D`` and ``n``).
-
-    Mirrors :class:`repro.core.doubly_uniform.DoublyUniformSearch`:
-    epoch ``j`` guesses ``n_j = 2^j`` and runs phases ``1..j`` of
-    Algorithm 5 under that guess, with the same per-agent-phase batched
-    sampling as :func:`fast_uniform`.
-    """
-    if n_agents < 1:
-        raise InvalidParameterError(f"n_agents must be >= 1, got {n_agents}")
-    if ell < 1:
-        raise InvalidParameterError(f"ell must be >= 1, got {ell}")
-    if move_budget < 1:
-        raise InvalidParameterError(f"move_budget must be >= 1, got {move_budget}")
-    if target == (0, 0):
-        return _found_at_origin(n_agents, move_budget)
-
-    best: Optional[int] = None
-    best_finder: Optional[int] = None
-    iterations_executed = 0
-    rounds_executed = 0
-    for agent_id in range(n_agents):
-        limit = move_budget if best is None else min(move_budget, best)
-        total, iterations, rounds = _simulate_doubly_uniform_agent(
-            ell, K, target, rng, limit, max_epoch
-        )
-        iterations_executed += iterations
-        rounds_executed += rounds
-        if total is not None and (best is None or total < best):
-            best = total
-            best_finder = agent_id
-
-    stats = FastRunStats(iterations_executed, rounds_executed)
-    if best is None:
-        return _not_found(n_agents, move_budget, stats)
-    return SearchOutcome(
-        found=True,
-        m_moves=best,
-        m_steps=None,
-        finder=best_finder,
-        n_agents=n_agents,
-        move_budget=move_budget,
-        stats=stats,
-    )
-
-
-def _simulate_doubly_uniform_agent(
-    ell: int,
-    K: int,
-    target: Point,
-    rng: np.random.Generator,
-    move_limit: int,
-    max_epoch: int,
-) -> Tuple[Optional[int], int, int]:
-    """One doubly uniform agent's ``(moves_at_first_find, iterations, rounds)``."""
-    cumulative = 0
-    iterations = 0
-    rounds = 0
-    for epoch in range(1, max_epoch + 1):
-        guessed_n = 2**epoch
-        for phase in range(1, epoch + 1):
-            if cumulative >= move_limit:
-                return None, iterations, rounds
-            rounds += 1
-            rho_i = 2.0 ** (phase_coin_exponent(phase, guessed_n, ell, K) * ell)
-            calls = int(rng.geometric(1.0 / rho_i)) - 1
-            stop_p = 2.0 ** -(phase * ell)
-            while calls > 0 and cumulative < move_limit:
-                batch = min(calls, _SORTIE_CHUNK)
-                calls -= batch
-                iterations += batch
-                pv, lv, ph, lh = _sample_sorties(rng, stop_p, batch)
-                hits = _sortie_hits(target, pv, lv, ph, lh)
-                lengths = lv + lh
-                if hits is not None:
-                    hit, moves_at_hit = hits
-                    first = int(hit.argmax())
-                    moves_before = int(lengths[:first].sum())
-                    total = cumulative + moves_before + int(moves_at_hit[first])
-                    return (
-                        (total if total <= move_limit else None), iterations, rounds
-                    )
-                cumulative += int(lengths.sum())
-    return None, iterations, rounds
-
-
-def fast_random_walk(
-    n_agents: int,
-    target: Point,
-    rng: np.random.Generator,
-    move_budget: int,
-    chunk: int = 2048,
-) -> SearchOutcome:
-    """Colony ``M_moves`` for independent uniform random walks.
-
-    Every step is a move, so all agents' move counts advance in
-    lockstep and the first find in simulated time is the exact colony
-    minimum — the simulation stops there.
-    """
-    if n_agents < 1:
-        raise InvalidParameterError(f"n_agents must be >= 1, got {n_agents}")
-    if move_budget < 1:
-        raise InvalidParameterError(f"move_budget must be >= 1, got {move_budget}")
-    if target == (0, 0):
-        return _found_at_origin(n_agents, move_budget)
-
-    steps_vectors = np.array([(0, 1), (0, -1), (-1, 0), (1, 0)], dtype=np.int64)
-    positions = np.zeros((n_agents, 2), dtype=np.int64)
-    moves_done = 0
-    rounds_executed = 0
-    x, y = target
-    while moves_done < move_budget:
-        block = min(chunk, move_budget - moves_done)
-        rounds_executed += 1
-        choices = rng.integers(0, 4, size=(n_agents, block))
-        displacements = steps_vectors[choices]
-        trajectory = positions[:, None, :] + np.cumsum(displacements, axis=1)
-        hits = (trajectory[:, :, 0] == x) & (trajectory[:, :, 1] == y)
-        if np.any(hits):
-            step_of_hit = np.where(hits.any(axis=1), hits.argmax(axis=1), block)
-            winner = int(np.argmin(step_of_hit))
-            m_moves = moves_done + int(step_of_hit[winner]) + 1
-            return SearchOutcome(
-                found=True,
-                m_moves=m_moves,
-                m_steps=None,
-                finder=winner,
-                n_agents=n_agents,
-                move_budget=move_budget,
-                stats=FastRunStats(n_agents * m_moves, rounds_executed),
-            )
-        positions = trajectory[:, -1, :]
-        moves_done += block
-    return _not_found(
-        n_agents, move_budget, FastRunStats(n_agents * moves_done, rounds_executed)
-    )
-
-
-def _found_at_origin(n_agents: int, move_budget: int) -> SearchOutcome:
-    return SearchOutcome(
-        found=True,
-        m_moves=0,
-        m_steps=0,
-        finder=0,
-        n_agents=n_agents,
-        move_budget=move_budget,
-        stats=FastRunStats(0, 0),
-    )
-
-
-def _not_found(
-    n_agents: int, move_budget: int, stats: Optional[FastRunStats] = None
-) -> SearchOutcome:
-    return SearchOutcome(
-        found=False,
-        m_moves=None,
-        m_steps=None,
-        finder=None,
-        n_agents=n_agents,
-        move_budget=move_budget,
-        stats=stats,
+        stats=FastRunStats(iterations_executed, rounds_executed),
     )

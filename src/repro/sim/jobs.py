@@ -56,7 +56,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     DeadlineExceededError,
@@ -362,6 +362,9 @@ class SimulationJob:
         self._lock = threading.Lock()
         self._condition = threading.Condition(self._lock)
         self._state = JobState.PENDING
+        # Set once the job is terminal *and* its terminal bookkeeping
+        # is done: what result() and iter_results() wait for.
+        self._released = False
         self._shard_outcomes: List[Optional[OutcomeBatch]] = [
             None for _ in shards
         ]
@@ -446,10 +449,7 @@ class SimulationJob:
         index = 0
         while True:
             with self._condition:
-                while (
-                    index >= len(self._emitted)
-                    and self._state not in _TERMINAL_STATES
-                ):
+                while index >= len(self._emitted) and not self._released:
                     self._condition.wait()
                 if index < len(self._emitted):
                     shard = self._emitted[index]
@@ -474,7 +474,7 @@ class SimulationJob:
         """
         with self._condition:
             if not self._condition.wait_for(
-                lambda: self._state in _TERMINAL_STATES, timeout=timeout
+                lambda: self._released, timeout=timeout
             ):
                 raise TimeoutError(
                     f"job {self.job_id} still {self._state.value} "
@@ -539,15 +539,28 @@ class SimulationJob:
             self._condition.notify_all()
 
     def _finish(
-        self, state: JobState, error: Optional[BaseException] = None
+        self,
+        state: JobState,
+        error: Optional[BaseException],
+        before_release: Callable[["SimulationJob"], None],
     ) -> None:
+        """Settle in ``state``.  ``before_release(self)`` runs once the
+        terminal state shows in :meth:`progress` but before
+        :meth:`result` and :meth:`iter_results` return — where the
+        manager writes the terminal ledger record, so a reader right
+        after ``result()`` sees the final state."""
         with self._condition:
             if self._state in _TERMINAL_STATES:
                 return
             self._state = state
             self._error = error
             self._finished_at = time.time()
-            self._condition.notify_all()
+        try:
+            before_release(self)
+        finally:
+            with self._condition:
+                self._released = True
+                self._condition.notify_all()
 
     def _complete_from_cache(self, outcomes: OutcomeBatch) -> None:
         """Full-request cache hit: collapse to one cached shard, DONE."""
@@ -568,6 +581,7 @@ class SimulationJob:
             )
             self._state = JobState.DONE
             self._finished_at = time.time()
+            self._released = True
             self._condition.notify_all()
 
 
@@ -942,16 +956,7 @@ class JobManager:
         return job.cancel() if job is not None else False
 
     def close(self) -> None:
-        """Shut the process pool down (idempotent).
-
-        Also flushes terminal ledger records: driver threads are
-        daemons, so a process exiting right after ``result()`` returns
-        can kill the driver before its final write — this runs at
-        ``atexit`` and settles the records.
-        """
-        for job in self.jobs():
-            if job.done() and not job._served_from_cache:
-                self._write_ledger(job)
+        """Shut the process pool down (idempotent)."""
         with self._lock:
             pool, self._pool, self._pool_size = self._pool, None, 0
             retired, self._retired_pools = self._retired_pools, []
@@ -1031,18 +1036,18 @@ class JobManager:
     def _drive_pipeline(
         self, job: SimulationJob, backend: SimulationBackend
     ) -> None:
-        """The canonical pipeline, its failure and its ledger record."""
+        """The canonical pipeline and its failure."""
         try:
             self._execute(job, backend)
         except BaseException as error:  # noqa: BLE001 — surfaced via result()
-            job._finish(JobState.FAILED, error)
-        finally:
-            if not job._served_from_cache:
-                self._write_ledger(job)
-                try:
-                    _cancel_marker(job.job_id).unlink()
-                except OSError:
-                    pass
+            job._finish(JobState.FAILED, error, self._write_terminal_record)
+
+    def _write_terminal_record(self, job: SimulationJob) -> None:
+        self._write_ledger(job)
+        try:
+            _cancel_marker(job.job_id).unlink()
+        except OSError:
+            pass
 
     def _check_deadline(
         self,
@@ -1092,7 +1097,7 @@ class JobManager:
                 pending.append(shard_index)
 
         if self._cancel_requested(job):
-            job._finish(JobState.CANCELLED)
+            job._finish(JobState.CANCELLED, None, self._write_terminal_record)
             return
         self._check_deadline(job)
 
@@ -1111,7 +1116,9 @@ class JobManager:
         elif pending:
             cancelled = self._run_pooled(job, cache, pending)
             if cancelled:
-                job._finish(JobState.CANCELLED)
+                job._finish(
+                    JobState.CANCELLED, None, self._write_terminal_record
+                )
                 return
 
         if cache is not None and len(job._shards) > 1:
@@ -1121,7 +1128,7 @@ class JobManager:
                 request, job.backend,
                 OutcomeBatch.concat(job._shard_outcomes),
             )
-        job._finish(JobState.DONE)
+        job._finish(JobState.DONE, None, self._write_terminal_record)
 
     def _run_inline(
         self, job: SimulationJob, backend: SimulationBackend, shard_index: int

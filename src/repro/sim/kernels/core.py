@@ -607,7 +607,8 @@ def batch_doubly_uniform(
 ):
     """All trials of the doubly uniform search at once, in blocked rounds.
 
-    Mirrors :func:`repro.sim.fast.fast_doubly_uniform`: epoch ``j``
+    Mirrors :meth:`repro.core.doubly_uniform.DoublyUniformSearch.process`:
+    epoch ``j``
     commits to the guess ``n_j = 2^j`` and runs phases ``1..j`` of
     Algorithm 5 under that guess.  Per-pair state is ``(epoch, phase,
     calls_left, cumulative)``; when a pair's phase coin runs out it
@@ -885,10 +886,12 @@ def batch_feinerman(
 ):
     """All trials of the Feinerman et al. baseline at once.
 
-    Mirrors :func:`repro.baselines.feinerman.fast_feinerman`: per
-    round, each active pair draws its stage's uniform center, and a
+    Mirrors :meth:`repro.baselines.feinerman.FeinermanSearch.process`:
+    per round, each active pair draws its stage's uniform center, and a
     closed-form spiral-index test decides whether the quota-bounded
-    spiral around that center visits the target.  Quotas and spiral
+    spiral around that center visits the target.  (Hits scored while
+    merely walking the staircase toward the center are ignored — a
+    conservative undercount shared by the faithful accounting in [12].)  Quotas and spiral
     indices are computed in float64 and clipped to ``move_budget + 1``
     before the integer accounting: any clipped value already exceeds
     every eligibility limit, so outcomes are unaffected while late

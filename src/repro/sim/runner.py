@@ -22,11 +22,10 @@ points on resubmission — zero re-simulation, proven by
 :func:`repro.sim.jobs.backend_run_count`.
 
 Trial ``t`` of point ``i`` always draws from ``derive_seed(seed,
-*seed_keys, i, t)`` regardless of worker count — on a per-trial
-backend (``reference``, ``closed_form``) runs therefore reproduce the
-serial rows bit for bit; on the ``batched`` backend a point's trials
-pool into one stream anchored at trial 0's address and are equal in
-distribution instead.
+*seed_keys, i, t)`` regardless of worker count — on the per-trial
+``reference`` backend runs therefore reproduce the serial rows bit for
+bit; on the ``batched`` backend a point's trials pool into one stream
+anchored at trial 0's address and are equal in distribution instead.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from typing import (
 
 from repro.errors import InvalidParameterError, JobCancelledError
 from repro.sim.backends.base import SimulationRequest
+from repro.sim.backends.registry import resolve_backend
 from repro.sim.jobs import (
     TERMINAL_STATES,
     JobManager,
@@ -80,10 +80,10 @@ class SimulationTrial:
     (the default, :func:`censored_moves`, is read off the outcome
     columns without building the records).
 
-    ``backend`` defaults to ``"auto"``, which resolves trial batches to
-    the vectorized ``batched`` backend for every algorithm it covers;
-    name a per-trial backend (``closed_form``, ``reference``) for
-    streams addressed trial by trial, bit-exact across worker counts.
+    ``backend`` defaults to ``"auto"``, which resolves to the vectorized
+    ``batched`` backend for every algorithm it covers; name the
+    per-trial ``reference`` backend for streams addressed trial by
+    trial, bit-exact across worker counts.
     ``cache`` forwards to :func:`repro.sim.simulate` (``None`` =
     process default).
     """
@@ -412,11 +412,17 @@ class Sweep:
         Returns the :class:`SweepJob` handle immediately; each grid
         point becomes a child job of ``manager`` (the process-wide one
         by default).  ``progress`` is invoked on the coordinator thread
-        after every completed point.
+        after every completed point.  Every point's backend is resolved
+        here, so an unknown or unsupporting backend raises
+        :class:`~repro.sim.backends.base.BackendError` at submission
+        rather than failing later on the sweep's coordinator thread.
         """
+        requests = self.compile_requests()
+        for request in requests:
+            resolve_backend(request, self._trial.backend)
         return SweepJob(
             trial=self._trial,
-            entries=list(zip(self._grid, self.compile_requests())),
+            entries=list(zip(self._grid, requests)),
             trials=self._trials,
             workers=self._workers,
             manager=manager if manager is not None else get_manager(),

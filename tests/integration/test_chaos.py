@@ -96,7 +96,7 @@ class TestWorkerKill:
         are never re-run, and every retried shard is counted once.
         """
         request = _request()
-        reference = simulate(request, backend="closed_form", cache=False)
+        reference = simulate(request, backend="reference", cache=False)
         activate(
             FaultPlan(
                 specs=(
@@ -114,7 +114,7 @@ class TestWorkerKill:
         try:
             before = backend_run_count()
             job = manager.submit(
-                request, backend="closed_form", workers=4, cache=True
+                request, backend="reference", workers=4, cache=True
             )
             result = job.result(timeout=120)
         finally:
@@ -145,13 +145,13 @@ class TestCorruptCacheEntry:
                 )
             )
         )
-        original = simulate(request, backend="closed_form", cache=True)
+        original = simulate(request, backend="reference", cache=True)
         deactivate()
         # A fresh cache instance over the same directory: empty memory,
         # so the lookup must go to the corrupted disk entry.
         cache = configure_cache(directory=tmp_path, max_memory_entries=64)
         before_runs = backend_run_count()
-        replay = simulate(request, backend="closed_form", cache=True)
+        replay = simulate(request, backend="reference", cache=True)
         assert replay.outcomes == original.outcomes
         assert backend_run_count() == before_runs + 1  # re-simulated
         assert cache.info().quarantined >= 1
@@ -163,7 +163,7 @@ class TestSeveredEventStream:
         reconnect with ``Last-Event-ID`` and see one seamless,
         duplicate-free sequence."""
         request = _request(seed=777, n_trials=6)
-        local = simulate(request, backend="closed_form", cache=False)
+        local = simulate(request, backend="reference", cache=False)
         activate(
             FaultPlan(
                 specs=(
@@ -177,7 +177,7 @@ class TestSeveredEventStream:
             )
         )
         job = client.submit(
-            request, backend="closed_form", workers=3, cache=False
+            request, backend="reference", workers=3, cache=False
         )
         shards = list(job.iter_results())
         assert client.retries_stream == 1
@@ -193,7 +193,7 @@ class TestSeveredEventStream:
     def test_unfaulted_stream_needs_no_resume(self, client):
         request = _request(seed=778, n_trials=4)
         job = client.submit(
-            request, backend="closed_form", workers=2, cache=False
+            request, backend="reference", workers=2, cache=False
         )
         assert len(list(job.iter_results())) == 2
         assert client.retries_stream == 0
@@ -204,7 +204,7 @@ class TestIdempotentSubmission:
         return {
             "wire": WIRE_VERSION,
             "request": request_to_wire(request),
-            "backend": "closed_form",
+            "backend": "reference",
             "workers": 1,
             "cache": False,
             "idempotency_key": key,
@@ -232,7 +232,7 @@ class TestIdempotentSubmission:
             "trials": 2,
             "seed": 7,
             "seed_keys": [],
-            "backend": "closed_form",
+            "backend": "reference",
             "workers": 1,
             "cache": False,
             "idempotency_key": "chaos-fixed-key-sweeps",
@@ -251,7 +251,7 @@ class TestIdempotentSubmission:
         the retry is the submission that lands — and it must succeed
         end to end."""
         request = _request(seed=781, n_trials=2)
-        local = simulate(request, backend="closed_form", cache=False)
+        local = simulate(request, backend="reference", cache=False)
         activate(
             FaultPlan(
                 specs=(
@@ -268,7 +268,7 @@ class TestIdempotentSubmission:
                 )
             )
         )
-        job = client.submit(request, backend="closed_form", cache=False)
+        job = client.submit(request, backend="reference", cache=False)
         deactivate()
         assert client.retries_connect == 1
         assert job.result(timeout=60).outcomes == local.outcomes

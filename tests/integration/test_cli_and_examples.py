@@ -100,7 +100,7 @@ class TestCli:
             [
                 "run", "--algorithm", "nonuniform", "--distance", "16",
                 "--budget", "5000000", "--trials", "4", "--workers", "2",
-                "--backend", "closed_form",
+                "--backend", "batched",
             ]
         )
         assert code == 0
@@ -111,13 +111,13 @@ class TestCli:
             [
                 "run", "--algorithm", "nonuniform", "--distance", "16",
                 "--budget", "5000000", "--trials", "4", "--workers", "2",
-                "--backend", "closed_form", "--plan", "--no-cache",
+                "--backend", "batched", "--plan", "--no-cache",
             ]
         )
         captured = capsys.readouterr().out
         assert code == 0
-        assert "plan      : closed_form — 2 shard(s) x 2 worker(s)" in captured
-        assert "backend   : closed_form" in captured
+        assert "plan      : batched — 2 shard(s) x 2 worker(s)" in captured
+        assert "backend   : batched" in captured
 
     @pytest.mark.parametrize("flag", ["--async", "--watch", "--adaptive"])
     def test_run_plan_rejects_async_watch_and_adaptive(self, capsys, flag):
@@ -134,7 +134,7 @@ class TestCli:
         code = main(["backends"])
         captured = capsys.readouterr().out
         assert code == 0
-        for name in ("reference", "closed_form", "batched"):
+        for name in ("reference", "batched"):
             assert name in captured
         assert "algorithm1" in captured
 
@@ -142,12 +142,11 @@ class TestCli:
         code = main(["backends"])
         captured = capsys.readouterr().out
         assert code == 0
-        # The batched backend's raised batch priority is visible...
-        assert "p5/p30" in captured
+        # The batched backend's priority is visible...
+        assert "| batched | p30 |" in captured
         # ...and the resolution report explains what auto picks.
-        assert "trial batch -> batched" in captured
-        assert "single trial -> closed_form" in captured
-        assert "single trial -> reference" in captured  # spiral/levy
+        assert "algorithm1      -> batched" in captured
+        assert "spiral          -> reference" in captured
 
     def test_backends_subcommand_shows_decline_reasons(self, capsys):
         code = main(["backends"])
@@ -203,8 +202,6 @@ class TestJobsStatusFallback:
     def test_status_of_evicted_finished_job_reads_the_ledger(self, capsys):
         """`jobs status` answers from the JSON ledger once the live
         SimulationJob has been evicted from the in-process registry."""
-        import time
-
         from repro.sim import AlgorithmSpec, SimulationRequest
         from repro.sim.jobs import find_job_record, get_manager, simulate_async
 
@@ -216,14 +213,9 @@ class TestJobsStatusFallback:
             n_trials=2,
             seed=616,
         )
-        job = simulate_async(request, backend="closed_form", cache=False)
+        job = simulate_async(request, backend="batched", cache=False)
         job.result()
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            record = find_job_record(job.job_id)
-            if record is not None and record.get("state") == "done":
-                break
-            time.sleep(0.02)
+        assert find_job_record(job.job_id)["state"] == "done"
         manager = get_manager()
         with manager._lock:
             manager._jobs.pop(job.job_id, None)

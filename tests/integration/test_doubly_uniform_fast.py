@@ -1,4 +1,4 @@
-"""Equivalence and behaviour tests for the doubly uniform fast path."""
+"""Equivalence and behaviour tests for the doubly uniform batched kernel."""
 
 from __future__ import annotations
 
@@ -7,36 +7,26 @@ import pytest
 
 from repro.core.doubly_uniform import DoublyUniformSearch
 from repro.core.uniform import calibrated_K
-from repro.errors import InvalidParameterError
 from repro.grid.world import GridWorld
+from repro.sim import AlgorithmSpec, SimulationRequest, simulate
 from repro.sim.engine import EngineConfig, SearchEngine
-from repro.sim.fast import fast_doubly_uniform
+
+
+def _batched(algorithm, n_agents, target, move_budget, n_trials=1, seed=0):
+    request = SimulationRequest(
+        algorithm=algorithm,
+        n_agents=n_agents,
+        target=target,
+        move_budget=move_budget,
+        n_trials=n_trials,
+        seed=seed,
+    )
+    return simulate(request, backend="batched", cache=False)
 
 
 class TestFastDoublyUniform:
-    def test_finds_close_target(self, rng):
-        outcome = fast_doubly_uniform(
-            4, 1, calibrated_K(1), (3, 2), rng, 10_000_000
-        )
-        assert outcome.found
-
-    def test_budget_respected(self, rng):
-        outcome = fast_doubly_uniform(1, 1, 2, (60, 60), rng, move_budget=100)
-        assert not outcome.found
-
-    def test_origin_target(self, rng):
-        assert fast_doubly_uniform(1, 1, 2, (0, 0), rng, 10).m_moves == 0
-
-    def test_validation(self, rng):
-        with pytest.raises(InvalidParameterError):
-            fast_doubly_uniform(0, 1, 2, (1, 1), rng, 10)
-        with pytest.raises(InvalidParameterError):
-            fast_doubly_uniform(1, 0, 2, (1, 1), rng, 10)
-        with pytest.raises(InvalidParameterError):
-            fast_doubly_uniform(1, 1, 2, (1, 1), rng, 0)
-
-    def test_matches_engine_distributionally(self, rng_factory):
-        """Engine (faithful process) vs fast path: mean agreement."""
+    def test_matches_engine_distributionally(self):
+        """Engine (faithful process) vs batched kernel: mean agreement."""
         K = calibrated_K(1)
         target = (3, 3)
         budget = 3_000_000
@@ -54,43 +44,33 @@ class TestFastDoublyUniform:
             )
             engine_samples.append(float(outcome.moves_or_budget))
 
-        generator = rng_factory(62)
-        fast_samples = [
-            float(
-                fast_doubly_uniform(n_agents, 1, K, target, generator, budget)
-                .moves_or_budget
-            )
-            for _ in range(trials)
-        ]
+        fast_samples = _batched(
+            AlgorithmSpec.doubly_uniform(1, K=K), n_agents, target, budget,
+            n_trials=trials, seed=62,
+        ).moves_or_budget()
         assert np.mean(engine_samples) == pytest.approx(
             np.mean(fast_samples), rel=0.3
         )
 
-    def test_unknown_n_costs_more_than_known_n(self, rng_factory):
+    def test_unknown_n_costs_more_than_known_n(self):
         """The [12]-style lift pays a bounded premium over Algorithm 5."""
-        from repro.sim.fast import fast_uniform
-
         K = calibrated_K(1)
         target = (6, 5)
         budget = 20_000_000
         trials = 60
         n_agents = 4
 
-        generator = rng_factory(63)
         known = np.mean(
-            [
-                fast_uniform(n_agents, 1, K, target, generator, budget)
-                .moves_or_budget
-                for _ in range(trials)
-            ]
+            _batched(
+                AlgorithmSpec.uniform(1, K=K), n_agents, target, budget,
+                n_trials=trials, seed=63,
+            ).moves_or_budget()
         )
-        generator = rng_factory(64)
         unknown = np.mean(
-            [
-                fast_doubly_uniform(n_agents, 1, K, target, generator, budget)
-                .moves_or_budget
-                for _ in range(trials)
-            ]
+            _batched(
+                AlgorithmSpec.doubly_uniform(1, K=K), n_agents, target, budget,
+                n_trials=trials, seed=64,
+            ).moves_or_budget()
         )
         # The doubly uniform variant re-runs earlier phases per epoch;
         # the premium must exist but stay within a polylog-ish factor.

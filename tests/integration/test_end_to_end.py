@@ -18,7 +18,7 @@ from repro.core.uniform import calibrated_K
 from repro.grid.targets import RingTarget, UniformSquareTarget
 from repro.lowerbound.certify import certify
 from repro.lowerbound.colony import simulate_colony
-from repro.sim.fast import fast_algorithm1
+from repro.sim.fast import lshape_first_find
 from repro.sim.rng import derive_seed
 
 
@@ -34,8 +34,9 @@ class TestUpperBoundPipeline:
             for trial in range(trials):
                 generator = np.random.default_rng(derive_seed(77, tag, trial))
                 samples.append(
-                    fast_algorithm1(distance, n_agents, target, generator, budget)
-                    .moves_or_budget
+                    lshape_first_find(
+                        1 / distance, n_agents, target, generator, budget
+                    ).moves_or_budget
                 )
             return float(np.mean(samples))
 
@@ -71,8 +72,8 @@ class TestUpperBoundPipeline:
         totals = []
         for trial in range(trials):
             target = placement(rng)
-            outcome = fast_algorithm1(
-                distance, 4, target, np.random.default_rng(trial), 10**7
+            outcome = lshape_first_find(
+                1 / distance, 4, target, np.random.default_rng(trial), 10**7
             )
             totals.append(outcome.moves_or_budget)
         assert np.mean(totals) <= theory.expected_moves_upper_bound(distance, 4)
@@ -143,8 +144,9 @@ class TestLowerBoundPipeline:
         n_contrast = int(np.ceil(256 * distance**0.25))
         found = 0
         for trial in range(10):
-            outcome = fast_algorithm1(
-                distance, n_contrast, target, np.random.default_rng(trial), horizon
+            outcome = lshape_first_find(
+                1 / distance, n_contrast, target, np.random.default_rng(trial),
+                horizon,
             )
             found += outcome.found
         assert found >= 5

@@ -1,9 +1,12 @@
 """Cross-form equivalence: process vs automaton vs vectorized simulators.
 
 The same algorithm exists as pseudocode-style generator, explicit
-automaton, and closed-form fast simulator; these tests check the three
-produce statistically indistinguishable behaviour, which is the
-foundation the benchmark sweeps stand on.
+automaton and the per-iteration sortie simulator ``lshape_first_find``,
+and the lower-bound colony simulator vectorizes automata; these tests
+check the forms produce statistically indistinguishable behaviour, which
+is the foundation the benchmark sweeps stand on.  The ``batched``
+kernels are checked against the engine in
+``test_backend_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -15,14 +18,13 @@ from repro.core.actions import Action
 from repro.core.algorithm1 import Algorithm1, build_algorithm1_automaton
 from repro.core.automaton import AutomatonAlgorithm
 from repro.core.nonuniform import NonUniformSearch
-from repro.core.uniform import UniformSearch, calibrated_K
 from repro.grid.world import GridWorld
 from repro.sim.engine import EngineConfig, SearchEngine
-from repro.sim.fast import fast_algorithm1, fast_nonuniform, fast_uniform
+from repro.sim.fast import lshape_first_find
 from repro.sim.rng import spawn_generators
 
 
-def engine_mean_moves(algorithm, n_agents, target, budget, trials, seed):
+def engine_samples(algorithm, n_agents, target, budget, trials, seed):
     engine = SearchEngine(EngineConfig(move_budget=budget))
     samples = []
     for trial in range(trials):
@@ -31,7 +33,22 @@ def engine_mean_moves(algorithm, n_agents, target, budget, trials, seed):
             algorithm, n_agents, world, rng=np.random.SeedSequence([seed, trial])
         )
         samples.append(outcome.moves_or_budget)
-    return float(np.mean(samples))
+    return samples
+
+
+def engine_mean_moves(algorithm, n_agents, target, budget, trials, seed):
+    return float(np.mean(engine_samples(
+        algorithm, n_agents, target, budget, trials, seed
+    )))
+
+
+def fast_samples(stop_probability, n_agents, target, budget, trials, generator):
+    return [
+        lshape_first_find(
+            stop_probability, n_agents, target, generator, budget
+        ).moves_or_budget
+        for _ in range(trials)
+    ]
 
 
 class TestProcessVsFast:
@@ -42,50 +59,22 @@ class TestProcessVsFast:
         via_engine = engine_mean_moves(
             Algorithm1(distance), n_agents, target, budget, trials, 1
         )
-        generator = rng_factory(2)
-        via_fast = np.mean(
-            [
-                fast_algorithm1(distance, n_agents, target, generator, budget)
-                .moves_or_budget
-                for _ in range(trials)
-            ]
-        )
+        via_fast = np.mean(fast_samples(
+            1 / distance, n_agents, target, budget, trials, rng_factory(2)
+        ))
         assert via_engine == pytest.approx(via_fast, rel=0.2)
 
     def test_nonuniform_engine_matches_fast(self, rng_factory):
         distance, n_agents, target = 8, 2, (4, -2)
         budget = 500_000
         trials = 250
-        via_engine = engine_mean_moves(
-            NonUniformSearch(distance, 1), n_agents, target, budget, trials, 3
-        )
-        generator = rng_factory(4)
-        via_fast = np.mean(
-            [
-                fast_nonuniform(distance, 1, n_agents, target, generator, budget)
-                .moves_or_budget
-                for _ in range(trials)
-            ]
-        )
+        algorithm = NonUniformSearch(distance, 1)
+        via_engine = engine_mean_moves(algorithm, n_agents, target, budget, trials, 3)
+        via_fast = np.mean(fast_samples(
+            algorithm.stop_probability, n_agents, target, budget, trials,
+            rng_factory(4),
+        ))
         assert via_engine == pytest.approx(via_fast, rel=0.2)
-
-    def test_uniform_engine_matches_fast(self, rng_factory):
-        n_agents, target = 2, (3, 3)
-        K = calibrated_K(1)
-        budget = 2_000_000
-        trials = 120
-        via_engine = engine_mean_moves(
-            UniformSearch(n_agents, 1, K), n_agents, target, budget, trials, 5
-        )
-        generator = rng_factory(6)
-        via_fast = np.mean(
-            [
-                fast_uniform(n_agents, 1, K, target, generator, budget)
-                .moves_or_budget
-                for _ in range(trials)
-            ]
-        )
-        assert via_engine == pytest.approx(via_fast, rel=0.25)
 
 
 class TestProcessVsAutomaton:
@@ -158,27 +147,12 @@ class TestDistributionalEquivalence:
         budget = 500_000
         trials = 400
 
-        engine = SearchEngine(EngineConfig(move_budget=budget))
-        engine_samples = []
-        for trial in range(trials):
-            world = GridWorld(target=target, distance_bound=64)
-            outcome = engine.run(
-                Algorithm1(distance),
-                n_agents,
-                world,
-                rng=np.random.SeedSequence([41, trial]),
-            )
-            engine_samples.append(float(outcome.moves_or_budget))
-
-        generator = rng_factory(42)
-        fast_samples = [
-            float(
-                fast_algorithm1(distance, n_agents, target, generator, budget)
-                .moves_or_budget
-            )
-            for _ in range(trials)
-        ]
-        distance_ks = ks_statistic(engine_samples, fast_samples)
+        distance_ks = ks_statistic(
+            engine_samples(Algorithm1(distance), n_agents, target, budget, trials, 41),
+            fast_samples(
+                1 / distance, n_agents, target, budget, trials, rng_factory(42)
+            ),
+        )
         # alpha = 0.001: flake-resistant while still sensitive to any
         # systematic distribution mismatch at these sample sizes.
         assert distance_ks <= ks_two_sample_threshold(trials, trials, alpha=0.001)

@@ -67,8 +67,7 @@ def test_compiled_report_text_byte_identical(split_caches):
 def test_compiled_report_at_two_workers_byte_identical(split_caches):
     """Pooled points and pooled finalization change no byte.
 
-    E07's sweep runs on ``closed_form`` and E09's on ``batched``, so
-    both backend kinds go through the worker pool.
+    E07's and E09's sweeps both go through the worker pool.
     """
     from repro.experiments.__main__ import generate_report
 

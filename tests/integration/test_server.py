@@ -116,40 +116,40 @@ class TestRemoteLocalEquivalence:
     def test_fixed_seed_remote_equals_local_multi_shard(self, client):
         """The headline guarantee, over a real socket with sharding."""
         request = _request()
-        local = simulate(request, backend="closed_form", cache=False)
+        local = simulate(request, backend="reference", cache=False)
         remote = client.simulate(
-            request, backend="closed_form", workers=2, cache=False
+            request, backend="reference", workers=2, cache=False
         )
         assert remote.outcomes == local.outcomes
         assert remote.request == request
-        assert remote.backend == "closed_form"
+        assert remote.backend == "reference"
 
     def test_planned_submit_echoes_plan_and_matches_unplanned(self, client):
         request = _request(seed=5150)
         job = client.submit(
-            request, backend="closed_form", workers=2, cache=False,
+            request, backend="reference", workers=2, cache=False,
             plan=True,
         )
         assert job.submitted["plan"] == {
-            "backend": "closed_form", "n_shards": 2, "workers": 2,
+            "backend": "reference", "n_shards": 2, "workers": 2,
         }
-        unplanned = client.submit(request, backend="closed_form", cache=False)
+        unplanned = client.submit(request, backend="reference", cache=False)
         planned = job.result()
-        assert planned.backend == "closed_form"
+        assert planned.backend == "reference"
         assert planned.outcomes == unplanned.result().outcomes
 
     def test_remote_simulate_async_mirror(self, client):
         request = _request(seed=7, n_trials=3)
-        local = simulate(request, backend="closed_form", cache=False)
-        job = client.simulate_async(request, backend="closed_form", cache=False)
+        local = simulate(request, backend="reference", cache=False)
+        job = client.simulate_async(request, backend="reference", cache=False)
         assert job.result().outcomes == local.outcomes
         assert job.done()
 
     def test_cached_submission_streams_from_cache(self, client):
         """A resubmitted request is served by the result cache."""
         request = _request(seed=99, n_trials=2)
-        client.simulate(request, backend="closed_form", cache=True)
-        job = client.submit(request, backend="closed_form", cache=True)
+        client.simulate(request, backend="reference", cache=True)
+        job = client.submit(request, backend="reference", cache=True)
         shards = list(job.iter_results())
         assert shards and all(shard.from_cache for shard in shards)
 
@@ -159,7 +159,7 @@ class TestSSEStream:
         """A 3-shard job streams 3 shard events tiling all trials."""
         request = _request(seed=31337)
         job = client.submit(
-            request, backend="closed_form", workers=3, cache=False
+            request, backend="reference", workers=3, cache=False
         )
         events = []
         response = client._open(
@@ -191,7 +191,7 @@ class TestSSEStream:
     def test_iter_results_reconstructs_shard_objects(self, client):
         request = _request(seed=555, n_trials=4)
         job = client.submit(
-            request, backend="closed_form", workers=2, cache=False
+            request, backend="reference", workers=2, cache=False
         )
         shards = list(job.iter_results())
         outcomes = [
@@ -199,7 +199,7 @@ class TestSSEStream:
             for shard in sorted(shards, key=lambda s: s.trial_start)
             for outcome in shard.outcomes
         ]
-        local = simulate(request, backend="closed_form", cache=False)
+        local = simulate(request, backend="reference", cache=False)
         assert tuple(outcomes) == local.outcomes
 
 
@@ -282,7 +282,7 @@ class TestConcurrencyLimit:
                     [{"n_agents": 1}],
                     trials=1,
                     seed=0,
-                    backend="closed_form",
+                    backend="reference",
                 )
             assert excinfo.value.status == 429
 
@@ -291,7 +291,7 @@ class TestStatusAndLedgerFallback:
     def test_status_falls_back_to_ledger_after_eviction(self, server, client):
         """A finished job evicted from the registry still answers."""
         request = _request(seed=2718, n_trials=2)
-        job = client.submit(request, backend="closed_form", cache=False)
+        job = client.submit(request, backend="reference", cache=False)
         job.result()
         job_id = job.job_id
         assert client._call("GET", f"/v1/jobs/{job_id}")[1]["source"] == "live"
@@ -329,7 +329,7 @@ class TestStatusAndLedgerFallback:
 
     def test_list_jobs_route(self, client):
         request = _request(seed=11, n_trials=1)
-        job = client.submit(request, backend="closed_form", cache=False)
+        job = client.submit(request, backend="reference", cache=False)
         job.result()
         listed = client.jobs()
         assert any(entry["job_id"] == job.job_id for entry in listed)
@@ -371,7 +371,7 @@ class TestSweeps:
 
         local_rows = Sweep(
             SimulationTrial(
-                factory=factory, backend="closed_form", cache=False
+                factory=factory, backend="reference", cache=False
             ),
             grid=grid,
             trials=3,
@@ -383,7 +383,7 @@ class TestSweeps:
             grid,
             trials=3,
             seed=77,
-            backend="closed_form",
+            backend="reference",
             cache=False,
         )
         rows = sweep.result(timeout=120)
@@ -400,7 +400,7 @@ class TestSweeps:
             [{"n_agents": 1}],
             trials=2,
             seed=41,
-            backend="closed_form",
+            backend="reference",
             cache=False,
         )
         rows = sweep.result(timeout=60)
@@ -420,7 +420,7 @@ class TestSweeps:
             [{"n_agents": 1}, {"n_agents": 2}],
             trials=2,
             seed=5,
-            backend="closed_form",
+            backend="reference",
             cache=False,
         )
         indices = [index for index, _ in sweep.iter_rows()]
@@ -447,9 +447,9 @@ class TestSweeps:
         """A huge remote workers value is clamped to the server's
         per-job cap instead of growing the process pool unboundedly."""
         request = _request(seed=90210, n_trials=20)
-        local = simulate(request, backend="closed_form", cache=False)
+        local = simulate(request, backend="reference", cache=False)
         job = client.submit(
-            request, backend="closed_form", workers=4096, cache=False
+            request, backend="reference", workers=4096, cache=False
         )
         result = job.result()
         assert result.outcomes == local.outcomes
@@ -459,9 +459,7 @@ class TestSweeps:
 class TestIntrospectionRoutes:
     def test_backends_route(self, client):
         payload = client.backends()
-        assert {"reference", "closed_form", "batched"} <= set(
-            payload["backends"]
-        )
+        assert {"reference", "batched"} <= set(payload["backends"])
         assert payload["auto_resolution"]["algorithm1"] is not None
 
     def test_backends_route_reports_decline_reasons(self, client):
@@ -474,8 +472,8 @@ class TestIntrospectionRoutes:
 
     def test_stats_route_includes_cache_counters(self, client):
         request = _request(seed=8080, n_trials=2)
-        client.simulate(request, backend="closed_form", workers=2, cache=True)
-        client.simulate(request, backend="closed_form", workers=2, cache=True)
+        client.simulate(request, backend="reference", workers=2, cache=True)
+        client.simulate(request, backend="reference", workers=2, cache=True)
         stats = client.stats()
         cache = stats["cache"]
         for key in (
@@ -496,6 +494,38 @@ class TestIntrospectionRoutes:
         with pytest.raises(RemoteServerError) as excinfo:
             client.submit(_request(), backend="accelerator")
         assert excinfo.value.status == 400
+
+    def test_removed_closed_form_backend_is_a_400_on_jobs(self, client):
+        with pytest.raises(RemoteServerError) as excinfo:
+            client.submit(_request(), backend="closed_form")
+        assert excinfo.value.status == 400
+        assert "unknown backend" in str(excinfo.value)
+
+    def test_removed_closed_form_backend_is_a_400_on_sweeps(
+        self, client, server
+    ):
+        """An unknown backend is refused at admission, not left to fail
+        the sweep after it was admitted."""
+        before = client.stats()["sweeps_submitted"]
+        with pytest.raises(RemoteServerError) as excinfo:
+            client.submit_sweep(
+                _request(), [{"n_agents": 1}], trials=1, seed=0,
+                backend="closed_form",
+            )
+        assert excinfo.value.status == 400
+        assert "unknown backend" in str(excinfo.value)
+        assert client.stats()["sweeps_submitted"] == before
+        with server._lock:
+            assert server._active_units() == 0
+
+    def test_unsupporting_backend_is_a_400_on_sweeps(self, client):
+        with pytest.raises(RemoteServerError) as excinfo:
+            client.submit_sweep(
+                _request(algorithm=AlgorithmSpec.spiral()), [{"n_agents": 1}],
+                trials=1, seed=0, backend="batched",
+            )
+        assert excinfo.value.status == 400
+        assert "does not support" in str(excinfo.value)
 
     def test_version_one_client_gets_400(self, client):
         """A client speaking wire v1 (one JSON object per outcome) is

@@ -17,7 +17,6 @@ from repro.sim.backends import (
     registered_backends,
     resolve_backend,
 )
-from repro.sim.fast import fast_algorithm1
 from repro.sim.rng import derive_seed
 
 
@@ -94,11 +93,15 @@ class TestRequestValidation:
 class TestRegistry:
     def test_builtin_backends_registered(self):
         names = set(registered_backends())
-        assert {"reference", "closed_form", "batched"} <= names
+        assert {"reference", "batched"} <= names
 
     def test_removed_accelerator_name_is_a_backend_error(self):
         with pytest.raises(BackendError):
             simulate(_request(n_trials=4), backend="accelerator", cache=False)
+
+    def test_removed_closed_form_name_is_a_backend_error(self):
+        with pytest.raises(BackendError):
+            simulate(_request(n_trials=1), backend="closed_form", cache=False)
 
     def test_cache_name_is_the_registry_name(self):
         for name, backend in registered_backends().items():
@@ -139,10 +142,10 @@ class TestRegistry:
         )
         for spec in specs:
             assert resolve_backend(_request(spec, n_trials=50)).name == "batched"
-            assert resolve_backend(_request(spec)).name == "closed_form"
+            assert resolve_backend(_request(spec)).name == "batched"
 
-    def test_auto_prefers_closed_form_for_single_trials(self):
-        assert resolve_backend(_request()).name == "closed_form"
+    def test_auto_prefers_batched_for_single_trials(self):
+        assert resolve_backend(_request()).name == "batched"
 
     def test_auto_falls_back_to_reference(self):
         assert resolve_backend(_request(AlgorithmSpec.spiral())).name == "reference"
@@ -260,7 +263,7 @@ class TestRegistry:
             capture_output=True, text=True, env=dict(os.environ),
         )
         assert result.returncode == 0, result.stderr
-        for name in ("reference", "closed_form", "batched", "null-test"):
+        for name in ("reference", "batched", "null-test"):
             assert name in result.stdout
 
     def test_coverage_report_shape(self):
@@ -282,12 +285,9 @@ class TestRegistry:
         assert "spiral" in reasons and "kernel" in reasons["spiral"]
         assert batched.support_reason(_request()) is None
         budgeted = _request(step_budget=1000)
+        # The step-budget decline names the actual gate, not a bogus
+        # unsupported-algorithm claim.
         assert "step_budget" in batched.support_reason(budgeted)
-        # closed_form's step-budget decline names the actual gate, not
-        # a bogus unsupported-algorithm claim.
-        assert "step_budget" in get_backend("closed_form").support_reason(
-            budgeted
-        )
         # The reference engine supports everything: no reasons at all.
         assert get_backend("reference").decline_reasons() == {}
 
@@ -306,14 +306,18 @@ class TestRegistry:
 
 
 class TestBackendsRun:
-    def test_closed_form_bit_identical_to_direct_fast_call(self):
+    def test_reference_bit_identical_to_direct_engine_call(self):
+        from repro.core.algorithm1 import Algorithm1
+        from repro.grid.world import GridWorld
+        from repro.sim.engine import EngineConfig, SearchEngine
+
         request = _request(n_trials=4, seed=11, seed_keys=(2,))
-        facade = simulate(request, backend="closed_form")
+        facade = simulate(request, backend="reference")
+        engine = SearchEngine(EngineConfig(move_budget=100_000))
         direct = [
-            fast_algorithm1(
-                8, 2, (5, 3),
-                np.random.default_rng(derive_seed(11, 2, trial)),
-                100_000,
+            engine.run(
+                Algorithm1(8), 2, GridWorld(target=(5, 3), distance_bound=8),
+                rng=derive_seed(11, 2, trial),
             ).moves_or_budget
             for trial in range(4)
         ]
@@ -363,8 +367,8 @@ class TestBackendsRun:
 
     def test_workers_shard_is_bit_identical_for_per_trial_backends(self):
         request = _request(n_trials=10, seed=5)
-        serial = simulate(request, backend="closed_form", workers=1)
-        sharded = simulate(request, backend="closed_form", workers=3)
+        serial = simulate(request, backend="reference", workers=1)
+        sharded = simulate(request, backend="reference", workers=3)
         assert list(serial.moves_or_budget()) == list(sharded.moves_or_budget())
         assert [o.finder for o in serial.outcomes] == [
             o.finder for o in sharded.outcomes
@@ -379,14 +383,108 @@ class TestBackendsRun:
         assert result.moves_or_budget().shape == (5,)
 
 
-class TestFastRunStats:
-    def test_closed_form_outcomes_carry_stats(self):
-        result = simulate(_request(n_trials=2), backend="closed_form")
-        for outcome in result.outcomes:
-            assert outcome.stats is not None
-            assert outcome.stats.iterations_executed > 0
-            assert outcome.stats.rounds_executed > 0
+def _colony(spec, n_agents, target, move_budget, n_trials=1, seed=0):
+    """One ``batched`` run of ``n_trials`` colonies, uncached."""
+    request = SimulationRequest(
+        algorithm=spec,
+        n_agents=n_agents,
+        target=target,
+        move_budget=move_budget,
+        n_trials=n_trials,
+        seed=seed,
+    )
+    return simulate(request, backend="batched", cache=False)
 
+
+class TestBatchedColonies:
+    """Single-colony behaviour of every batched family."""
+
+    @pytest.mark.parametrize(
+        "spec, n_agents, target, min_moves, max_moves",
+        [
+            (AlgorithmSpec.nonuniform(16, 1), 4, (5, 5), 10, 10**6),
+            (AlgorithmSpec.uniform(1, K=2), 4, (2, 2), 4, 10**5),
+            (AlgorithmSpec.doubly_uniform(1), 4, (3, 2), 5, 10**7),
+            (AlgorithmSpec.random_walk(), 8, (1, 0), 1, 10_000),
+            (AlgorithmSpec.feinerman(), 4, (20, -13), 33, 10**7),
+        ],
+        ids=["nonuniform", "uniform", "doubly-uniform", "random-walk",
+             "feinerman"],
+    )
+    def test_finds_a_reachable_target(
+        self, spec, n_agents, target, min_moves, max_moves
+    ):
+        outcome = _colony(spec, n_agents, target, max_moves, seed=5).outcome
+        assert outcome.found
+        assert min_moves <= outcome.m_moves <= max_moves
+
+    @pytest.mark.parametrize(
+        "spec, target, move_budget",
+        [
+            (AlgorithmSpec.uniform(1, K=2), (50, 50), 20),
+            # With max_phase=1 the square side is 2: out of reach.
+            (AlgorithmSpec.uniform(1, K=2, max_phase=1), (40, 40), 10**6),
+            (AlgorithmSpec.doubly_uniform(1, K=2), (60, 60), 100),
+            (AlgorithmSpec.random_walk(), (90, 90), 50),
+            (AlgorithmSpec.feinerman(), (500, 500), 100),
+        ],
+        ids=["uniform", "uniform-max-phase", "doubly-uniform", "random-walk",
+             "feinerman"],
+    )
+    def test_unreachable_target_is_not_found(self, spec, target, move_budget):
+        assert not _colony(spec, 2, target, move_budget).outcome.found
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            AlgorithmSpec.doubly_uniform(1, K=2),
+            AlgorithmSpec.random_walk(),
+            AlgorithmSpec.feinerman(),
+        ],
+        ids=lambda spec: spec.name,
+    )
+    def test_origin_target(self, spec):
+        assert _colony(spec, 1, (0, 0), 10).outcome.m_moves == 0
+
+    @pytest.mark.parametrize(
+        "n_agents, move_budget", [(0, 10), (1, 0)], ids=["agents", "budget"]
+    )
+    def test_invalid_colony_rejected(self, n_agents, move_budget):
+        with pytest.raises(InvalidParameterError):
+            _colony(AlgorithmSpec.random_walk(), n_agents, (1, 1), move_budget)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: AlgorithmSpec.algorithm1(1),
+            lambda: AlgorithmSpec.uniform(0, K=2),
+            lambda: AlgorithmSpec.doubly_uniform(0, K=2),
+        ],
+        ids=["algorithm1", "uniform", "doubly-uniform"],
+    )
+    def test_invalid_spec_rejected(self, build):
+        with pytest.raises(InvalidParameterError):
+            build()
+
+    def test_random_walk_m_moves_parity(self):
+        """A walk reaching (x, y) needs moves with the parity of x+y."""
+        outcomes = _colony(
+            AlgorithmSpec.random_walk(), 2, (1, 2), 100_000, n_trials=20
+        ).outcomes
+        moves = outcomes.m_moves[outcomes.found]
+        assert moves.size
+        assert ((moves - 3) % 2 == 0).all()
+
+    def test_random_walk_reproducible_with_same_seed(self):
+        first, second = (
+            _colony(AlgorithmSpec.random_walk(), 2, (2, 1), 5_000, seed=99)
+            .outcome.m_moves
+            for _ in range(2)
+        )
+        assert first == second
+
+
+class TestFastRunStats:
     def test_batched_outcomes_carry_per_trial_stats(self):
         result = simulate(_request(n_trials=16, seed=3), backend="batched")
         for outcome in result.outcomes:
@@ -416,15 +514,6 @@ class TestFastRunStats:
                 assert outcome.stats is not None
                 assert outcome.stats.iterations_executed > 0
                 assert outcome.stats.rounds_executed > 0
-
-    def test_uniform_and_walk_simulators_populate_stats(self):
-        from repro.sim.fast import fast_random_walk, fast_uniform
-
-        rng = np.random.default_rng(0)
-        walk = fast_random_walk(2, (2, 1), rng, 10_000)
-        assert walk.stats is not None and walk.stats.rounds_executed >= 1
-        uni = fast_uniform(2, 1, 2, (3, 3), np.random.default_rng(1), 500_000)
-        assert uni.stats is not None and uni.stats.iterations_executed > 0
 
     def test_reference_outcomes_have_no_stats(self):
         result = simulate(_request(), backend="reference")

@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.feinerman import (
-    FeinermanSearch,
-    fast_feinerman,
-    stage_quota,
-    stage_radius,
-)
+from repro.baselines.feinerman import FeinermanSearch, stage_quota, stage_radius
 from repro.baselines.levy import LevyWalk, sample_flight_length
 from repro.baselines.random_walk import RandomWalkSearch
 from repro.baselines.spiral import (
@@ -138,18 +133,6 @@ class TestFeinerman:
         outcome = engine.run(FeinermanSearch(n_agents=2), 2, world, rng=5)
         assert outcome.found
 
-    def test_fast_feinerman_finds(self, rng):
-        outcome = fast_feinerman(4, (20, -13), rng, 10**7)
-        assert outcome.found
-        assert outcome.m_moves >= 20 + 13
-
-    def test_fast_feinerman_budget(self, rng):
-        outcome = fast_feinerman(1, (500, 500), rng, move_budget=100)
-        assert not outcome.found
-
-    def test_fast_feinerman_origin_target(self, rng):
-        assert fast_feinerman(1, (0, 0), rng, 10).m_moves == 0
-
     def test_chi_accounting_is_theta_log_d(self):
         algorithm = FeinermanSearch(n_agents=4)
         chi_small = algorithm.selection_complexity_for_distance(2**6).chi
@@ -158,12 +141,6 @@ class TestFeinerman:
         # doubles chi (coordinates dominate).
         assert chi_large > 1.5 * chi_small
         assert chi_small > 10  # far above log log D ~ 2.6
-
-    def test_fast_validation(self, rng):
-        with pytest.raises(InvalidParameterError):
-            fast_feinerman(0, (1, 1), rng, 10)
-        with pytest.raises(InvalidParameterError):
-            fast_feinerman(1, (1, 1), rng, 0)
 
 
 class TestLevy:

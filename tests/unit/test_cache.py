@@ -78,7 +78,7 @@ class TestFingerprint:
 
     def test_backend_and_code_version_enter_the_key(self, monkeypatch):
         request = _request()
-        assert cache_key(request, "batched") != cache_key(request, "closed_form")
+        assert cache_key(request, "batched") != cache_key(request, "reference")
         before = cache_key(request, "batched")
         monkeypatch.setattr(cache_module, "CODE_VERSION", "sim-vNEXT")
         assert cache_key(request, "batched") != before
@@ -96,7 +96,7 @@ class TestMemoryLayer:
         result = simulate(request, backend="batched", cache=False)
         fresh_cache.store(request, "batched", result.outcomes)
         assert fresh_cache.lookup(_request(seed=8), "batched") is None
-        assert fresh_cache.lookup(request, "closed_form") is None
+        assert fresh_cache.lookup(request, "reference") is None
 
     def test_lru_eviction_bounds_memory(self, fresh_cache):
         outcomes = simulate(_request(), backend="batched", cache=False).outcomes
@@ -142,14 +142,14 @@ class TestDiskLayer:
     def test_round_trip_equals_fresh_simulation_bit_for_bit(self, tmp_path):
         request = _request(n_trials=10)
         writer = SimulationCache(directory=tmp_path)
-        fresh = simulate(request, backend="closed_form", cache=False)
-        writer.store(request, "closed_form", fresh.outcomes)
+        fresh = simulate(request, backend="reference", cache=False)
+        writer.store(request, "reference", fresh.outcomes)
         # A separate instance sees only the disk layer, like a new
         # process would.
         reader = SimulationCache(directory=tmp_path)
-        loaded = reader.lookup(request, "closed_form")
+        loaded = reader.lookup(request, "reference")
         assert loaded == fresh.outcomes
-        again = simulate(request, backend="closed_form", cache=False)
+        again = simulate(request, backend="reference", cache=False)
         assert loaded == again.outcomes
         assert reader.info().hits_disk == 1
 
@@ -270,45 +270,45 @@ class TestShardEntries:
     def test_shard_round_trip(self, tmp_path):
         request = _request(n_trials=6)
         cache = SimulationCache(directory=tmp_path)
-        outcomes = simulate(request, backend="closed_form", cache=False).outcomes
+        outcomes = simulate(request, backend="reference", cache=False).outcomes
         shard = range(0, 3)
-        cache.store_shard(request, "closed_form", shard, outcomes[:3])
+        cache.store_shard(request, "reference", shard, outcomes[:3])
         reader = SimulationCache(directory=tmp_path)
-        assert reader.lookup_shard(request, "closed_form", shard) == outcomes[:3]
+        assert reader.lookup_shard(request, "reference", shard) == outcomes[:3]
 
     def test_shard_key_is_disjoint_from_full_key(self, tmp_path):
         request = _request(n_trials=6)
-        assert shard_cache_key(request, "closed_form", 0, 6) != cache_key(
-            request, "closed_form"
+        assert shard_cache_key(request, "reference", 0, 6) != cache_key(
+            request, "reference"
         )
         cache = SimulationCache(directory=tmp_path)
-        outcomes = simulate(request, backend="closed_form", cache=False).outcomes
-        cache.store_shard(request, "closed_form", range(0, 6), outcomes)
+        outcomes = simulate(request, backend="reference", cache=False).outcomes
+        cache.store_shard(request, "reference", range(0, 6), outcomes)
         # A full-request lookup must not be satisfied by a shard entry,
         # even one covering every trial.
-        assert cache.lookup(request, "closed_form") is None
+        assert cache.lookup(request, "reference") is None
 
     def test_different_ranges_are_different_entries(self, tmp_path):
         request = _request(n_trials=6)
         cache = SimulationCache(directory=tmp_path)
-        outcomes = simulate(request, backend="closed_form", cache=False).outcomes
-        cache.store_shard(request, "closed_form", range(0, 3), outcomes[:3])
-        assert cache.lookup_shard(request, "closed_form", range(3, 6)) is None
-        assert cache.lookup_shard(request, "closed_form", range(0, 2)) is None
+        outcomes = simulate(request, backend="reference", cache=False).outcomes
+        cache.store_shard(request, "reference", range(0, 3), outcomes[:3])
+        assert cache.lookup_shard(request, "reference", range(3, 6)) is None
+        assert cache.lookup_shard(request, "reference", range(0, 2)) is None
 
     def test_shard_counters_break_out_shard_traffic(self, tmp_path):
         """Shard lookups count in both aggregate and shard counters."""
         request = _request(n_trials=6)
         cache = SimulationCache(directory=tmp_path)
-        outcomes = simulate(request, backend="closed_form", cache=False).outcomes
+        outcomes = simulate(request, backend="reference", cache=False).outcomes
 
-        assert cache.lookup_shard(request, "closed_form", range(0, 3)) is None
-        cache.store_shard(request, "closed_form", range(0, 3), outcomes[:3])
+        assert cache.lookup_shard(request, "reference", range(0, 3)) is None
+        cache.store_shard(request, "reference", range(0, 3), outcomes[:3])
         assert cache.lookup_shard(
-            request, "closed_form", range(0, 3)
+            request, "reference", range(0, 3)
         ) == outcomes[:3]
-        cache.store(request, "closed_form", outcomes)
-        assert cache.lookup(request, "closed_form") == outcomes
+        cache.store(request, "reference", outcomes)
+        assert cache.lookup(request, "reference") == outcomes
 
         info = cache.info()
         assert info.hits_shard == 1

@@ -58,7 +58,7 @@ def _factory(params):
 def _spec(
     experiment_id,
     trials,
-    backend="closed_form",
+    backend="reference",
     seed_keys=(1,),
     grid=({"D": 8},),
     sweep_name="s",
@@ -203,6 +203,19 @@ class TestSpecContract:
             for sweep in spec.sweeps:
                 assert sweep.trials >= 1
                 assert len(sweep.grid) >= 1
+
+    def test_declared_sweeps_pin_no_backend(self):
+        """Every declared sweep resolves through ``auto``, which sends
+        each of the covered families to the batched kernels."""
+        from repro.sim.backends import resolve_backend
+
+        for factory in SPEC_REGISTRY.values():
+            for sweep in factory("smoke").sweeps:
+                assert sweep.trial.backend == "auto"
+        parity = SPEC_REGISTRY["E07"]("smoke").sweep("parity")
+        for point in parity.grid:
+            request = parity.trial.factory(point)
+            assert resolve_backend(request).name == "batched"
 
 
 class TestCliSurface:

@@ -1,4 +1,4 @@
-"""Unit tests for the vectorized simulators (repro.sim.fast)."""
+"""Unit tests for the per-colony L-sortie simulator (repro.sim.fast)."""
 
 from __future__ import annotations
 
@@ -7,15 +7,7 @@ import pytest
 
 from repro.core import theory
 from repro.errors import InvalidParameterError
-from repro.sim.fast import (
-    _sample_sorties,
-    _sortie_hits,
-    fast_algorithm1,
-    fast_nonuniform,
-    fast_random_walk,
-    fast_uniform,
-    lshape_first_find,
-)
+from repro.sim.fast import _sample_sorties, _sortie_hits, lshape_first_find
 from repro.sim.kernels import numpy_namespace
 from repro.sim.metrics import FastRunStats
 from test_kernels import _legacy_sortie_hits
@@ -217,7 +209,7 @@ class TestLShapeFirstFind:
         distance = 16
         target = (distance, distance)  # hardest corner
         samples = [
-            fast_algorithm1(distance, 1, target, rng, 10**7).m_moves
+            lshape_first_find(1 / distance, 1, target, rng, 10**7).m_moves
             for _ in range(300)
         ]
         mean = float(np.mean(samples))
@@ -230,7 +222,9 @@ class TestLShapeFirstFind:
         for n_agents in (1, 8, 64):
             generator = rng_factory(17)
             samples = [
-                fast_algorithm1(distance, n_agents, target, generator, 10**7).m_moves
+                lshape_first_find(
+                    1 / distance, n_agents, target, generator, 10**7
+                ).m_moves
                 for _ in range(150)
             ]
             means.append(np.mean(samples))
@@ -246,78 +240,3 @@ class TestLShapeFirstFind:
             lshape_first_find(0.5, 0, (1, 1), rng, 10)
         with pytest.raises(InvalidParameterError):
             lshape_first_find(0.5, 1, (1, 1), rng, 0)
-
-
-class TestFastWrappers:
-    def test_fast_nonuniform_smaller_stop_probability(self, rng):
-        outcome = fast_nonuniform(16, 1, 4, (5, 5), rng, 10**6)
-        assert outcome.found
-
-    def test_fast_algorithm1_validation(self, rng):
-        with pytest.raises(InvalidParameterError):
-            fast_algorithm1(1, 1, (0, 0), rng, 10)
-
-    def test_fast_uniform_finds_close_targets_quickly(self, rng):
-        outcome = fast_uniform(4, 1, 2, (2, 2), rng, 10**6)
-        assert outcome.found
-        assert outcome.m_moves < 10**5
-
-    def test_fast_uniform_respects_budget(self, rng):
-        outcome = fast_uniform(1, 1, 2, (50, 50), rng, move_budget=20)
-        assert not outcome.found
-
-    def test_fast_uniform_max_phase_truncation(self, rng):
-        # With max_phase=1 the square side is 2; a far target is unreachable.
-        outcome = fast_uniform(2, 1, 2, (40, 40), rng, 10**6, max_phase=1)
-        assert not outcome.found
-
-    def test_fast_uniform_validation(self, rng):
-        with pytest.raises(InvalidParameterError):
-            fast_uniform(0, 1, 2, (1, 1), rng, 10)
-        with pytest.raises(InvalidParameterError):
-            fast_uniform(1, 0, 2, (1, 1), rng, 10)
-
-
-class TestFastRandomWalk:
-    def test_finds_adjacent_target(self, rng):
-        outcome = fast_random_walk(8, (1, 0), rng, 10_000)
-        assert outcome.found
-        assert outcome.m_moves >= 1
-
-    def test_budget_exhaustion(self, rng):
-        outcome = fast_random_walk(1, (90, 90), rng, move_budget=50)
-        assert not outcome.found
-
-    def test_m_moves_parity(self, rng):
-        """A walk reaching (x, y) needs moves with the parity of x+y."""
-        for _ in range(20):
-            outcome = fast_random_walk(2, (1, 2), rng, 100_000)
-            if outcome.found:
-                assert (outcome.m_moves - 3) % 2 == 0
-
-    def test_origin_target(self, rng):
-        assert fast_random_walk(1, (0, 0), rng, 10).m_moves == 0
-
-    def test_validation(self, rng):
-        with pytest.raises(InvalidParameterError):
-            fast_random_walk(0, (1, 1), rng, 10)
-        with pytest.raises(InvalidParameterError):
-            fast_random_walk(1, (1, 1), rng, 0)
-
-    def test_reproducible_with_same_seed(self, rng_factory):
-        first = fast_random_walk(2, (2, 1), rng_factory(99), 5_000).m_moves
-        second = fast_random_walk(2, (2, 1), rng_factory(99), 5_000).m_moves
-        assert first == second
-
-    def test_chunk_size_does_not_bias_results(self, rng_factory):
-        """Different chunkings draw differently but agree in distribution."""
-        means = []
-        for chunk, seed in ((5, 1), (2048, 2)):
-            generator = rng_factory(seed)
-            samples = [
-                fast_random_walk(2, (2, 1), generator, 100_000, chunk=chunk)
-                .moves_or_budget
-                for _ in range(200)
-            ]
-            means.append(np.mean(samples))
-        assert means[0] == pytest.approx(means[1], rel=0.35)

@@ -2,8 +2,9 @@
 
 The ROADMAP's distribution-regression item: instead of re-running the
 (slow) reference engine every time a vectorized backend is refactored,
-``tests/golden/`` freezes move-count samples produced once by the
-trusted per-trial ``closed_form`` backend, and this test diffs the
+``tests/golden/`` freezes move-count samples produced once by a
+seed-exact per-trial backend (named in each file's
+``generator_backend``), and this test diffs the
 ``batched`` backend's output distribution against the recording with a
 two-sample KS test.
 

@@ -17,6 +17,8 @@ The contracts under test:
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import repro.sim.cache as cache_module
@@ -33,6 +35,8 @@ from repro.sim import (
 from repro.sim.backends.registry import get_backend
 from repro.sim.cache import cache_key, configure_cache, shard_cache_key
 from repro.sim.jobs import (
+    JobManager,
+    find_job_record,
     get_manager,
     ledger_dir,
     prune_job_records,
@@ -88,7 +92,7 @@ def fresh_cache(tmp_path):
 class TestThinWrapper:
     """simulate() must add nothing to what the backend computes."""
 
-    @pytest.mark.parametrize("backend", ["closed_form", "reference"])
+    @pytest.mark.parametrize("backend", ["batched", "reference"])
     def test_simulate_bit_identical_to_direct_backend_run(self, backend):
         request = _request(n_trials=4, move_budget=200_000)
         direct = get_backend(backend).run(request)
@@ -98,9 +102,9 @@ class TestThinWrapper:
 
     def test_sharded_simulate_bit_identical_to_serial(self):
         request = _request(n_trials=7)
-        serial = simulate(request, backend="closed_form", cache=False)
+        serial = simulate(request, backend="reference", cache=False)
         sharded = simulate(
-            request, backend="closed_form", workers=3, cache=False
+            request, backend="reference", workers=3, cache=False
         )
         assert serial.outcomes == sharded.outcomes
 
@@ -111,7 +115,7 @@ class TestThinWrapper:
 
 class TestJobLifecycle:
     def test_job_reaches_done_with_full_progress(self, fresh_cache):
-        job = simulate_async(_request(seed=21), backend="closed_form")
+        job = simulate_async(_request(seed=21), backend="reference")
         result = job.result(timeout=60)
         assert job.state is JobState.DONE
         assert job.done()
@@ -122,7 +126,7 @@ class TestJobLifecycle:
 
     def test_iter_results_streams_every_shard_exactly_once(self, fresh_cache):
         request = _request(seed=22, n_trials=8)
-        job = simulate_async(request, backend="closed_form", workers=2)
+        job = simulate_async(request, backend="reference", workers=2)
         shards = list(job.iter_results())
         assert len(shards) == 2
         covered = sorted(
@@ -137,9 +141,9 @@ class TestJobLifecycle:
 
     def test_cached_job_streams_one_cached_shard(self, fresh_cache):
         request = _request(seed=23)
-        simulate(request, backend="closed_form")
+        simulate(request, backend="reference")
         before = backend_run_count()
-        job = simulate_async(request, backend="closed_form")
+        job = simulate_async(request, backend="reference")
         shards = list(job.iter_results())
         assert backend_run_count() == before
         assert len(shards) == 1 and shards[0].from_cache
@@ -160,14 +164,14 @@ class TestJobLifecycle:
     def test_failed_job_raises_from_result_and_iter(
         self, fresh_cache, monkeypatch
     ):
-        backend = get_backend("closed_form")
+        backend = get_backend("reference")
 
         def boom(request, trial_indices=None):
             raise RuntimeError("backend exploded")
 
         monkeypatch.setattr(backend, "run", boom)
         job = simulate_async(
-            _request(seed=25), backend="closed_form", cache=False
+            _request(seed=25), backend="reference", cache=False
         )
         with pytest.raises(RuntimeError, match="backend exploded"):
             job.result(timeout=60)
@@ -177,31 +181,50 @@ class TestJobLifecycle:
             list(job.iter_results())
 
     def test_ledger_records_the_job(self, fresh_cache):
-        import time
-
-        job = simulate_async(_request(seed=24), backend="closed_form")
+        job = simulate_async(_request(seed=24), backend="reference")
         job.result(timeout=60)
-        # The terminal ledger write is asynchronous wrt result(); give
-        # the driver thread a moment to flush it.
-        deadline = time.time() + 5.0
-        mine = []
-        while time.time() < deadline:
-            mine = [
-                r for r in read_job_records() if r["job_id"] == job.job_id
-            ]
-            if mine and mine[0]["state"] == "done":
-                break
-            time.sleep(0.05)
+        mine = [r for r in read_job_records() if r["job_id"] == job.job_id]
         assert mine and mine[0]["state"] == "done"
         assert ledger_dir().joinpath(f"{job.job_id}.json").exists()
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["done", "failed"])
+    def test_terminal_record_is_written_before_result_returns(
+        self, fresh_cache, monkeypatch, fails
+    ):
+        """A reader straight after result() sees the final state, with no
+        join on the job's thread, even when the terminal write is slow."""
+        write_ledger = JobManager._write_ledger
+
+        def slow_terminal_write(manager, job):
+            if job.done():
+                time.sleep(0.2)
+            write_ledger(manager, job)
+
+        monkeypatch.setattr(JobManager, "_write_ledger", slow_terminal_write)
+        if fails:
+            def boom(request, trial_indices=None):
+                raise RuntimeError("backend exploded")
+
+            monkeypatch.setattr(get_backend("reference"), "run", boom)
+        job = simulate_async(
+            _request(seed=27), backend="reference", cache=False
+        )
+        if fails:
+            with pytest.raises(RuntimeError, match="backend exploded"):
+                job.result(timeout=60)
+        else:
+            job.result(timeout=60)
+        record = find_job_record(job.job_id)
+        assert record is not None
+        assert record["state"] == ("failed" if fails else "done")
 
 
 class TestResumeFromCache:
     def test_resubmission_runs_zero_backend_executions(self, fresh_cache):
         request = _request(seed=31, n_trials=8)
-        simulate_async(request, backend="closed_form", workers=2).result(60)
+        simulate_async(request, backend="reference", workers=2).result(60)
         before = backend_run_count()
-        resumed = simulate_async(request, backend="closed_form", workers=2)
+        resumed = simulate_async(request, backend="reference", workers=2)
         result = resumed.result(timeout=60)
         assert backend_run_count() == before
         assert len(result.outcomes) == 8
@@ -210,19 +233,19 @@ class TestResumeFromCache:
         """Kill simulation: drop the full entry and one shard entry."""
         request = _request(seed=32, n_trials=8)
         full = simulate_async(
-            request, backend="closed_form", workers=2
+            request, backend="reference", workers=2
         ).result(60)
         # Simulate a killed job: the assembled full-request entry and
         # one of the two shard entries never got written.
         fresh_cache.clear(memory=True, disk=False)
-        full_key = cache_key(request, "closed_form")
-        lost_shard_key = shard_cache_key(request, "closed_form", 0, 4)
+        full_key = cache_key(request, "reference")
+        lost_shard_key = shard_cache_key(request, "reference", 0, 4)
         for key in (full_key, lost_shard_key):
             path = fresh_cache._path_for(key)
             assert path.exists()
             path.unlink()
         before = backend_run_count()
-        resumed = simulate_async(request, backend="closed_form", workers=2)
+        resumed = simulate_async(request, backend="reference", workers=2)
         shards = list(resumed.iter_results())
         # Exactly one backend run: the lost shard; the survivor shard
         # came from cache.
@@ -233,20 +256,20 @@ class TestResumeFromCache:
     def test_resumed_outcomes_bit_identical_to_uninterrupted(self, fresh_cache):
         request = _request(seed=33, n_trials=9)
         uninterrupted = simulate(
-            request, backend="closed_form", workers=3, cache=False
+            request, backend="reference", workers=3, cache=False
         )
-        resumed = simulate(request, backend="closed_form", workers=3)
+        resumed = simulate(request, backend="reference", workers=3)
         assert resumed.outcomes == uninterrupted.outcomes
 
 
 class TestSweepJobs:
     def test_sweep_handle_streams_rows_in_grid_order(self, fresh_cache):
         sweep = Sweep(
-            SimulationTrial(_factory, backend="closed_form"),
+            SimulationTrial(_factory, backend="batched"),
             GRID, trials=4, seed=41,
         )
         reference = Sweep(
-            SimulationTrial(_factory, backend="closed_form"),
+            SimulationTrial(_factory, backend="batched"),
             GRID, trials=4, seed=41,
         ).run()
         handle = sweep.submit()
@@ -263,7 +286,7 @@ class TestSweepJobs:
     def test_sweep_progress_callback_fires_per_point(self, fresh_cache):
         seen = []
         Sweep(
-            SimulationTrial(_factory, backend="closed_form"),
+            SimulationTrial(_factory, backend="batched"),
             GRID, trials=3, seed=42,
         ).run(progress=seen.append)
         assert len(seen) == len(GRID)
@@ -275,7 +298,7 @@ class TestSweepJobs:
     def test_cancelled_sweep_resumes_with_no_rework(self, fresh_cache):
         """Cancellation leaves only complete point entries in the cache,
         and the resumed sweep simulates exactly the missing points."""
-        trial = SimulationTrial(_factory, backend="closed_form")
+        trial = SimulationTrial(_factory, backend="reference")
         sweep = Sweep(trial, GRID, trials=4, seed=43)
         reference = [
             row.estimate
@@ -303,11 +326,38 @@ class TestSweepJobs:
 
     def test_cancel_after_completion_returns_false(self, fresh_cache):
         handle = Sweep(
-            SimulationTrial(_factory, backend="closed_form"),
+            SimulationTrial(_factory, backend="reference"),
             GRID[:2], trials=2, seed=44,
         ).submit()
         handle.result(timeout=60)
         assert handle.cancel() is False
+
+    def test_submit_rejects_unknown_backend_at_admission(self, fresh_cache):
+        from repro.sim.backends.base import BackendError
+
+        sweep = Sweep(
+            SimulationTrial(_factory, backend="nope"),
+            GRID, trials=2, seed=45,
+        )
+        before = backend_run_count()
+        with pytest.raises(BackendError, match="unknown backend"):
+            sweep.submit()
+        assert backend_run_count() == before
+
+    def test_submit_rejects_unsupporting_backend_at_admission(self):
+        from repro.sim.backends.base import BackendError
+
+        def spiral_factory(params):
+            return SimulationRequest(
+                algorithm=AlgorithmSpec.spiral(), n_agents=1,
+                target=(int(params["D"]), 0), move_budget=1000,
+            )
+
+        with pytest.raises(BackendError, match="does not support"):
+            Sweep(
+                SimulationTrial(spiral_factory, backend="batched"),
+                GRID, trials=2, seed=46,
+            ).submit()
 
     def test_submit_rejects_plain_trial_sweeps(self):
         with pytest.raises(InvalidParameterError):
@@ -323,13 +373,13 @@ class TestSweepJobs:
 class TestManagerAndCancellation:
     def test_manager_registry_tracks_jobs(self, fresh_cache):
         manager = get_manager()
-        job = manager.submit(_request(seed=51), backend="closed_form")
+        job = manager.submit(_request(seed=51), backend="reference")
         assert manager.get(job.job_id) is job
         assert job in manager.jobs()
         job.result(timeout=60)
 
     def test_request_cancel_reaches_in_process_jobs(self, fresh_cache):
-        job = simulate_async(_request(seed=52), backend="closed_form")
+        job = simulate_async(_request(seed=52), backend="reference")
         request_cancel(job.job_id)
         assert job.cancel_requested() or job.done()
         # Whichever side won the race, the terminal state is coherent.
@@ -344,13 +394,13 @@ class TestManagerAndCancellation:
     ):
         assert request_cancel("job-nonexistent") is False
         assert not ledger_dir().joinpath("job-nonexistent.cancel").exists()
-        job = simulate_async(_request(seed=54), backend="closed_form")
+        job = simulate_async(_request(seed=54), backend="reference")
         job.result(timeout=60)
         assert request_cancel(job.job_id) is False
 
     def test_prune_job_records_bounds_the_ledger(self, fresh_cache):
         jobs = [
-            simulate_async(_request(seed=60 + i), backend="closed_form")
+            simulate_async(_request(seed=60 + i), backend="reference")
             for i in range(4)
         ]
         for job in jobs:
@@ -370,7 +420,7 @@ class TestManagerAndCancellation:
     def test_cancelled_job_raises_job_cancelled_error(self, fresh_cache):
         # A many-shard job over the pool gives cancel() room to land.
         request = _request(seed=53, n_trials=64, move_budget=5_000_000)
-        job = simulate_async(request, backend="closed_form", workers=4)
+        job = simulate_async(request, backend="reference", workers=4)
         cancelled = job.cancel()
         if cancelled and job.state is not JobState.DONE:
             with pytest.raises(JobCancelledError):

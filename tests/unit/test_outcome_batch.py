@@ -196,30 +196,6 @@ class TestBackendsMatchPerTrialRecords:
         assert [batch[i] for i in range(len(batch))] == legacy
         assert batch == tuple(legacy)
 
-    @pytest.mark.parametrize("target", [(5, 3), (0, 0)])
-    def test_closed_form_matches_its_per_trial_simulators(self, target):
-        from repro.baselines.feinerman import fast_feinerman
-        from repro.sim.fast import fast_algorithm1
-
-        simulators = {
-            "algorithm1": lambda request, rng: fast_algorithm1(
-                8, request.n_agents, target, rng, request.move_budget
-            ),
-            "feinerman": lambda request, rng: fast_feinerman(
-                request.n_agents, target, rng, request.move_budget
-            ),
-        }
-        for spec in (AlgorithmSpec.algorithm1(8), AlgorithmSpec.feinerman()):
-            request = _request(algorithm=spec, target=target, n_trials=5)
-            batch = get_backend("closed_form").run(request)
-            expected = [
-                simulators[spec.name](
-                    request, np.random.default_rng(request.trial_seed(t))
-                )
-                for t in range(request.n_trials)
-            ]
-            assert [batch[i] for i in range(len(batch))] == expected
-
     def test_reference_matches_its_engine_records(self):
         from repro.grid.world import GridWorld
         from repro.sim.engine import EngineConfig, SearchEngine

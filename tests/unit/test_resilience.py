@@ -20,7 +20,6 @@ The contracts under test:
 from __future__ import annotations
 
 import json
-import threading
 
 import pytest
 
@@ -148,6 +147,25 @@ class TestHarnessDeterminism:
         deactivate()
         assert not faults_enabled()
 
+    def test_invalid_plan_in_the_environment_raises(self, monkeypatch):
+        """A malformed plan must not silently disarm the harness: every
+        seam raises a typed error naming the variable until it is fixed."""
+        monkeypatch.setenv(
+            "REPRO_ANTS_FAULTS",
+            json.dumps(
+                {"specs": [{"site": "backend.run", "kind": "device_lost"}]}
+            ),
+        )
+        with pytest.raises(InvalidParameterError, match="REPRO_ANTS_FAULTS"):
+            faults_enabled()
+        with pytest.raises(InvalidParameterError, match="REPRO_ANTS_FAULTS"):
+            maybe_inject("backend.run", backend="batched")
+        monkeypatch.setenv("REPRO_ANTS_FAULTS", "{not json")
+        with pytest.raises(InvalidParameterError, match="REPRO_ANTS_FAULTS"):
+            active_plan()
+        monkeypatch.delenv("REPRO_ANTS_FAULTS")
+        assert not faults_enabled()
+
     def test_match_narrows_and_at_schedules(self):
         activate(
             FaultPlan(
@@ -231,19 +249,19 @@ class TestHarnessDeterminism:
 class TestShardRetries:
     def test_transient_fault_is_retried_bit_identical(self, fresh_cache):
         request = _request(seed=41)
-        unfaulted = simulate(request, backend="closed_form", cache=False)
+        unfaulted = simulate(request, backend="reference", cache=False)
         activate(
             FaultPlan(
                 specs=(
                     FaultSpec(
                         site="backend.run",
                         kind="error",
-                        match={"backend": "closed_form", "attempt": 0},
+                        match={"backend": "reference", "attempt": 0},
                     ),
                 )
             )
         )
-        job = simulate_async(request, backend="closed_form", cache=False)
+        job = simulate_async(request, backend="reference", cache=False)
         result = job.result(timeout=60)
         assert result.outcomes == unfaulted.outcomes
         assert job._retries == 1
@@ -255,13 +273,13 @@ class TestShardRetries:
                     FaultSpec(
                         site="backend.run",
                         kind="error",
-                        match={"backend": "closed_form"},
+                        match={"backend": "reference"},
                     ),
                 )
             )
         )
         job = simulate_async(
-            _request(seed=42), backend="closed_form", cache=False
+            _request(seed=42), backend="reference", cache=False
         )
         with pytest.raises(TransientFaultError):
             job.result(timeout=60)
@@ -279,7 +297,7 @@ class TestPipelineFailure:
                     FaultSpec(
                         site="backend.run",
                         kind="error",
-                        match={"backend": "closed_form"},
+                        match={"backend": "reference"},
                     ),
                 )
             )
@@ -287,31 +305,37 @@ class TestPipelineFailure:
 
     def test_failure_is_written_to_the_ledger(self, fresh_cache):
         self._persistent_fault()
-        job = simulate_async(_request(seed=44), backend="closed_form")
+        job = simulate_async(_request(seed=44), backend="reference")
         with pytest.raises(TransientFaultError):
             job.result(timeout=60)
-        # result() returns at the state change; the driver thread writes
-        # the terminal ledger record just after.
-        for thread in threading.enumerate():
-            if thread.name == f"repro-job-{job.job_id}":
-                thread.join(timeout=60)
+        # The terminal record is written before result() returns.
         record = find_job_record(job.job_id)
         assert record is not None
         assert record["state"] == "failed"
-        assert record["backend"] == "closed_form"
+        assert record["backend"] == "reference"
         assert "injected" in record["error"]
         # The persisted record has exactly the live record's fields.
         assert set(record) == set(job_record(job))
+
+    def test_invalid_plan_fails_the_run_instead_of_disarming(
+        self, fresh_cache, monkeypatch
+    ):
+        monkeypatch.setenv(
+            "REPRO_ANTS_FAULTS",
+            '{"specs": [{"site": "backend.run", "kind": "device_lost"}]}',
+        )
+        with pytest.raises(InvalidParameterError, match="REPRO_ANTS_FAULTS"):
+            simulate(_request(seed=47), backend="batched", cache=False)
 
     def test_failure_runs_no_other_backend(self, fresh_cache):
         self._persistent_fault()
         before = backend_run_count()
         job = simulate_async(
-            _request(seed=45), backend="closed_form", cache=False
+            _request(seed=45), backend="reference", cache=False
         )
         with pytest.raises(TransientFaultError):
             job.result(timeout=60)
-        assert job.backend == "closed_form"
+        assert job.backend == "reference"
         assert backend_run_count() == before
 
     def test_non_retryable_error_fails_on_first_attempt(
@@ -323,9 +347,9 @@ class TestPipelineFailure:
             calls.append(request)
             raise ValueError("backend bug")
 
-        monkeypatch.setattr(get_backend("closed_form"), "run", broken_run)
+        monkeypatch.setattr(get_backend("reference"), "run", broken_run)
         job = simulate_async(
-            _request(seed=46), backend="closed_form", cache=False
+            _request(seed=46), backend="reference", cache=False
         )
         with pytest.raises(ValueError, match="backend bug"):
             job.result(timeout=60)
@@ -343,8 +367,8 @@ class TestDeadlines:
     def test_deadline_is_not_part_of_the_cache_identity(self):
         base = _request(seed=45)
         with_deadline = _request(seed=45, deadline_seconds=30.0)
-        assert cache_key(base, "closed_form") == cache_key(
-            with_deadline, "closed_form"
+        assert cache_key(base, "reference") == cache_key(
+            with_deadline, "reference"
         )
 
     def test_pooled_deadline_raises_deadline_exceeded(self, fresh_cache):
@@ -363,7 +387,7 @@ class TestDeadlines:
         try:
             job = manager.submit(
                 _request(seed=46, n_trials=4, deadline_seconds=0.3),
-                backend="closed_form",
+                backend="reference",
                 workers=2,
             )
             with pytest.raises(DeadlineExceededError, match="deadline"):
@@ -379,7 +403,7 @@ class TestLedgerRecovery:
             "job_id": job_id,
             "state": "running",
             "algorithm": "algorithm1",
-            "backend": "closed_form",
+            "backend": "reference",
             "n_trials": 8,
             "total_shards": 2,
             "done_shards": 1,
@@ -413,9 +437,9 @@ class TestLedgerRecovery:
         request = _request(seed=47, n_trials=8)
         # Simulate the crashed run's surviving work: shard 0 of the
         # 2-shard layout was written through before the owner died.
-        reference = simulate(request, backend="closed_form", cache=False)
+        reference = simulate(request, backend="reference", cache=False)
         fresh_cache.store_shard(
-            request, "closed_form", range(0, 4), reference.outcomes[0:4]
+            request, "reference", range(0, 4), reference.outcomes[0:4]
         )
         directory = ledger_dir()
         directory.mkdir(parents=True, exist_ok=True)
@@ -424,7 +448,7 @@ class TestLedgerRecovery:
             json.dumps(record)
         )
         before = backend_run_count()
-        resumed = simulate_async(request, backend="closed_form", workers=2)
+        resumed = simulate_async(request, backend="reference", workers=2)
         result = resumed.result(timeout=60)
         # Exactly the one unfinished shard ran; the survivor came from
         # the shard cache, and the assembled result is bit-identical.

@@ -78,14 +78,14 @@ class TestPlanning:
 class TestPlanExecution:
     def test_simulate_executes_a_plan(self, isolated_cache):
         request = _request(n_trials=12, seed=31)
-        plan = plan_request(request, backend="closed_form", workers=3)
+        plan = plan_request(request, backend="reference", workers=3)
         assert (plan.n_shards, plan.workers) == (3, 3)
         planned = simulate(
             request, backend=plan.backend, workers=plan.workers, cache=False
         )
-        assert planned.backend == "closed_form"
-        # Per-trial backends are bit-identical whatever the layout.
-        unplanned = simulate(request, backend="closed_form", cache=False)
+        assert planned.backend == "reference"
+        # The per-trial backend is bit-identical whatever the layout.
+        unplanned = simulate(request, backend="reference", cache=False)
         assert list(planned.moves_or_budget()) == list(
             unplanned.moves_or_budget()
         )
@@ -96,9 +96,9 @@ class TestPlanExecution:
         """A planned run must hit the shard entries a fixed workers=N
         run of the same layout wrote — same _chunk_trials geometry."""
         request = _request(n_trials=10, seed=5)
-        simulate(request, backend="closed_form", workers=2)
+        simulate(request, backend="batched", workers=2)
         before = backend_run_count()
-        plan = plan_request(request, backend="closed_form", workers=2)
+        plan = plan_request(request, backend="batched", workers=2)
         simulate(request, backend=plan.backend, workers=plan.workers)
         assert backend_run_count() == before  # full-entry or shard hits
 
@@ -125,9 +125,9 @@ class TestAdaptiveSampling:
         request = _request(n_trials=64, seed=13)
         run = simulate_adaptive(
             request, metric="moves", target_half_width=1e9,
-            batch_size=16, backend="closed_form", cache=False,
+            batch_size=16, backend="reference", cache=False,
         )
-        fixed = simulate(request, backend="closed_form", cache=False)
+        fixed = simulate(request, backend="reference", cache=False)
         assert run.trials_used >= 16
         prefix = list(fixed.moves_or_budget())[: run.trials_used]
         assert list(run.result.moves_or_budget()) == prefix

@@ -281,7 +281,7 @@ def _corner_request(params):
     )
 
 
-_CORNER_TRIAL = SimulationTrial(_corner_request, backend="closed_form")
+_CORNER_TRIAL = SimulationTrial(_corner_request, backend="batched")
 _UNCACHED_TRIAL = SimulationTrial(
-    _corner_request, backend="closed_form", cache=False
+    _corner_request, backend="batched", cache=False
 )

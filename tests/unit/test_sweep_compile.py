@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
+from repro.core.algorithm1 import Algorithm1
+from repro.grid.world import GridWorld
 from repro.sim import AlgorithmSpec, SimulationRequest
-from repro.sim.fast import fast_algorithm1
+from repro.sim.engine import EngineConfig, SearchEngine
+from repro.sim.fast import lshape_first_find
 from repro.sim.rng import derive_seed
 from repro.sim.runner import SimulationTrial, Sweep, censored_moves
 from repro.sim.service import backend_run_count
@@ -35,13 +38,15 @@ def _factory(params):
 
 
 def _per_trial(params, rng):
-    """The same workload as a hand-written per-trial function."""
+    """The same workload as a hand-written per-trial function: the
+    faithful engine, seeded the way the ``reference`` backend seeds
+    trial ``t`` (``rng`` is that trial's ``derive_seed`` value)."""
     distance = int(params["D"])
-    return float(
-        fast_algorithm1(
-            distance, 2, (distance, distance), rng, 100_000
-        ).moves_or_budget
+    world = GridWorld(target=(distance, distance), distance_bound=distance)
+    outcome = SearchEngine(EngineConfig(move_budget=100_000)).run(
+        Algorithm1(distance), 2, world, rng=rng
     )
+    return float(outcome.moves_or_budget)
 
 
 def _found_metric(outcome):
@@ -59,7 +64,7 @@ class TestCompilation:
     def test_one_job_per_point(self):
         before = backend_run_count()
         Sweep(
-            SimulationTrial(_factory, backend="closed_form", cache=False),
+            SimulationTrial(_factory, backend="batched", cache=False),
             GRID, trials=7, seed=1, workers=4,
         ).run()
         assert backend_run_count() == before + len(GRID)
@@ -83,15 +88,13 @@ class TestBitIdentity:
         """Compilation must not change the derive_seed(seed, i, t) streams."""
         plain = [
             mean_ci([
-                _per_trial(
-                    point, np.random.default_rng(derive_seed(17, index, t))
-                )
+                _per_trial(point, derive_seed(17, index, t))
                 for t in range(6)
             ])
             for index, point in enumerate(GRID)
         ]
         compiled = Sweep(
-            SimulationTrial(_factory, backend="closed_form"),
+            SimulationTrial(_factory, backend="reference"),
             GRID, trials=6, seed=17,
         ).run()
         assert [row.params for row in compiled] == GRID
@@ -99,19 +102,12 @@ class TestBitIdentity:
 
     def test_compiled_matches_manual_derive_seed_addressing(self):
         rows = Sweep(
-            SimulationTrial(_factory, backend="closed_form"),
+            SimulationTrial(_factory, backend="reference"),
             GRID, trials=4, seed=23, seed_keys=(9,),
         ).run()
         for index, point in enumerate(GRID):
-            distance = int(point["D"])
             manual = [
-                float(
-                    fast_algorithm1(
-                        distance, 2, (distance, distance),
-                        np.random.default_rng(derive_seed(23, 9, index, t)),
-                        100_000,
-                    ).moves_or_budget
-                )
+                _per_trial(point, derive_seed(23, 9, index, t))
                 for t in range(4)
             ]
             assert rows[index].estimate.mean == pytest.approx(
@@ -120,7 +116,7 @@ class TestBitIdentity:
 
     def test_point_sharding_across_workers_is_bit_identical(self):
         # Uncached, so the sharded run simulates rather than replays.
-        trial = SimulationTrial(_factory, backend="closed_form", cache=False)
+        trial = SimulationTrial(_factory, backend="reference", cache=False)
         serial = Sweep(trial, GRID, trials=4, seed=17).run()
         sharded = Sweep(trial, GRID, trials=4, seed=17, workers=2).run()
         assert [r.estimate for r in serial] == [r.estimate for r in sharded]
@@ -157,7 +153,7 @@ class TestBatchedCompilation:
         from repro.sim import simulate
 
         outcome = simulate(
-            _factory({"D": 8}), backend="closed_form", cache=False
+            _factory({"D": 8}), backend="batched", cache=False
         ).outcome
         assert censored_moves(outcome) == float(outcome.moves_or_budget)
 
@@ -170,15 +166,20 @@ class TestBatchedCompilation:
         tests/integration/test_backend_equivalence.py.
         """
         trials = 1000
-        plain = Sweep(
-            SimulationTrial(_factory, backend="closed_form"),
-            [{"D": 8}], trials=trials, seed=101,
-        ).run()
+        plain = mean_ci([
+            float(
+                lshape_first_find(
+                    1 / 8, 2, (8, 8),
+                    np.random.default_rng(derive_seed(101, 0, t)), 100_000,
+                ).moves_or_budget
+            )
+            for t in range(trials)
+        ])
         compiled = Sweep(
             SimulationTrial(_factory), [{"D": 8}], trials=trials, seed=303
         ).run()
         assert compiled.pop().estimate.mean == pytest.approx(
-            plain.pop().estimate.mean, rel=0.35
+            plain.mean, rel=0.35
         )
 
     def test_repeated_sweep_points_are_served_from_cache(self):

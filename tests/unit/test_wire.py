@@ -165,7 +165,7 @@ class TestOutcomeRoundTrip:
     def test_simulated_outcomes_round_trip(self):
         """Real backend output — numpy scalars and all — survives."""
         request = _request(algorithm=AlgorithmSpec.algorithm1(8), n_trials=3)
-        result = simulate(request, backend="closed_form", cache=False)
+        result = simulate(request, backend="batched", cache=False)
         decoded = wire.result_from_wire(
             json.loads(json.dumps(wire.result_to_wire(result)))
         )
