@@ -1,7 +1,7 @@
 """Per-family kernel throughput benchmark and regression gate.
 
-Measures colonies/sec through the ``batched`` backend (the NumPy
-binding of the shared kernel core) for every family the kernels cover,
+Measures colonies/sec through the ``batched`` backend (the shared
+NumPy kernel core) for every family the kernels cover,
 plus one **long-tail** lshape workload — a large move budget with a
 distant target, so the pair pool drains to a few survivors that grind
 thousands of rounds.  That tail is exactly what the blocked-round

@@ -27,8 +27,8 @@ algorithms (``repro.baselines``) and the lower-bound machinery
 Simulations run through the backend service layer (see
 ARCHITECTURE.md): build a :class:`~repro.sim.SimulationRequest` and
 call :func:`~repro.sim.simulate`, which dispatches to the faithful
-engine, the closed-form simulators, or the batched whole-trial-batch
-NumPy backend and can shard trials across worker processes.
+step-level engine or the batched whole-trial-batch NumPy backend and
+can shard trials across worker processes.
 
 Quickstart
 ----------

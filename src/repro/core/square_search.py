@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.actions import Action
-from repro.core.walk import walk_length_tail, walk_process, walk_memory_bits
+from repro.core.walk import walk_process, walk_memory_bits
 from repro.errors import InvalidParameterError
 from repro.grid.geometry import Direction, Point
 
@@ -77,15 +77,6 @@ def visit_probability_lower_bound(k: int, ell: int) -> float:
     choices and a ``1/4`` reach bound.
     """
     return 2.0 ** -(k * ell + 6)
-
-
-def sortie_reaches(k: int, ell: int, radius: int) -> float:
-    """Probability one walk leg reaches at least ``radius``: ``(1-p)^radius``.
-
-    Convenience wrapper over :func:`walk_length_tail` used by the
-    experiment code.
-    """
-    return walk_length_tail(k, ell, radius)
 
 
 def search_memory_bits(k: int) -> int:

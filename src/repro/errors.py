@@ -22,20 +22,6 @@ class InvalidParameterError(ReproError, ValueError):
     """
 
 
-class SimulationBudgetExceeded(ReproError, RuntimeError):
-    """A simulation hit its move/step budget before finding the target.
-
-    Carries the budget and progress so callers can distinguish "the
-    algorithm is slow" from "the algorithm provably cannot finish"
-    (the situation the paper's lower bound engineers on purpose).
-    """
-
-    def __init__(self, message: str, *, budget: int, consumed: int) -> None:
-        super().__init__(message)
-        self.budget = budget
-        self.consumed = consumed
-
-
 class JobCancelledError(ReproError, RuntimeError):
     """An asynchronous simulation job was cancelled before completing.
 

@@ -66,9 +66,6 @@ _OPPOSITES = {
     Direction.RIGHT: Direction.LEFT,
 }
 
-VERTICAL_DIRECTIONS = (Direction.UP, Direction.DOWN)
-HORIZONTAL_DIRECTIONS = (Direction.LEFT, Direction.RIGHT)
-
 
 def chebyshev(a: Point, b: Point) -> int:
     """Max-norm (Chebyshev) distance between two points.

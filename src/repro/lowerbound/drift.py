@@ -68,15 +68,6 @@ class DriftLine:
         return self.moves_per_round <= 1e-12
 
 
-def class_drift(automaton: Automaton, members: FrozenSet[int]) -> Tuple[float, float]:
-    """The drift vector of one recurrent class."""
-    chain = automaton.to_markov_chain()
-    pi = occupation_distribution(chain, sorted(members))
-    vectors = automaton.move_vectors().astype(float)
-    drift = pi @ vectors
-    return (float(drift[0]), float(drift[1]))
-
-
 def drift_profile(automaton: Automaton) -> List[DriftLine]:
     """All drift lines of an automaton, weighted by absorption probability.
 

@@ -5,8 +5,8 @@ Two backends register by default:
 * ``reference`` — the faithful step-level :class:`~repro.sim.engine.SearchEngine`;
   supports every algorithm, tracks ``M_steps`` and per-agent outcomes.
 * ``batched`` — many colonies x many trials in one pass of the shared
-  kernel core (:mod:`repro.sim.kernels`) on the NumPy namespace; the
-  high-throughput path for trial batches.
+  NumPy kernel core (:mod:`repro.sim.kernels`); the high-throughput
+  path for trial batches.
 
 See :mod:`repro.sim.service` for the ``simulate()`` facade and
 :mod:`repro.sim.backends.registry` for ``auto`` resolution.

@@ -4,7 +4,7 @@ This backend flattens the whole request — ``n_trials`` colonies of
 ``n_agents`` agents — into one pool of (trial, agent) pairs and samples
 *every active pair's next iteration in a single draw*.  Since the
 kernel extraction the actual math lives in :mod:`repro.sim.kernels`:
-six per-family kernels written against the NumPy array-namespace shim.
+six per-family kernels written directly against NumPy.
 
 Iterations are drawn from exactly the process distribution, so outcomes
 are equal in distribution to the ``reference`` engine — the
@@ -43,7 +43,7 @@ BATCHED_ALGORITHMS = (
 
 
 class BatchedBackend(SimulationBackend):
-    """Whole-batch vectorized simulation on the NumPy namespace."""
+    """Whole-batch vectorized simulation with the NumPy kernels."""
 
     name = "batched"
 
@@ -78,10 +78,7 @@ class BatchedBackend(SimulationBackend):
         # One pooled stream for the whole batch, anchored at the first
         # trial's address so sharded runs stay deterministic.
         rng = xp.rng(request.trial_seed(first))
-        best, finder, iters, rounds = (
-            xp.to_numpy(array)
-            for array in run_family(xp, rng, request, n_trials)
-        )
+        best, finder, iters, rounds = run_family(xp, rng, request, n_trials)
         found = best != SENTINEL
         return OutcomeBatch(
             request.n_agents,

@@ -2,9 +2,8 @@
 
 These are the whole-batch kernels the ``batched`` backend historically
 kept inline (one pool of (trial, agent) pairs, one vectorized draw per
-round, scatter-min colony folds) — extracted to run against the
-:class:`~repro.sim.kernels.xp.ArrayNamespace` op surface, and optimized
-on the way out:
+round, scatter-min colony folds), written directly against NumPy and an
+``np.random.Generator``, and optimized on the way out:
 
 * **Blocked multi-round draws (lshape, uniform, doubly-uniform)** —
   the sortie families sample *blocks* of rounds per RNG call: a
@@ -46,23 +45,26 @@ on the way out:
 
 Outcome distributions are unchanged: iterations are still drawn from
 exactly the process distribution, and the golden KS gates
-(``tests/unit/test_golden_distributions.py``) hold for all six families
-on the NumPy namespace.  Draw *order* differs from the pre-extraction
-kernels, so per-request streams moved once — recorded by the
-``CODE_VERSION`` bump that shipped with the extraction.
+(``tests/unit/test_golden_distributions.py``) hold for all six families.
+Draw *order* differs from the pre-extraction kernels, so per-request
+streams moved once — recorded by the ``CODE_VERSION`` bump that shipped
+with the extraction.
 
 Every kernel returns ``(best, best_finder, trial_iterations,
-trial_rounds)`` as namespace arrays; callers convert at the boundary
-with ``xp.to_numpy``.
+trial_rounds)`` as int64 NumPy arrays.  :func:`run_family` is the one
+entry point that also takes the ``xp`` handle of
+:func:`numpy_namespace`, whose name it records on its trace span.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import Tuple
 
+import numpy as np
+
 from repro.obs.trace import child_span
-from repro.sim.kernels.xp import ArrayNamespace, KernelRNG
 
 __all__ = [
     "SENTINEL",
@@ -71,6 +73,8 @@ __all__ = [
     "batch_lshape",
     "batch_random_walk",
     "batch_uniform",
+    "numpy_namespace",
+    "run_family",
 ]
 
 #: "No find" marker in the per-trial ``best`` array (int64 max).
@@ -111,13 +115,13 @@ _FLOAT32_EXACT_BUDGET = 1 << 23
 _TOTAL_CLAMP = 4.0e18
 
 
-def _move_dtype(xp: ArrayNamespace, move_budget: int):
+def _move_dtype(move_budget: int):
     """Accounting dtype for blocked move sums: float32 while exact.
 
     float64 is the fallback for budgets >= 2^23 — same exactness
     argument with a 2^53 ceiling, at int64-equivalent bandwidth.
     """
-    return xp.float32 if move_budget < _FLOAT32_EXACT_BUDGET else xp.float64
+    return np.float32 if move_budget < _FLOAT32_EXACT_BUDGET else np.float64
 #: Walk-block cap: int16 prefix sums stay exact only while a block's
 #: displacement along one rotated axis (<= block) fits in int16.
 _MAX_WALK_BLOCK = 1 << 14
@@ -138,61 +142,61 @@ def _block_len(pairs: int, itemsize: int, *caps: int) -> int:
     return max(1, block)
 
 
-def _batch_state(xp: ArrayNamespace, n_trials: int, n_agents: int):
+def _batch_state(n_trials: int, n_agents: int):
     """Fresh pooled-pair bookkeeping shared by every kernel."""
     pairs = n_trials * n_agents
-    flat = xp.arange(pairs, dtype=xp.int64)
+    flat = np.arange(pairs, dtype=np.int64)
     pair_trial = flat // n_agents
     pair_agent = flat % n_agents
-    best = xp.full(n_trials, SENTINEL, dtype=xp.int64)
-    best_finder = xp.full(n_trials, -1, dtype=xp.int64)
-    trial_iterations = xp.zeros(n_trials, dtype=xp.int64)
-    trial_rounds = xp.zeros(n_trials, dtype=xp.int64)
+    best = np.full(n_trials, SENTINEL, dtype=np.int64)
+    best_finder = np.full(n_trials, -1, dtype=np.int64)
+    trial_iterations = np.zeros(n_trials, dtype=np.int64)
+    trial_rounds = np.zeros(n_trials, dtype=np.int64)
     return pair_trial, pair_agent, best, best_finder, trial_iterations, trial_rounds
 
 
-def _origin_batch(xp: ArrayNamespace, n_trials: int):
+def _origin_batch(n_trials: int):
     """Every colony finds an origin target after zero moves."""
-    zeros = xp.zeros(n_trials, dtype=xp.int64)
+    zeros = np.zeros(n_trials, dtype=np.int64)
     return (
         zeros,
-        xp.zeros(n_trials, dtype=xp.int64),
-        xp.zeros(n_trials, dtype=xp.int64),
-        xp.zeros(n_trials, dtype=xp.int64),
+        np.zeros(n_trials, dtype=np.int64),
+        np.zeros(n_trials, dtype=np.int64),
+        np.zeros(n_trials, dtype=np.int64),
     )
 
 
 def _count_round(
-    xp, trial_iterations, trial_rounds, pair_trial, n_trials, weight=1
+    trial_iterations, trial_rounds, pair_trial, n_trials, weight=1
 ):
     """Per-colony diagnostics: scatter-add this round's active pairs."""
-    counts = xp.bincount(pair_trial, minlength=n_trials)
+    counts = np.bincount(pair_trial, minlength=n_trials)
     trial_iterations += counts * weight
-    trial_rounds += xp.astype(counts > 0, xp.int64)
+    trial_rounds += (counts > 0).astype(np.int64)
 
 
-def _score_hits(xp, best, best_finder, pair_trial, pair_agent, totals, eligible):
+def _score_hits(best, best_finder, pair_trial, pair_agent, totals, eligible):
     """Fold eligible finds into each colony's running minimum.
 
     The finder is resolved with a scatter-min over agent ids rather
     than a plain scatter write, so the lowest agent wins a same-round
     tie whatever order the duplicate-index writes land in.
     """
-    if not xp.any(eligible):
+    if not np.any(eligible):
         return
-    xp.scatter_min(best, pair_trial[eligible], totals[eligible])
-    improved = eligible & (totals == xp.take(best, pair_trial))
-    if not xp.any(improved):
+    np.minimum.at(best, pair_trial[eligible], totals[eligible])
+    improved = eligible & (totals == best[pair_trial])
+    if not np.any(improved):
         return
-    winner = xp.full(xp.size(best), SENTINEL, dtype=xp.int64)
-    xp.scatter_min(
-        winner, pair_trial[improved], xp.astype(pair_agent[improved], xp.int64)
+    winner = np.full(best.size, SENTINEL, dtype=np.int64)
+    np.minimum.at(
+        winner, pair_trial[improved], pair_agent[improved].astype(np.int64)
     )
     decided = winner != SENTINEL
     best_finder[decided] = winner[decided]
 
 
-def _sortie_workspace(xp: ArrayNamespace, pairs: int, acc):
+def _sortie_workspace(pairs: int, acc):
     """One kernel call's scratch for every fused sortie draw it makes.
 
     Two float32 buffers of ``2 * max(SCRATCH_BYTES // 8, pairs)``
@@ -205,15 +209,15 @@ def _sortie_workspace(xp: ArrayNamespace, pairs: int, acc):
     fresh half-megabyte temporaries.
     """
     size = max(SCRATCH_BYTES // 8, pairs)
-    legs = None if acc is xp.float32 else xp.zeros(size, dtype=xp.float64)
+    legs = None if acc is np.float32 else np.zeros(size, dtype=np.float64)
     return (
-        xp.zeros(2 * size, dtype=xp.float32),
-        xp.zeros(2 * size, dtype=xp.float32),
+        np.zeros(2 * size, dtype=np.float32),
+        np.zeros(2 * size, dtype=np.float32),
         legs,
     )
 
 
-def _draw_sorties(xp, rng, workspace, stop_probability, pairs: int, block: int):
+def _draw_sorties(rng, workspace, stop_probability, pairs: int, block: int):
     """One block's fused sortie draw, sampled into the workspace.
 
     One float32 uniform fill covers both legs of every ``(pairs,
@@ -226,7 +230,7 @@ def _draw_sorties(xp, rng, workspace, stop_probability, pairs: int, block: int):
     """
     draws, bits, _ = workspace
     count = 2 * pairs * block
-    u = rng.random(dtype=xp.float32, out=draws[:count])
+    u = rng.random(dtype=np.float32, out=draws[:count])
     bits = bits[:count]
     # For U ~ [0, 1), the integer and fractional parts of 2U are an
     # independent fair bit (the direction) and a fresh uniform (the
@@ -235,28 +239,28 @@ def _draw_sorties(xp, rng, workspace, stop_probability, pairs: int, block: int):
     # truncates the geometric tail only past the 1 - 2^-22 quantile,
     # invisible to every distribution gate.
     u += u
-    xp.floor(u, out=bits)
+    np.floor(u, out=bits)
     u -= bits
     # Inverse-CDF geometric minus one: floor(log1p(-U) / log1p(-p)).
     # The clamp guards
     # the p -> 0 corner where log1p(-p) underflows to -0.0 and the
     # division would NaN (no realistic phase reaches it: sorties at
     # such p overshoot any budget in one round).
-    denominator = xp.minimum(
-        xp.astype(xp.log1p(-stop_probability), xp.float32), -1e-30
+    denominator = np.minimum(
+        np.log1p(-stop_probability).astype(np.float32), -1e-30
     )
     u *= -1.0
-    xp.log1p(u, out=u)
+    np.log1p(u, out=u)
     per_round = u.reshape((2, pairs, block))
     per_round /= denominator
-    xp.floor(u, out=u)
+    np.floor(u, out=u)
     # Lengths stay float32: every integer a kernel compares or
     # accumulates below the float32-exact ceiling (2^24) is exact.  See
     # ``_move_dtype`` for how the callers keep move totals exact.
     return u, bits
 
 
-def _first_hits(xp, target, lengths, bits, pairs: int, block: int, use):
+def _first_hits(target, lengths, bits, pairs: int, block: int, use):
     """Each hitting row's first hit in one block: ``(flat, rows, cols)``.
 
     Off-axis (``x != 0``) a sortie can meet the target only at its
@@ -281,22 +285,22 @@ def _first_hits(xp, target, lengths, bits, pairs: int, block: int, use):
             # in early phases, so on the x-axis the horizontal reach
             # joins the dense test.
             dense &= lengths[n:] >= abs(x)
-    cand = xp.flatnonzero(dense)
+    cand = np.flatnonzero(dense)
     rows = cand // block
     cols = cand - rows * block
-    ok = xp.full(xp.size(cand), True, dtype=xp.bool_)
+    ok = np.full(cand.size, True, dtype=np.bool_)
     if x != 0:
-        ok &= xp.take(bits[n:], cand) == (1.0 if x > 0 else 0.0)
+        ok &= bits[n:][cand] == (1.0 if x > 0 else 0.0)
         if y != 0:
-            ok &= xp.take(lengths[n:], cand) >= abs(x)
-            ok &= xp.take(bits[:n], cand) == (1.0 if y > 0 else 0.0)
+            ok &= lengths[n:][cand] >= abs(x)
+            ok &= bits[:n][cand] == (1.0 if y > 0 else 0.0)
     if use is not None:
-        ok &= cols < xp.take(use, rows)
+        ok &= cols < use[rows]
     cand = cand[ok]
     rows = rows[ok]
     cols = cols[ok]
-    if xp.size(rows) > 1:
-        first = xp.full(xp.size(rows), True, dtype=xp.bool_)
+    if rows.size > 1:
+        first = np.full(rows.size, True, dtype=np.bool_)
         first[1:] = rows[1:] != rows[:-1]
         cand = cand[first]
         rows = rows[first]
@@ -304,14 +308,13 @@ def _first_hits(xp, target, lengths, bits, pairs: int, block: int, use):
     return cand, rows, cols
 
 
-def _trial_limits(xp, best, move_budget: int, acc):
+def _trial_limits(best, move_budget: int, acc):
     """Each colony's budget/best limit, in the accounting dtype."""
-    return xp.astype(xp.minimum(move_budget, best), acc)
+    return np.minimum(move_budget, best).astype(acc)
 
 
 def _sortie_block(
-    xp: ArrayNamespace,
-    rng: KernelRNG,
+    rng: np.random.Generator,
     workspace,
     target,
     move_budget: int,
@@ -364,92 +367,90 @@ def _sortie_block(
     below the refreshed limit, which no row that hit is) and each pair's
     horizon-end cumulative moves (exact wherever ``keep`` holds).
     """
-    pairs = xp.size(pair_trial)
+    pairs = pair_trial.size
     n = pairs * block
-    acc = _move_dtype(xp, move_budget)
+    acc = _move_dtype(move_budget)
     lengths, bits = _draw_sorties(
-        xp, rng, workspace, stop_probability, pairs, block
+        rng, workspace, stop_probability, pairs, block
     )
     hit_flat, hit_rows, hit_cols = _first_hits(
-        xp, target, lengths, bits, pairs, block, use
+        target, lengths, bits, pairs, block, use
     )
-    if acc is xp.float32:
+    if acc is np.float32:
         legs = lengths[:n]                # the vertical legs are consumed
     else:
         legs = workspace[2][:n]
         legs[...] = lengths[:n]
     legs += lengths[n:]
     leg = legs.reshape((pairs, block))    # moves of each (pair, round)
-    end = xp.row_sums(leg)
+    # Row sums by einsum: np.sum(axis=1) pays a per-row reduction setup,
+    # which dominates on these short rows (2-40 rounds per block);
+    # einsum's contiguous sum kernel does not.
+    end = np.einsum("ij->i", leg)
     if use is None:
-        rounds = xp.full(pairs, block, dtype=xp.int64)
+        rounds = np.full(pairs, block, dtype=np.int64)
     else:
-        rounds = xp.minimum(use, block)   # a copy: hits and cuts lower it
-        ragged = xp.flatnonzero(use < block)
-        if xp.size(ragged):
+        rounds = np.minimum(use, block)   # a copy: hits and cuts lower it
+        ragged = np.flatnonzero(use < block)
+        if ragged.size:
             # Rows whose horizon ends inside the block sum their used
             # columns only.  Prefix sums below need no mask: they are
             # read at a hit or a cut, both before the horizon.
             used = leg[ragged]
-            used *= (
-                xp.arange(block, dtype=xp.int64)[None, :]
-                < xp.take(use, ragged)[:, None]
-            )
-            end[ragged] = xp.row_sums(used)
+            cols = np.arange(block, dtype=np.int64)
+            used *= cols[None, :] < use[ragged][:, None]
+            end[ragged] = np.einsum("ij->i", used)
     end += cumulative
-    limit = xp.take(_trial_limits(xp, best, move_budget, acc), pair_trial)
+    limit = _trial_limits(best, move_budget, acc)[pair_trial]
 
-    hits = xp.size(hit_rows)
+    hits = hit_rows.size
     if hits:
         # Moves before the hit: the row's prefix through the hit round,
         # less that round's legs — the full-scan formula, so totals
         # round (past the exact ceiling) exactly as they always did.
-        prefix = xp.cumsum(leg[hit_rows], axis=1).reshape(-1)
-        moves_before = xp.take(
-            prefix, xp.arange(hits, dtype=xp.int64) * block + hit_cols
-        )
-        moves_before += xp.take(cumulative, hit_rows)
-        moves_before -= xp.take(legs, hit_flat)
+        prefix = np.cumsum(leg[hit_rows], axis=1).reshape(-1)
+        moves_before = prefix[
+            np.arange(hits, dtype=np.int64) * block + hit_cols
+        ]
+        moves_before += cumulative[hit_rows]
+        moves_before -= legs[hit_flat]
         # The hit sortie's own moves, in float32 like the lengths: |y|
         # up the vertical leg, then |x| along the horizontal one.
-        reach = xp.full(hits, abs(target[1]), dtype=xp.float32)
+        reach = np.full(hits, abs(target[1]), dtype=np.float32)
         if target[0] != 0:
             reach += abs(target[0])
-        totals = xp.astype(
-            xp.minimum(moves_before + reach, _TOTAL_CLAMP), xp.int64
-        )
+        totals = np.minimum(moves_before + reach, _TOTAL_CLAMP).astype(np.int64)
         rounds[hit_rows] = hit_cols + 1
     # Rows of the prefix are nondecreasing, so the rounds a pair spent
     # under the limit end at the first prefix at or past it.
-    exceeds = xp.flatnonzero(end >= limit)
-    if xp.size(exceeds):
-        prefix = xp.cumsum(leg[exceeds], axis=1)
-        prefix += xp.take(cumulative, exceeds)[:, None]
-        cut = xp.first_true(prefix >= xp.take(limit, exceeds)[:, None], axis=1)
-        rounds[exceeds] = xp.minimum(xp.take(rounds, exceeds), cut + 1)
-    xp.scatter_add(trial_iterations, pair_trial, rounds)
-    block_rounds = xp.zeros(n_trials, dtype=xp.int64)
-    xp.scatter_max(block_rounds, pair_trial, rounds)
+    exceeds = np.flatnonzero(end >= limit)
+    if exceeds.size:
+        prefix = np.cumsum(leg[exceeds], axis=1)
+        prefix += cumulative[exceeds][:, None]
+        cut = np.argmax(prefix >= limit[exceeds][:, None], axis=1)
+        rounds[exceeds] = np.minimum(rounds[exceeds], cut + 1)
+    np.add.at(trial_iterations, pair_trial, rounds)
+    block_rounds = np.zeros(n_trials, dtype=np.int64)
+    np.maximum.at(block_rounds, pair_trial, rounds)
     trial_rounds += block_rounds
 
     if hits:
-        hit_trial = xp.take(pair_trial, hit_rows)
-        eligible = (totals <= move_budget) & (totals < xp.take(best, hit_trial))
+        hit_trial = pair_trial[hit_rows]
+        eligible = (totals <= move_budget) & (totals < best[hit_trial])
         _score_hits(
-            xp, best, best_finder, hit_trial, xp.take(pair_agent, hit_rows),
+            best, best_finder, hit_trial, pair_agent[hit_rows],
             totals, eligible,
         )
     # Kept totals sit below the refreshed limit, hence in the
     # accounting dtype's exact-integer range.  Hit rows need no mask: a
     # row's horizon total is at least its hit total, which is either
     # now the colony best or was already past the limit.
-    keep = end < xp.take(_trial_limits(xp, best, move_budget, acc), pair_trial)
+    keep = end < _trial_limits(best, move_budget, acc)[pair_trial]
     return keep, end
 
 
 def batch_lshape(
-    xp: ArrayNamespace,
-    rng: KernelRNG,
+    rng: np.random.Generator,
     stop_probability: float,
     n_agents: int,
     n_trials: int,
@@ -466,23 +467,23 @@ def batch_lshape(
     thousands of rounds per call.
     """
     if target == (0, 0):
-        return _origin_batch(xp, n_trials)
+        return _origin_batch(n_trials)
     (pair_trial, pair_agent, best, best_finder,
-     trial_iterations, trial_rounds) = _batch_state(xp, n_trials, n_agents)
-    acc = _move_dtype(xp, move_budget)
-    workspace = _sortie_workspace(xp, n_trials * n_agents, acc)
-    cumulative = xp.zeros(n_trials * n_agents, dtype=acc)
+     trial_iterations, trial_rounds) = _batch_state(n_trials, n_agents)
+    acc = _move_dtype(move_budget)
+    workspace = _sortie_workspace(n_trials * n_agents, acc)
+    cumulative = np.zeros(n_trials * n_agents, dtype=acc)
 
     expected_len = max(1.0, 2.0 * (1.0 / stop_probability - 1.0))
     rounds_left = int(200 * (move_budget / expected_len + 1)) + 10_000
     block = 4
-    while xp.size(pair_trial) > 0 and rounds_left > 0:
+    while pair_trial.size > 0 and rounds_left > 0:
         block = _block_len(
-            xp.size(pair_trial), 8, block * 2, rounds_left, _MAX_BLOCK
+            pair_trial.size, 8, block * 2, rounds_left, _MAX_BLOCK
         )
         rounds_left -= block
         keep, end = _sortie_block(
-            xp, rng, workspace, target, move_budget, best, best_finder,
+            rng, workspace, target, move_budget, best, best_finder,
             n_trials, pair_trial, pair_agent, cumulative, stop_probability,
             block, trial_iterations, trial_rounds,
         )
@@ -493,8 +494,7 @@ def batch_lshape(
 
 
 def _phase_block_len(
-    xp: ArrayNamespace, calls_left, pairs: int, prev_block: int,
-    rounds_left: int,
+    calls_left, pairs: int, prev_block: int, rounds_left: int
 ) -> int:
     """Block length for a phase-driven kernel's next fused draw.
 
@@ -506,9 +506,9 @@ def _phase_block_len(
     costs more RNG than the rounds it retires.
     """
     block = _block_len(pairs, 8, prev_block * 2, rounds_left, _MAX_BLOCK,
-                       int(xp.max(calls_left)))
+                       int(np.max(calls_left)))
     while block > 4:
-        used = int(xp.sum(xp.minimum(calls_left, block)))
+        used = int(np.sum(np.minimum(calls_left, block)))
         if 2 * used >= pairs * block:
             break
         block //= 2
@@ -516,8 +516,7 @@ def _phase_block_len(
 
 
 def batch_uniform(
-    xp: ArrayNamespace,
-    rng: KernelRNG,
+    rng: np.random.Generator,
     n_agents: int,
     ell: int,
     K: int,
@@ -539,50 +538,50 @@ def batch_uniform(
     cap and the pool's largest remaining phase budget.
     """
     if target == (0, 0):
-        return _origin_batch(xp, n_trials)
+        return _origin_batch(n_trials)
     discount = math.floor(math.log2(n_agents) / ell) if n_agents > 1 else 0
     (pair_trial, pair_agent, best, best_finder,
-     trial_iterations, trial_rounds) = _batch_state(xp, n_trials, n_agents)
+     trial_iterations, trial_rounds) = _batch_state(n_trials, n_agents)
     pairs = n_trials * n_agents
-    acc = _move_dtype(xp, move_budget)
-    workspace = _sortie_workspace(xp, pairs, acc)
-    cumulative = xp.zeros(pairs, dtype=acc)
-    phase = xp.zeros(pairs, dtype=xp.int64)
-    calls_left = xp.zeros(pairs, dtype=xp.int64)
+    acc = _move_dtype(move_budget)
+    workspace = _sortie_workspace(pairs, acc)
+    cumulative = np.zeros(pairs, dtype=acc)
+    phase = np.zeros(pairs, dtype=np.int64)
+    calls_left = np.zeros(pairs, dtype=np.int64)
 
     phase1_len = max(1.0, 2.0 * (2.0**ell - 1.0))
     rounds_left = int(200 * (move_budget / phase1_len + 1)) + 10_000
     block = 4
-    while xp.size(pair_trial) > 0 and rounds_left > 0:
+    while pair_trial.size > 0 and rounds_left > 0:
         # Refill exhausted phase coins; pairs that run out of phases
         # retire below via the `alive` mask.
         need = calls_left <= 0
-        while xp.any(need):
+        while np.any(need):
             phase[need] += 1
             need &= phase <= max_phase
-            if not xp.any(need):
+            if not np.any(need):
                 break
-            exponent = K + xp.maximum(phase[need] - discount, 0)
-            rho = xp.exp2(xp.astype(exponent, xp.float64) * ell)
+            exponent = K + np.maximum(phase[need] - discount, 0)
+            rho = np.exp2(exponent.astype(np.float64) * ell)
             calls_left[need] = rng.geometric(1.0 / rho) - 1
             need &= calls_left <= 0
         alive = phase <= max_phase
-        if not xp.any(alive):
+        if not np.any(alive):
             break
-        if xp.size(pair_trial) != int(xp.sum(xp.astype(alive, xp.int64))):
+        if pair_trial.size != int(np.sum(alive.astype(np.int64))):
             pair_trial = pair_trial[alive]
             pair_agent = pair_agent[alive]
             cumulative = cumulative[alive]
             phase = phase[alive]
             calls_left = calls_left[alive]
         block = _phase_block_len(
-            xp, calls_left, xp.size(pair_trial), block, rounds_left
+            calls_left, pair_trial.size, block, rounds_left
         )
         rounds_left -= block
-        use = xp.minimum(calls_left, block)
-        stop_p = xp.exp2(-(xp.astype(phase, xp.float64) * ell))
+        use = np.minimum(calls_left, block)
+        stop_p = np.exp2(-(phase.astype(np.float64) * ell))
         keep, end = _sortie_block(
-            xp, rng, workspace, target, move_budget, best, best_finder,
+            rng, workspace, target, move_budget, best, best_finder,
             n_trials, pair_trial, pair_agent, cumulative, stop_p[:, None],
             block, trial_iterations, trial_rounds, use,
         )
@@ -595,8 +594,7 @@ def batch_uniform(
 
 
 def batch_doubly_uniform(
-    xp: ArrayNamespace,
-    rng: KernelRNG,
+    rng: np.random.Generator,
     n_agents: int,
     ell: int,
     K: int,
@@ -620,39 +618,39 @@ def batch_doubly_uniform(
     compaction per block.
     """
     if target == (0, 0):
-        return _origin_batch(xp, n_trials)
+        return _origin_batch(n_trials)
     (pair_trial, pair_agent, best, best_finder,
-     trial_iterations, trial_rounds) = _batch_state(xp, n_trials, n_agents)
+     trial_iterations, trial_rounds) = _batch_state(n_trials, n_agents)
     pairs = n_trials * n_agents
-    acc = _move_dtype(xp, move_budget)
-    workspace = _sortie_workspace(xp, pairs, acc)
-    cumulative = xp.zeros(pairs, dtype=acc)
-    epoch = xp.full(pairs, 1, dtype=xp.int64)
-    phase = xp.zeros(pairs, dtype=xp.int64)
-    calls_left = xp.zeros(pairs, dtype=xp.int64)
+    acc = _move_dtype(move_budget)
+    workspace = _sortie_workspace(pairs, acc)
+    cumulative = np.zeros(pairs, dtype=acc)
+    epoch = np.full(pairs, 1, dtype=np.int64)
+    phase = np.zeros(pairs, dtype=np.int64)
+    calls_left = np.zeros(pairs, dtype=np.int64)
 
     phase1_len = max(1.0, 2.0 * (2.0**ell - 1.0))
     rounds_left = int(200 * (move_budget / phase1_len + 1)) + 10_000
     block = 4
-    while xp.size(pair_trial) > 0 and rounds_left > 0:
+    while pair_trial.size > 0 and rounds_left > 0:
         need = calls_left <= 0
-        while xp.any(need):
+        while np.any(need):
             phase[need] += 1
             rolled = need & (phase > epoch)
-            if xp.any(rolled):
+            if np.any(rolled):
                 epoch[rolled] += 1
                 phase[rolled] = 1
             need &= epoch <= max_epoch
-            if not xp.any(need):
+            if not np.any(need):
                 break
-            exponent = K + xp.maximum(phase[need] - epoch[need] // ell, 0)
-            rho = xp.exp2(xp.astype(exponent, xp.float64) * ell)
+            exponent = K + np.maximum(phase[need] - epoch[need] // ell, 0)
+            rho = np.exp2(exponent.astype(np.float64) * ell)
             calls_left[need] = rng.geometric(1.0 / rho) - 1
             need &= calls_left <= 0
         alive = epoch <= max_epoch
-        if not xp.any(alive):
+        if not np.any(alive):
             break
-        if xp.size(pair_trial) != int(xp.sum(xp.astype(alive, xp.int64))):
+        if pair_trial.size != int(np.sum(alive.astype(np.int64))):
             pair_trial = pair_trial[alive]
             pair_agent = pair_agent[alive]
             cumulative = cumulative[alive]
@@ -660,13 +658,13 @@ def batch_doubly_uniform(
             phase = phase[alive]
             calls_left = calls_left[alive]
         block = _phase_block_len(
-            xp, calls_left, xp.size(pair_trial), block, rounds_left
+            calls_left, pair_trial.size, block, rounds_left
         )
         rounds_left -= block
-        use = xp.minimum(calls_left, block)
-        stop_p = xp.exp2(-(xp.astype(phase, xp.float64) * ell))
+        use = np.minimum(calls_left, block)
+        stop_p = np.exp2(-(phase.astype(np.float64) * ell))
         keep, end = _sortie_block(
-            xp, rng, workspace, target, move_budget, best, best_finder,
+            rng, workspace, target, move_budget, best, best_finder,
             n_trials, pair_trial, pair_agent, cumulative, stop_p[:, None],
             block, trial_iterations, trial_rounds, use,
         )
@@ -707,8 +705,7 @@ _WALK_PRE_U, _WALK_PRE_V = _build_walk_tables()
 
 
 def batch_random_walk(
-    xp: ArrayNamespace,
-    rng: KernelRNG,
+    rng: np.random.Generator,
     n_agents: int,
     n_trials: int,
     target,
@@ -735,54 +732,53 @@ def batch_random_walk(
     the block length skip the scan and advance by two row sums.
     """
     if target == (0, 0):
-        return _origin_batch(xp, n_trials)
+        return _origin_batch(n_trials)
     (pair_trial, pair_agent, best, best_finder,
-     trial_iterations, trial_rounds) = _batch_state(xp, n_trials, n_agents)
+     trial_iterations, trial_rounds) = _batch_state(n_trials, n_agents)
     pairs0 = n_trials * n_agents
-    pos_u = xp.zeros(pairs0, dtype=xp.int64)
-    pos_v = xp.zeros(pairs0, dtype=xp.int64)
+    pos_u = np.zeros(pairs0, dtype=np.int64)
+    pos_v = np.zeros(pairs0, dtype=np.int64)
     target_u = target[0] + target[1]
     target_v = target[0] - target[1]
-    pre_u = xp.asarray(_WALK_PRE_U, dtype=xp.int8)
-    pre_v = xp.asarray(_WALK_PRE_V, dtype=xp.int8)
+    pre_u = np.asarray(_WALK_PRE_U, dtype=np.int8)
+    pre_v = np.asarray(_WALK_PRE_V, dtype=np.int8)
     sum_u = pre_u[:, 3]
     sum_v = pre_v[:, 3]
     moves_done = 0
-    while moves_done < move_budget and xp.size(pair_trial):
-        pairs = xp.size(pair_trial)
+    while moves_done < move_budget and pair_trial.size:
+        pairs = pair_trial.size
         # Scratch is word-granular (a fraction of a byte per step), but
         # itemsize stays 2 — the bit-sliced formulation's footprint —
         # so block boundaries, and with them the realized outcomes per
         # seed, match the goldens.  Longer blocks measured < 2% faster.
         block = _block_len(pairs, 2, move_budget - moves_done, _MAX_WALK_BLOCK)
         _count_round(
-            xp, trial_iterations, trial_rounds, pair_trial, n_trials,
-            weight=block,
+            trial_iterations, trial_rounds, pair_trial, n_trials, weight=block
         )
         # Four 2-bit steps ride in every drawn byte; the byte tables
         # fold each one into its per-axis displacement in one gather.
         # ``rem`` is how many fields of the final word the block uses.
         n_words = (block + 3) // 4
         rem = block - (n_words - 1) * 4
-        raw = rng.integers(0, 256, size=(pairs, n_words), dtype=xp.uint8)
-        bu = xp.take(sum_u, raw)
-        bv = xp.take(sum_v, raw)
+        raw = rng.integers(0, 256, size=(pairs, n_words), dtype=np.uint8)
+        bu = sum_u[raw]
+        bv = sum_v[raw]
         if rem != 4:
-            bu[:, -1] = xp.take(pre_u[:, rem - 1], raw[:, -1])
-            bv[:, -1] = xp.take(pre_v[:, rem - 1], raw[:, -1])
+            bu[:, -1] = pre_u[:, rem - 1][raw[:, -1]]
+            bv[:, -1] = pre_v[:, rem - 1][raw[:, -1]]
         rel_u = target_u - pos_u
         rel_v = target_v - pos_v
-        near = (xp.abs(rel_u) <= block) & (xp.abs(rel_v) <= block)
-        if not xp.any(near):
-            pos_u += xp.astype(xp.sum(bu, axis=1), xp.int64)
-            pos_v += xp.astype(xp.sum(bv, axis=1), xp.int64)
+        near = (np.abs(rel_u) <= block) & (np.abs(rel_v) <= block)
+        if not np.any(near):
+            pos_u += np.sum(bu, axis=1).astype(np.int64)
+            pos_v += np.sum(bv, axis=1).astype(np.int64)
             moves_done += block
             continue
-        split = int(xp.sum(xp.astype(near, xp.int64))) != pairs
+        split = int(np.sum(near.astype(np.int64))) != pairs
         if split:
             far = ~near
-            pos_u[far] += xp.astype(xp.sum(bu[far], axis=1), xp.int64)
-            pos_v[far] += xp.astype(xp.sum(bv[far], axis=1), xp.int64)
+            pos_u[far] += np.sum(bu[far], axis=1).astype(np.int64)
+            pos_v[far] += np.sum(bv[far], axis=1).astype(np.int64)
             bu = bu[near]
             bv = bv[near]
             raw = raw[near]
@@ -793,52 +789,52 @@ def batch_random_walk(
         else:
             scan_trial = pair_trial
             scan_agent = pair_agent
-        cum_u = xp.cumsum(bu, axis=1, dtype=xp.int16)  # cum at word ends
-        cum_v = xp.cumsum(bv, axis=1, dtype=xp.int16)
+        cum_u = np.cumsum(bu, axis=1, dtype=np.int16)  # cum at word ends
+        cum_v = np.cumsum(bv, axis=1, dtype=np.int16)
         # Remaining displacement at the *start* of each word.  The
         # int16 casts are exact (|rel| <= block <= _MAX_WALK_BLOCK);
         # the one overflowable difference, |rel| + |cum| = 2 * block =
         # 32768, wraps to -32768 and still fails the +-4 window.
-        diff_u = xp.astype(rel_u, xp.int16)[:, None] - (cum_u - bu)
-        diff_v = xp.astype(rel_v, xp.int16)[:, None] - (cum_v - bv)
-        cand = (xp.abs(diff_u) <= 4) & (xp.abs(diff_v) <= 4)
-        if xp.any(cand):
-            scanned = xp.size(rel_u)
-            k_pre_u = xp.take(pre_u, raw[cand])        # (m, 4) in-byte
-            k_pre_v = xp.take(pre_v, raw[cand])
-            hit_k = k_pre_u == xp.astype(diff_u[cand], xp.int8)[:, None]
-            hit_k &= k_pre_v == xp.astype(diff_v[cand], xp.int8)[:, None]
-            hit_words = xp.zeros((scanned, n_words), dtype=xp.bool_)
-            hit_words[cand] = xp.astype(xp.sum(hit_k, axis=1), xp.bool_)
-            first_k = xp.zeros((scanned, n_words), dtype=xp.int64)
-            first_k[cand] = xp.first_true(hit_k, axis=1)
+        diff_u = rel_u.astype(np.int16)[:, None] - (cum_u - bu)
+        diff_v = rel_v.astype(np.int16)[:, None] - (cum_v - bv)
+        cand = (np.abs(diff_u) <= 4) & (np.abs(diff_v) <= 4)
+        if np.any(cand):
+            scanned = rel_u.size
+            k_pre_u = pre_u[raw[cand]]        # (m, 4) in-byte
+            k_pre_v = pre_v[raw[cand]]
+            hit_k = k_pre_u == diff_u[cand].astype(np.int8)[:, None]
+            hit_k &= k_pre_v == diff_v[cand].astype(np.int8)[:, None]
+            hit_words = np.zeros((scanned, n_words), dtype=np.bool_)
+            hit_words[cand] = np.sum(hit_k, axis=1).astype(np.bool_)
+            first_k = np.zeros((scanned, n_words), dtype=np.int64)
+            first_k[cand] = np.argmax(hit_k, axis=1)
             if rem != 4:
                 # Fields past the block end in the final word are
                 # undrawn steps; a first match there is no match.
                 hit_words[:, -1] &= first_k[:, -1] < rem
-            pair_hit = xp.astype(xp.sum(hit_words, axis=1), xp.bool_)
-            if xp.any(pair_hit):
-                first_word = xp.first_true(hit_words, axis=1)
-                step_of_hit = xp.where(
-                    pair_hit,
-                    first_word * 4 + xp.take_along(first_k, first_word),
-                    block,
+            pair_hit = np.sum(hit_words, axis=1).astype(np.bool_)
+            if np.any(pair_hit):
+                first_word = np.argmax(hit_words, axis=1)
+                in_word = np.take_along_axis(
+                    first_k, first_word[:, None], axis=1
+                )[:, 0]
+                step_of_hit = np.where(
+                    pair_hit, first_word * 4 + in_word, block
                 )
                 totals = moves_done + step_of_hit + 1
                 _score_hits(
-                    xp, best, best_finder, scan_trial, scan_agent, totals,
-                    pair_hit,
+                    best, best_finder, scan_trial, scan_agent, totals, pair_hit
                 )
         if split:
-            pos_u[near] += xp.astype(cum_u[:, -1], xp.int64)
-            pos_v[near] += xp.astype(cum_v[:, -1], xp.int64)
+            pos_u[near] += cum_u[:, -1].astype(np.int64)
+            pos_v[near] += cum_v[:, -1].astype(np.int64)
         else:
-            pos_u += xp.astype(cum_u[:, -1], xp.int64)
-            pos_v += xp.astype(cum_v[:, -1], xp.int64)
+            pos_u += cum_u[:, -1].astype(np.int64)
+            pos_v += cum_v[:, -1].astype(np.int64)
         moves_done += block
         # Lockstep: any later find is later in time, so finished
         # colonies retire wholesale.
-        keep = xp.take(best, pair_trial) == SENTINEL
+        keep = best[pair_trial] == SENTINEL
         pos_u = pos_u[keep]
         pos_v = pos_v[keep]
         pair_trial = pair_trial[keep]
@@ -846,7 +842,7 @@ def batch_random_walk(
     return best, best_finder, trial_iterations, trial_rounds
 
 
-def _spiral_indices(xp: ArrayNamespace, dx, dy):
+def _spiral_indices(dx, dy):
     """Vectorized :func:`repro.baselines.spiral.spiral_index` in float64.
 
     Float avoids int64 overflow for offsets beyond ring ~2^31 (late
@@ -854,29 +850,28 @@ def _spiral_indices(xp: ArrayNamespace, dx, dy):
     float representation is far beyond every realistic quota/budget, so
     the comparisons downstream stay exact where they matter.
     """
-    fx = xp.astype(dx, xp.float64)
-    fy = xp.astype(dy, xp.float64)
-    r = xp.maximum(xp.abs(fx), xp.abs(fy))
+    fx = dx.astype(np.float64)
+    fy = dy.astype(np.float64)
+    r = np.maximum(np.abs(fx), np.abs(fy))
     base = (2.0 * r - 1.0) ** 2
-    index = xp.where(
+    index = np.where(
         (fx == r) & (fy > -r),
         base + fy + r - 1.0,
-        xp.where(
+        np.where(
             fy == r,
             base + 2.0 * r + (r - 1.0 - fx),
-            xp.where(
+            np.where(
                 fx == -r,
                 base + 4.0 * r + (r - 1.0 - fy),
                 base + 6.0 * r + (fx + r - 1.0),
             ),
         ),
     )
-    return xp.where(r == 0, 0.0, index)
+    return np.where(r == 0, 0.0, index)
 
 
 def batch_feinerman(
-    xp: ArrayNamespace,
-    rng: KernelRNG,
+    rng: np.random.Generator,
     n_agents: int,
     n_trials: int,
     target,
@@ -898,34 +893,32 @@ def batch_feinerman(
     stages (whose raw quotas overflow int64) stay representable.
     """
     if target == (0, 0):
-        return _origin_batch(xp, n_trials)
+        return _origin_batch(n_trials)
     (pair_trial, pair_agent, best, best_finder,
-     trial_iterations, trial_rounds) = _batch_state(xp, n_trials, n_agents)
+     trial_iterations, trial_rounds) = _batch_state(n_trials, n_agents)
     pairs = n_trials * n_agents
-    cumulative = xp.zeros(pairs, dtype=xp.int64)
-    stages = xp.full(pairs, 1, dtype=xp.int64)
+    cumulative = np.zeros(pairs, dtype=np.int64)
+    stages = np.full(pairs, 1, dtype=np.int64)
 
-    while xp.size(pair_trial):
-        _count_round(xp, trial_iterations, trial_rounds, pair_trial, n_trials)
+    while pair_trial.size:
+        _count_round(trial_iterations, trial_rounds, pair_trial, n_trials)
         radii = 2 ** stages  # max_stage <= 40 keeps this exact in int64
-        scale = xp.exp2(xp.astype(stages, xp.float64))
-        quota_f = xp.ceil(c * (scale * scale / n_agents + scale))
-        quota = xp.astype(xp.minimum(quota_f, move_budget + 1), xp.int64)
+        scale = np.exp2(stages.astype(np.float64))
+        quota_f = np.ceil(c * (scale * scale / n_agents + scale))
+        quota = np.minimum(quota_f, move_budget + 1).astype(np.int64)
         # One fused draw for both center coordinates per pair.
-        centers = rng.integers(-radii, radii + 1, size=(2, xp.size(pair_trial)))
+        centers = rng.integers(-radii, radii + 1, size=(2, pair_trial.size))
         centers_x, centers_y = centers[0], centers[1]
-        walk_moves = xp.abs(centers_x) + xp.abs(centers_y)
+        walk_moves = np.abs(centers_x) + np.abs(centers_y)
         indices_f = _spiral_indices(
-            xp, target[0] - centers_x, target[1] - centers_y
+            target[0] - centers_x, target[1] - centers_y
         )
         hit = indices_f <= quota_f
-        indices = xp.astype(xp.minimum(indices_f, move_budget + 1), xp.int64)
+        indices = np.minimum(indices_f, move_budget + 1).astype(np.int64)
         totals = cumulative + walk_moves + indices
-        eligible = hit & (totals <= move_budget) & (
-            totals < xp.take(best, pair_trial)
-        )
+        eligible = hit & (totals <= move_budget) & (totals < best[pair_trial])
         _score_hits(
-            xp, best, best_finder, pair_trial, pair_agent, totals, eligible
+            best, best_finder, pair_trial, pair_agent, totals, eligible
         )
         # Single-pass compaction across the hit + budget/best + stage
         # retirement conditions.
@@ -933,7 +926,7 @@ def batch_feinerman(
         new_stages = stages + 1
         keep = (
             ~hit
-            & (new_cum < xp.minimum(move_budget, xp.take(best, pair_trial)))
+            & (new_cum < np.minimum(move_budget, best[pair_trial]))
             & (new_stages <= max_stage)
         )
         cumulative = new_cum[keep]
@@ -950,7 +943,7 @@ class _CountingRNG:
     untraced hot path never pays the indirection.
     """
 
-    def __init__(self, inner: KernelRNG) -> None:
+    def __init__(self, inner: np.random.Generator) -> None:
         self._inner = inner
         self.draw_calls = 0
 
@@ -966,21 +959,34 @@ class _CountingRNG:
         return counted
 
 
+#: The kernels' namespace handle: its ``name`` (recorded on kernel
+#: spans), ``rng(seed_sequence)`` (the ``np.random.Generator`` a batch
+#: draws from) and ``to_numpy`` (the identity: kernels return NumPy).
+_NUMPY = SimpleNamespace(
+    name="numpy", rng=np.random.default_rng, to_numpy=np.asarray
+)
+
+
+def numpy_namespace() -> SimpleNamespace:
+    """The (shared, stateless) handle :func:`run_family` takes as ``xp``."""
+    return _NUMPY
+
+
 def run_family(
-    xp: ArrayNamespace,
-    rng: KernelRNG,
+    xp: SimpleNamespace,
+    rng: np.random.Generator,
     request,
     n_trials: int,
 ) -> Tuple:
     """Dispatch one :class:`~repro.sim.backends.base.SimulationRequest`
     batch to its family kernel.
 
-    Returns the four namespace arrays.
+    Returns the four NumPy arrays.
 
     When an ambient trace exists the dispatch is wrapped in a
     ``kernel.<family>`` span carrying the kernel's working set —
-    family, trials, agents, namespace, scratch budget, and the
-    number of blocked RNG draw calls the kernel issued.
+    family, trials, agents, namespace (``xp.name``), scratch budget,
+    and the number of blocked RNG draw calls the kernel issued.
     """
     spec = request.algorithm
     with child_span(
@@ -993,44 +999,43 @@ def run_family(
         scratch_bytes=SCRATCH_BYTES,
     ) as sp:
         if sp is None:
-            return _dispatch_family(xp, rng, request, n_trials)
+            return _dispatch_family(rng, request, n_trials)
         counting = _CountingRNG(rng)
-        result = _dispatch_family(xp, counting, request, n_trials)
+        result = _dispatch_family(counting, request, n_trials)
         sp.set_attribute("rng_draw_calls", counting.draw_calls)
         return result
 
 
 def _dispatch_family(
-    xp: ArrayNamespace,
-    rng: KernelRNG,
+    rng: np.random.Generator,
     request,
     n_trials: int,
 ) -> Tuple:
     spec = request.algorithm
     if spec.name in ("algorithm1", "nonuniform"):
         return batch_lshape(
-            xp, rng, stop_probability_for(request), request.n_agents,
+            rng, stop_probability_for(request), request.n_agents,
             n_trials, request.target, request.move_budget,
         )
     if spec.name == "uniform":
         return batch_uniform(
-            xp, rng, request.n_agents, spec.ell or 1, spec.K, n_trials,
+            rng, request.n_agents, spec.ell or 1, spec.K, n_trials,
             request.target, request.move_budget,
             spec.max_phase or DEFAULT_MAX_PHASE,
         )
     if spec.name == "doubly-uniform":
         return batch_doubly_uniform(
-            xp, rng, request.n_agents, spec.ell or 1, spec.K, n_trials,
+            rng, request.n_agents, spec.ell or 1, spec.K, n_trials,
             request.target, request.move_budget,
         )
     if spec.name == "random-walk":
         return batch_random_walk(
-            xp, rng, request.n_agents, n_trials, request.target,
+            rng, request.n_agents, n_trials, request.target,
             request.move_budget,
         )
     if spec.name == "feinerman":
         return batch_feinerman(
-            xp, rng, request.n_agents, n_trials, request.target,
+            rng, request.n_agents, n_trials, request.target,
             request.move_budget,
         )
     raise ValueError(f"no batch kernel for algorithm {spec.name!r}")

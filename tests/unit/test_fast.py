@@ -8,7 +8,6 @@ import pytest
 from repro.core import theory
 from repro.errors import InvalidParameterError
 from repro.sim.fast import _sample_sorties, _sortie_hits, lshape_first_find
-from repro.sim.kernels import numpy_namespace
 from repro.sim.metrics import FastRunStats
 from test_kernels import _legacy_sortie_hits
 
@@ -35,7 +34,7 @@ def _legacy_lshape_first_find(stop_probability, n_agents, target, rng, move_budg
         sh = rng.integers(0, 2, size=count) * 2 - 1
         lv = rng.geometric(stop_probability, size=count) - 1
         lh = rng.geometric(stop_probability, size=count) - 1
-        hit, moves_at_hit = _legacy_sortie_hits(numpy_namespace(), target, sv, lv, sh, lh)
+        hit, moves_at_hit = _legacy_sortie_hits(target, sv, lv, sh, lh)
         totals = cumulative + moves_at_hit
         eligible = hit & (totals <= move_budget)
         if np.any(eligible):
@@ -139,7 +138,7 @@ class TestSortieLegacyTwin:
                 assert np.array_equal(lengths_h, lh)
                 assert fused_rng.bit_generator.state == legacy_rng.bit_generator.state
                 for target in targets:
-                    hit, moves = _legacy_sortie_hits(numpy_namespace(), target, sv, lv, sh, lh)
+                    hit, moves = _legacy_sortie_hits(target, sv, lv, sh, lh)
                     found = _sortie_hits(target, *sorties)
                     if found is None:
                         assert not hit.any()

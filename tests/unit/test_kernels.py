@@ -1,9 +1,8 @@
 """Contract suite for the kernel core.
 
-Every family kernel runs under the NumPy namespace, asserting:
+Every family kernel runs through ``run_family``, asserting:
 
-* ``(n_trials,)`` int64 result arrays after the ``to_numpy`` boundary
-  cast, with coherent per-trial contents;
+* ``(n_trials,)`` int64 result arrays with coherent per-trial contents;
 * request-level determinism (same seed, same arrays);
 * edge cases of the blocked draws (pools smaller than a block, budgets
   expiring mid-block, first-round hits, sibling hits within a block).
@@ -11,10 +10,16 @@ Every family kernel runs under the NumPy namespace, asserting:
 The legacy twins at the end pin the NumPy path bit for bit: in-file
 copies of the prefix-sum sortie kernels (``batch_lshape`` and the phase
 families' ``_blocked_phase_rounds``) as they stood before the sparse
-first-hit scan, run on the same seeds as the current kernels.
+first-hit scan, run on the same seeds as the current kernels.  The
+exact-output pins at the very end hash every family's outputs and final
+generator state against digests recorded before the kernels dropped
+their array-namespace wrappers.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -33,14 +38,16 @@ def xp():
 
 
 def test_public_names_resolve(xp):
-    """The one binding is what the package exports, under its old names."""
+    """The package exports resolve, and the namespace handle is the three
+    members its callers use, its ``rng`` a plain NumPy Generator."""
     from repro.sim import kernels
 
     for name in kernels.__all__:
         assert getattr(kernels, name) is not None, name
-    assert isinstance(xp, kernels.ArrayNamespace)
+    assert sorted(vars(xp)) == ["name", "rng", "to_numpy"]
+    assert xp.name == "numpy"
     rng = xp.rng(np.random.SeedSequence(SEED))
-    assert isinstance(rng, kernels.KernelRNG)
+    assert isinstance(rng, np.random.Generator)
 
 
 FAMILY_SPECS = {
@@ -218,11 +225,11 @@ class TestSortieHelpers:
     def test_sortie_hits_closed_form(self, xp):
         """Hand-checked hit cases: the dense oracle and the kernel's
         candidate scan agree."""
-        sv = xp.asarray([1, 1, -1, 1], dtype=xp.int64)
-        lv = xp.asarray([5, 3, 2, 0], dtype=xp.int64)
-        sh = xp.asarray([1, 1, 1, -1], dtype=xp.int64)
-        lh = xp.asarray([0, 4, 9, 2], dtype=xp.int64)
-        hit, moves = _legacy_sortie_hits(xp, (2, 3), sv, lv, sh, lh)
+        sv = np.asarray([1, 1, -1, 1], dtype=np.int64)
+        lv = np.asarray([5, 3, 2, 0], dtype=np.int64)
+        sh = np.asarray([1, 1, 1, -1], dtype=np.int64)
+        lh = np.asarray([0, 4, 9, 2], dtype=np.int64)
+        hit, moves = _legacy_sortie_hits((2, 3), sv, lv, sh, lh)
         hit = xp.to_numpy(hit)
         moves = xp.to_numpy(moves)
         # Pair 1: vertical leg ends exactly at y=3, horizontal reaches
@@ -230,11 +237,11 @@ class TestSortieHelpers:
         assert list(hit) == [False, True, False, False]
         assert moves[1] == 5
         # The same four sorties as one-round rows of a block.
-        lengths = xp.astype(xp.asarray([5, 3, 2, 0, 0, 4, 9, 2]), xp.float32)
-        bits = xp.astype(xp.asarray([1, 1, 0, 1, 1, 1, 1, 0]), xp.float32)
+        lengths = np.asarray([5, 3, 2, 0, 0, 4, 9, 2]).astype(np.float32)
+        bits = np.asarray([1, 1, 0, 1, 1, 1, 1, 0]).astype(np.float32)
         flat, rows, cols = (
             xp.to_numpy(a)
-            for a in core._first_hits(xp, (2, 3), lengths, bits, 4, 1, None)
+            for a in core._first_hits((2, 3), lengths, bits, 4, 1, None)
         )
         assert list(rows) == list(flat) == [1] and list(cols) == [0]
 
@@ -259,25 +266,30 @@ class TestSortieHelpers:
 # ---------------------------------------------------------------------------
 
 
-def _legacy_sample_sorties_fused(xp, rng, stop_probability, shape):
+def _take_along(a, idx):
+    """Per-row gather: ``a[i, idx[i]]`` for 2-D ``a``, 1-D ``idx``."""
+    return np.take_along_axis(a, idx[:, None], axis=1)[:, 0]
+
+
+def _legacy_sample_sorties_fused(rng, stop_probability, shape):
     fused = (2, *shape) if isinstance(shape, tuple) else (2, shape)
-    u = rng.random(size=fused, dtype=xp.float32)
+    u = rng.random(size=fused, dtype=np.float32)
     u += u
-    signs = xp.floor(u)
+    signs = np.floor(u)
     u -= signs
     signs += signs
     signs -= 1.0
-    denominator = xp.minimum(
-        xp.astype(xp.log1p(-stop_probability), xp.float32), -1e-30
+    denominator = np.minimum(
+        np.log1p(-stop_probability).astype(np.float32), -1e-30
     )
     u *= -1.0
-    lengths = xp.log1p(u)
+    lengths = np.log1p(u)
     lengths /= denominator
-    lengths = xp.floor(lengths)
+    lengths = np.floor(lengths)
     return signs[0], lengths[0], signs[1], lengths[1]
 
 
-def _legacy_sortie_hits(xp, target, signs_v, lengths_v, signs_h, lengths_h):
+def _legacy_sortie_hits(target, signs_v, lengths_v, signs_h, lengths_h):
     """Dense L-path hit test + moves-at-hit (the kernels' former oracle,
     mirroring :func:`repro.grid.geometry.l_path_hit_moves`); also the
     hit oracle of ``test_fast.py``'s four-call loops."""
@@ -292,153 +304,145 @@ def _legacy_sortie_hits(xp, target, signs_v, lengths_v, signs_h, lengths_h):
         (signs_v * lengths_v == y) & (signs_h * x >= 0) & (lengths_h >= abs(x))
     )
     hit = hit_vertical | hit_horizontal
-    moves_at_hit = xp.where(hit_vertical, abs(y), lengths_v + abs(x))
+    moves_at_hit = np.where(hit_vertical, abs(y), lengths_v + abs(x))
     return hit, moves_at_hit
 
 
-def _legacy_batch_lshape(xp, rng, stop_probability, n_agents, n_trials,
+def _legacy_batch_lshape(rng, stop_probability, n_agents, n_trials,
                          target, move_budget):
     if target == (0, 0):
-        return core._origin_batch(xp, n_trials)
+        return core._origin_batch(n_trials)
     (pair_trial, pair_agent, best, best_finder,
-     trial_iterations, trial_rounds) = core._batch_state(xp, n_trials, n_agents)
-    cumulative = xp.zeros(n_trials * n_agents, dtype=xp.int64)
-    acc = core._move_dtype(xp, move_budget)
+     trial_iterations, trial_rounds) = core._batch_state(n_trials, n_agents)
+    cumulative = np.zeros(n_trials * n_agents, dtype=np.int64)
+    acc = core._move_dtype(move_budget)
 
     expected_len = max(1.0, 2.0 * (1.0 / stop_probability - 1.0))
     rounds_left = int(200 * (move_budget / expected_len + 1)) + 10_000
     block = 4
-    while xp.size(pair_trial) > 0 and rounds_left > 0:
-        pairs = xp.size(pair_trial)
+    while pair_trial.size > 0 and rounds_left > 0:
+        pairs = pair_trial.size
         block = core._block_len(pairs, 8, block * 2, rounds_left, core._MAX_BLOCK)
         rounds_left -= block
         sv, lv, sh, lh = _legacy_sample_sorties_fused(
-            xp, rng, stop_probability, (pairs, block)
+            rng, stop_probability, (pairs, block)
         )
-        hit, moves_at_hit = _legacy_sortie_hits(xp, target, sv, lv, sh, lh)
-        if acc is xp.float32:
+        hit, moves_at_hit = _legacy_sortie_hits(target, sv, lv, sh, lh)
+        if acc is np.float32:
             leg = lv
             leg += lh
         else:
-            leg = xp.astype(lv, acc)
+            leg = lv.astype(acc)
             leg += lh
-        cum_after = xp.cumsum(leg, axis=1)
-        cum_after += xp.astype(cumulative, acc)[:, None]
+        cum_after = np.cumsum(leg, axis=1)
+        cum_after += cumulative.astype(acc)[:, None]
 
-        hit_any = xp.astype(xp.sum(hit, axis=1), xp.bool_)
-        first = xp.first_true(hit, axis=1)
-        moves_before = xp.take_along(cum_after, first) - xp.take_along(leg, first)
-        pair_total = xp.astype(
-            xp.minimum(
-                moves_before + xp.take_along(moves_at_hit, first),
-                core._TOTAL_CLAMP,
-            ),
-            xp.int64,
-        )
-        limit = xp.astype(
-            xp.minimum(move_budget, xp.take(best, pair_trial)), acc
-        )
+        hit_any = np.sum(hit, axis=1).astype(np.bool_)
+        first = np.argmax(hit, axis=1)
+        moves_before = _take_along(cum_after, first) - _take_along(leg, first)
+        pair_total = np.minimum(
+            moves_before + _take_along(moves_at_hit, first),
+            core._TOTAL_CLAMP,
+        ).astype(np.int64)
+        limit = np.minimum(move_budget, best[pair_trial]).astype(acc)
         end_cum_f = cum_after[:, -1]
-        rounds_in_block = xp.where(hit_any, first + 1, block)
+        rounds_in_block = np.where(hit_any, first + 1, block)
         exceeds = end_cum_f >= limit
-        if xp.any(exceeds):
-            fe = xp.first_true(
+        if np.any(exceeds):
+            fe = np.argmax(
                 cum_after[exceeds] >= limit[exceeds][:, None], axis=1
             )
-            rounds_in_block[exceeds] = xp.minimum(
+            rounds_in_block[exceeds] = np.minimum(
                 rounds_in_block[exceeds], fe + 1
             )
-        xp.scatter_add(trial_iterations, pair_trial, rounds_in_block)
-        block_rounds = xp.zeros(n_trials, dtype=xp.int64)
-        xp.scatter_max(block_rounds, pair_trial, rounds_in_block)
+        np.add.at(trial_iterations, pair_trial, rounds_in_block)
+        block_rounds = np.zeros(n_trials, dtype=np.int64)
+        np.maximum.at(block_rounds, pair_trial, rounds_in_block)
         trial_rounds += block_rounds
 
         eligible = hit_any & (pair_total <= move_budget) & (
-            pair_total < xp.take(best, pair_trial)
+            pair_total < best[pair_trial]
         )
         core._score_hits(
-            xp, best, best_finder, pair_trial, pair_agent, pair_total, eligible
+            best, best_finder, pair_trial, pair_agent, pair_total, eligible
         )
         keep = ~hit_any & (
             end_cum_f
-            < xp.astype(xp.minimum(move_budget, xp.take(best, pair_trial)), acc)
+            < np.minimum(move_budget, best[pair_trial]).astype(acc)
         )
-        cumulative = xp.astype(end_cum_f[keep], xp.int64)
+        cumulative = end_cum_f[keep].astype(np.int64)
         pair_trial = pair_trial[keep]
         pair_agent = pair_agent[keep]
     return best, best_finder, trial_iterations, trial_rounds
 
 
-def _legacy_blocked_phase_rounds(xp, rng, target, move_budget, best,
+def _legacy_blocked_phase_rounds(rng, target, move_budget, best,
                                  best_finder, n_trials, pair_trial,
                                  pair_agent, cumulative, stop_p, use, block,
                                  trial_iterations, trial_rounds):
-    pairs = xp.size(pair_trial)
-    acc = core._move_dtype(xp, move_budget)
+    pairs = pair_trial.size
+    acc = core._move_dtype(move_budget)
     sv, lv, sh, lh = _legacy_sample_sorties_fused(
-        xp, rng, stop_p[None, :, None], (pairs, block)
+        rng, stop_p[None, :, None], (pairs, block)
     )
-    hit, moves_at_hit = _legacy_sortie_hits(xp, target, sv, lv, sh, lh)
-    if int(xp.sum(use)) != pairs * block:
-        cols = xp.arange(block, dtype=xp.int64)
+    hit, moves_at_hit = _legacy_sortie_hits(target, sv, lv, sh, lh)
+    if int(np.sum(use)) != pairs * block:
+        cols = np.arange(block, dtype=np.int64)
         hit &= cols[None, :] < use[:, None]
-    if acc is xp.float32:
+    if acc is np.float32:
         leg = lv
         leg += lh
     else:
-        leg = xp.astype(lv, acc)
+        leg = lv.astype(acc)
         leg += lh
-    cum_after = xp.cumsum(leg, axis=1)
-    cum_after += xp.astype(cumulative, acc)[:, None]
+    cum_after = np.cumsum(leg, axis=1)
+    cum_after += cumulative.astype(acc)[:, None]
 
-    hit_any = xp.astype(xp.sum(hit, axis=1), xp.bool_)
-    first = xp.first_true(hit, axis=1)
-    moves_before = xp.take_along(cum_after, first) - xp.take_along(leg, first)
-    pair_total = xp.astype(
-        xp.minimum(
-            moves_before + xp.take_along(moves_at_hit, first), core._TOTAL_CLAMP
-        ),
-        xp.int64,
-    )
-    limit = xp.astype(xp.minimum(move_budget, xp.take(best, pair_trial)), acc)
-    end_cum_f = xp.take_along(cum_after, use - 1)
-    rounds_in_block = xp.where(hit_any, first + 1, use)
+    hit_any = np.sum(hit, axis=1).astype(np.bool_)
+    first = np.argmax(hit, axis=1)
+    moves_before = _take_along(cum_after, first) - _take_along(leg, first)
+    pair_total = np.minimum(
+        moves_before + _take_along(moves_at_hit, first), core._TOTAL_CLAMP
+    ).astype(np.int64)
+    limit = np.minimum(move_budget, best[pair_trial]).astype(acc)
+    end_cum_f = _take_along(cum_after, use - 1)
+    rounds_in_block = np.where(hit_any, first + 1, use)
     exceeds = end_cum_f >= limit
-    if xp.any(exceeds):
-        fe = xp.first_true(cum_after[exceeds] >= limit[exceeds][:, None], axis=1)
-        alive_sub = xp.minimum(fe, use[exceeds] - 1) + 1
-        rounds_in_block[exceeds] = xp.minimum(rounds_in_block[exceeds], alive_sub)
-    xp.scatter_add(trial_iterations, pair_trial, rounds_in_block)
-    block_rounds = xp.zeros(n_trials, dtype=xp.int64)
-    xp.scatter_max(block_rounds, pair_trial, rounds_in_block)
+    if np.any(exceeds):
+        fe = np.argmax(cum_after[exceeds] >= limit[exceeds][:, None], axis=1)
+        alive_sub = np.minimum(fe, use[exceeds] - 1) + 1
+        rounds_in_block[exceeds] = np.minimum(rounds_in_block[exceeds], alive_sub)
+    np.add.at(trial_iterations, pair_trial, rounds_in_block)
+    block_rounds = np.zeros(n_trials, dtype=np.int64)
+    np.maximum.at(block_rounds, pair_trial, rounds_in_block)
     trial_rounds += block_rounds
 
     eligible = hit_any & (pair_total <= move_budget) & (
-        pair_total < xp.take(best, pair_trial)
+        pair_total < best[pair_trial]
     )
     core._score_hits(
-        xp, best, best_finder, pair_trial, pair_agent, pair_total, eligible
+        best, best_finder, pair_trial, pair_agent, pair_total, eligible
     )
     keep = ~hit_any & (
         end_cum_f
-        < xp.astype(xp.minimum(move_budget, xp.take(best, pair_trial)), acc)
+        < np.minimum(move_budget, best[pair_trial]).astype(acc)
     )
-    end_cum = xp.astype(xp.minimum(end_cum_f, core._TOTAL_CLAMP), xp.int64)
+    end_cum = np.minimum(end_cum_f, core._TOTAL_CLAMP).astype(np.int64)
     return keep, end_cum
 
 
-def _legacy_sortie_block(xp, rng, workspace, target, move_budget, best,
+def _legacy_sortie_block(rng, workspace, target, move_budget, best,
                          best_finder, n_trials, pair_trial, pair_agent,
                          cumulative, stop_probability, block,
                          trial_iterations, trial_rounds, use=None):
     """The phase kernels' per-block call, routed to the legacy body."""
     assert use is not None, "only the phase kernels are routed here"
     keep, end_cum = _legacy_blocked_phase_rounds(
-        xp, rng, target, move_budget, best, best_finder, n_trials,
+        rng, target, move_budget, best, best_finder, n_trials,
         pair_trial, pair_agent, cumulative, stop_probability[:, 0], use,
         block, trial_iterations, trial_rounds,
     )
-    return keep, xp.astype(end_cum, core._move_dtype(xp, move_budget))
+    return keep, end_cum.astype(core._move_dtype(move_budget))
 
 
 #: (id, spec, n_agents, target, move_budget, n_trials).  Together they
@@ -487,7 +491,7 @@ def _with_state(xp, request, kernel):
     """Kernel outputs plus the generator's final state."""
     rng = xp.rng(request.trial_seed(0))
     arrays = tuple(xp.to_numpy(a) for a in kernel(rng))
-    return arrays, rng.generator.bit_generator.state
+    return arrays, rng.bit_generator.state
 
 
 def _assert_twins(current, legacy):
@@ -515,8 +519,8 @@ class TestSortieLegacyTwins:
         p = core.stop_probability_for(request)
         args = (p, n_agents, n_trials, target, move_budget)
         _assert_twins(
-            _with_state(xp, request, lambda rng: core.batch_lshape(xp, rng, *args)),
-            _with_state(xp, request, lambda rng: _legacy_batch_lshape(xp, rng, *args)),
+            _with_state(xp, request, lambda rng: core.batch_lshape(rng, *args)),
+            _with_state(xp, request, lambda rng: _legacy_batch_lshape(rng, *args)),
         )
 
     @pytest.mark.parametrize("family", ["uniform", "doubly-uniform"])
@@ -545,3 +549,60 @@ class TestSortieLegacyTwins:
         current = _with_state(xp, request, kernel)
         monkeypatch.setattr(core, "_sortie_block", _legacy_sortie_block)
         _assert_twins(current, _with_state(xp, request, kernel))
+
+
+# ---------------------------------------------------------------------------
+# Exact-output pins: every family's outputs and final generator state,
+# hashed.  The legacy twins share every helper but the sortie block
+# body with the current core, and random-walk and feinerman have no
+# twin at all, so these digests are what holds the whole kernel to its
+# recorded streams.
+# ---------------------------------------------------------------------------
+
+#: (n_agents, target, move_budget, n_trials): an off-axis target on the
+#: float32 accounting path, an x == 0 target past the float64 switch, a
+#: y == 0 target whose budget expires mid-block, a far target with a
+#: long tail, and a pool above the scratch cap.
+_PIN_CASES = [
+    (4, (6, 5), MOVE_BUDGET, 64),
+    (8, (0, -7), 1 << 24, 16),
+    (3, (-7, 0), 777, 200),
+    (2, (24, -17), 100_000, 50),
+    (8, (3, 2), 60, 9_000),
+]
+
+#: Recorded on the NumPy kernels as they stood before they dropped the
+#: array-namespace wrappers; any stream or output change moves them.
+_PINNED_DIGESTS = {
+    "algorithm1": "36e5655a485ded5475bbb993621e07c54423fcef82ff2e027e919690ea09be43",
+    "doubly-uniform": "019e01e85210e9c942c3cd6da8cb5a0cd4af81bd70ab307b9f80a4dac90aea7e",
+    "feinerman": "035a6d1aaaf9c6d2c82da2462497d5b64071da96f2c5de9339a09db2626a4555",
+    "nonuniform": "66f196f7edd4b3584b7c3cf068a547f7f6100041cb0e4127ebf9a7b4b33780df",
+    "random-walk": "74db6f3d92daff05299f78ca2552deba1a4e0f08d3afb2cb70e87cf731cd8f4d",
+    "uniform": "ed8d05ba32a8fbfa20871f5dff9043db0ca21d70ee9be4180aad265abaf1dd76",
+}
+
+
+def _pin_digest(family: str) -> str:
+    xp = numpy_namespace()
+    digest = hashlib.sha256()
+    for n_agents, target, move_budget, n_trials in _PIN_CASES:
+        request = SimulationRequest(
+            algorithm=FAMILY_SPECS[family], n_agents=n_agents, target=target,
+            move_budget=move_budget, n_trials=n_trials, seed=SEED,
+            distance_bound=8,
+        )
+        arrays, state = _with_state(
+            xp, request, lambda rng: run_family(xp, rng, request, n_trials)
+        )
+        for array in arrays:
+            digest.update(array.dtype.str.encode())
+            digest.update(array.tobytes())
+        digest.update(json.dumps(state, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_SPECS))
+def test_kernel_outputs_pinned(family):
+    """Outputs and final generator state, byte for byte, as recorded."""
+    assert _pin_digest(family) == _PINNED_DIGESTS[family]
