@@ -46,8 +46,8 @@ class CompositeCoin:
     -----
     :meth:`flip` performs the faithful ``k``-flip loop (so its step cost
     matches the paper's accounting); :meth:`flip_fast` draws from the
-    same Bernoulli distribution in one shot and is what the vectorized
-    simulators use.  A statistical test asserts the two agree.
+    same Bernoulli distribution in one shot.  A statistical test asserts
+    the two agree.
     """
 
     def __init__(self, k: int, ell: int) -> None:
@@ -106,7 +106,8 @@ class CompositeCoin:
 
         Distributed ``Geometric(p) - 1`` with ``p = 2^{-kl}``: exactly
         the length distribution of the walks in Algorithms 1 and 3.
-        Sampled in one draw for the fast simulators.
+        Sampled in one draw; the batched kernels draw these lengths in
+        bulk by inverse CDF.
         """
         return int(rng.geometric(self.tails_probability)) - 1
 

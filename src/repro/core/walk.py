@@ -69,7 +69,8 @@ def _flip_with_internal_steps(rng: np.random.Generator, coin: CompositeCoin):
 def sample_walk_length(rng: np.random.Generator, k: int, ell: int) -> int:
     """Distribution-exact walk length in one draw: ``Geometric(2^{-kl}) - 1``.
 
-    The fast simulators use this instead of flipping coins one by one.
+    One draw instead of flipping coins one by one; the batched kernels
+    draw these lengths in bulk by inverse CDF.
     """
     return CompositeCoin(k, ell).geometric_heads_run(rng)
 

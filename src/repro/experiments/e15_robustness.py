@@ -33,7 +33,7 @@ from repro.experiments.base import DEFAULT_SEED, ExperimentResult, check_scale
 from repro.experiments.compiler import ExperimentSpec, execute_spec
 from repro.grid.geometry import Point
 from repro.robustness.perturbation import perturb_probability
-from repro.sim.fast import lshape_first_find
+from repro.sim.kernels import SENTINEL, batch_lshape
 from repro.sim.rng import derive_seed
 from repro.sim.runner import ExperimentRow, rows_to_markdown
 from repro.sim.stats import mean_ci
@@ -81,15 +81,23 @@ def noisy_search_mean(
     seed: int,
     tag: int,
 ) -> float:
-    """Mean M_moves when each trial's colony shares one noisy machine."""
+    """Mean M_moves when each trial's colony shares one noisy machine.
+
+    Trial ``t`` realizes its stop probability from its own stream,
+    ``derive_seed(seed, tag, t)``; the colonies then run as one batch
+    with per-trial stop probabilities, drawing from ``derive_seed(seed,
+    tag)``, an address no trial stream uses.
+    """
     budget = 256 * int(theory.expected_moves_upper_bound(distance, n_agents)) + 10_000
-    samples = []
-    for trial in range(trials):
-        rng = np.random.default_rng(derive_seed(seed, tag, trial))
-        stop = realized_stop(rng)
-        outcome = lshape_first_find(stop, n_agents, target, rng, budget)
-        samples.append(outcome.moves_or_budget)
-    return float(np.mean(samples))
+    stops = np.array([
+        realized_stop(np.random.default_rng(derive_seed(seed, tag, trial)))
+        for trial in range(trials)
+    ])
+    best, *_ = batch_lshape(
+        np.random.default_rng(derive_seed(seed, tag)),
+        stops, n_agents, trials, target, budget,
+    )
+    return float(np.mean(np.where(best == SENTINEL, budget, best)))
 
 
 def _measure(scale: str = "smoke", seed: int = DEFAULT_SEED) -> ExperimentResult:
@@ -138,6 +146,13 @@ def _measure(scale: str = "smoke", seed: int = DEFAULT_SEED) -> ExperimentResult
         if factor >= 0.5:
             checks[f"eps*D={factor}: composite beats direct"] = (
                 composite_mean < direct_mean
+            )
+        if factor == 1.0:
+            # The fragility itself: noise the size of the coin's bias
+            # must cost the direct coin a large factor, not only lose
+            # to the composite.
+            checks[f"eps*D={factor}: direct coin degrades (>= 3x)"] = (
+                direct_ratio >= 3.0
             )
 
     # Microscopic view: realized stop probabilities.

@@ -333,9 +333,10 @@ def _sortie_block(
     """One blocked round-batch of L-sorties for every pair in the pool.
 
     Each pair executes ``block`` rounds — or, for the phase-driven
-    families, ``use <= block`` rounds at its own per-row stop
-    probability (a ``(pairs, 1)`` column), constant within the block
-    because ``use`` never crosses the pair's phase boundary; columns
+    families, ``use <= block`` rounds — at one stop probability or at
+    its own per-row one (a ``(pairs, 1)`` column: the per-trial
+    lshape probabilities, or a phase's, constant within the block
+    because ``use`` never crosses the pair's phase boundary); columns
     past a row's horizon are discarded draws, masked out of hits and
     move sums, so every *used* column is distributed exactly as a
     per-round draw at that pair's phase.
@@ -451,13 +452,17 @@ def _sortie_block(
 
 def batch_lshape(
     rng: np.random.Generator,
-    stop_probability: float,
+    stop_probability,
     n_agents: int,
     n_trials: int,
     target,
     move_budget: int,
 ):
     """All trials of a constant-stop-probability sortie algorithm at once.
+
+    ``stop_probability`` is one float for every colony, or a
+    length-``n_trials`` array giving each colony its own (constant)
+    stop probability; the failsafe round cap then follows the largest.
 
     Each loop iteration simulates a ``(pairs, block)`` matrix of
     sorties with one RNG call and folds it into the colony minima via
@@ -466,6 +471,14 @@ def batch_lshape(
     iteration up to the scratch cap, so a near-drained pool simulates
     thousands of rounds per call.
     """
+    per_trial = np.ndim(stop_probability) > 0
+    if per_trial:
+        stop_probability = np.asarray(stop_probability, dtype=np.float64)
+        if stop_probability.shape != (n_trials,):
+            raise ValueError(
+                f"stop_probability must be a float or have shape "
+                f"({n_trials},), got shape {stop_probability.shape}"
+            )
     if target == (0, 0):
         return _origin_batch(n_trials)
     (pair_trial, pair_agent, best, best_finder,
@@ -474,7 +487,8 @@ def batch_lshape(
     workspace = _sortie_workspace(n_trials * n_agents, acc)
     cumulative = np.zeros(n_trials * n_agents, dtype=acc)
 
-    expected_len = max(1.0, 2.0 * (1.0 / stop_probability - 1.0))
+    largest = float(stop_probability.max()) if per_trial else stop_probability
+    expected_len = max(1.0, 2.0 * (1.0 / largest - 1.0))
     rounds_left = int(200 * (move_budget / expected_len + 1)) + 10_000
     block = 4
     while pair_trial.size > 0 and rounds_left > 0:
@@ -482,9 +496,15 @@ def batch_lshape(
             pair_trial.size, 8, block * 2, rounds_left, _MAX_BLOCK
         )
         rounds_left -= block
+        # Per-trial probabilities reach the draw as a (pairs, 1) column,
+        # as the phase-driven families' per-row probabilities do.
+        stop_p = (
+            stop_probability[pair_trial][:, None] if per_trial
+            else stop_probability
+        )
         keep, end = _sortie_block(
             rng, workspace, target, move_budget, best, best_finder,
-            n_trials, pair_trial, pair_agent, cumulative, stop_probability,
+            n_trials, pair_trial, pair_agent, cumulative, stop_p,
             block, trial_iterations, trial_rounds,
         )
         cumulative = end[keep]

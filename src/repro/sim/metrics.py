@@ -26,8 +26,8 @@ class FastRunStats:
     ``iterations_executed`` counts sampled algorithm iterations
     (sorties, walk steps, or Feinerman stages — the unit each simulator
     advances by); ``rounds_executed`` counts the simulator's outer
-    vectorized passes.  Batch backends attach one shared record to
-    every outcome of the batch.
+    vectorized passes.  The batched backend attaches each colony's own
+    record to its outcome.
     """
 
     iterations_executed: int
@@ -69,7 +69,7 @@ class SearchOutcome:
         move count at its own first find (``None`` if not found).
     m_steps:
         The analogous minimum over Markov-chain steps, when the
-        simulator tracks steps (fast simulators report ``None``).
+        simulator tracks steps (the batched kernels report ``None``).
     finder:
         Id of an agent achieving the minimum.
     n_agents:
@@ -79,8 +79,7 @@ class SearchOutcome:
     per_agent:
         Optional per-agent details (faithful engine only).
     stats:
-        Optional vectorized-run diagnostics (fast simulators and the
-        batched backend only).
+        Optional vectorized-run diagnostics (batched backend only).
     """
 
     found: bool

@@ -1,0 +1,33 @@
+"""Mutation controls: the report's checks must be able to fail.
+
+A check that passes on working code shows something only if it fails
+on a plausibly broken variant of that code.  Each test here injects one
+such *mutant* by monkeypatch, runs the matching experiment at smoke
+scale, and asserts that a named check turns FAIL.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.experiments import e15_robustness
+from repro.sim.kernels import batch_lshape
+
+
+def test_e15_direct_degradation_fails_when_noise_never_reaches_search(
+    monkeypatch,
+):
+    """E15 mutant: every colony searches at the median of the realized
+    stop probabilities instead of its own, so the per-agent noise never
+    reaches the search.  The realized-spread check never runs a search,
+    the composite checks bound the composite coin alone, and under the
+    mutant "composite beats direct" compares two means of the same size,
+    so it passes or fails by chance; the direct coin's degradation is
+    what the mutant reliably loses (about 1x against the >= 3x floor)."""
+
+    def median_stop(rng, stop_probability, *args):
+        return batch_lshape(rng, float(np.median(stop_probability)), *args)
+
+    monkeypatch.setattr(e15_robustness, "batch_lshape", median_stop)
+    result = e15_robustness.run("smoke")
+    assert not result.checks["eps*D=1.0: direct coin degrades (>= 3x)"]

@@ -7,38 +7,43 @@ import pytest
 
 from repro import (
     Algorithm1,
+    AlgorithmSpec,
     EngineConfig,
     GridWorld,
     NonUniformSearch,
     SearchEngine,
+    SimulationRequest,
     UniformSearch,
+    simulate,
     speedup,
 )
 from repro.core.uniform import calibrated_K
 from repro.grid.targets import RingTarget, UniformSquareTarget
 from repro.lowerbound.certify import certify
 from repro.lowerbound.colony import simulate_colony
-from repro.sim.fast import lshape_first_find
-from repro.sim.rng import derive_seed
+
+
+def _algorithm1_outcomes(distance, n_agents, target, budget, trials, seed):
+    """``trials`` Algorithm 1 colonies on the ``batched`` backend, uncached."""
+    request = SimulationRequest(
+        algorithm=AlgorithmSpec.algorithm1(distance), n_agents=n_agents,
+        target=target, move_budget=budget, n_trials=trials, seed=seed,
+    )
+    return simulate(request, backend="batched", cache=False).outcomes
 
 
 class TestUpperBoundPipeline:
-    def test_colony_beats_single_agent(self, rng_factory):
+    def test_colony_beats_single_agent(self):
         """The headline speed-up, measured through the public API."""
         distance, target = 24, (24, 24)
         budget = 10**7
         trials = 120
 
-        def mean_moves(n_agents, tag):
-            samples = []
-            for trial in range(trials):
-                generator = np.random.default_rng(derive_seed(77, tag, trial))
-                samples.append(
-                    lshape_first_find(
-                        1 / distance, n_agents, target, generator, budget
-                    ).moves_or_budget
-                )
-            return float(np.mean(samples))
+        def mean_moves(n_agents, seed):
+            outcomes = _algorithm1_outcomes(
+                distance, n_agents, target, budget, trials, seed
+            )
+            return float(np.mean(outcomes.moves_or_budget()))
 
         single = mean_moves(1, 0)
         colony = mean_moves(8, 1)
@@ -71,10 +76,9 @@ class TestUpperBoundPipeline:
         placement = RingTarget(distance)
         totals = []
         for trial in range(trials):
-            target = placement(rng)
-            outcome = lshape_first_find(
-                1 / distance, 4, target, np.random.default_rng(trial), 10**7
-            )
+            outcome = _algorithm1_outcomes(
+                distance, 4, placement(rng), 10**7, 1, trial
+            )[0]
             totals.append(outcome.moves_or_budget)
         assert np.mean(totals) <= theory.expected_moves_upper_bound(distance, 4)
 
@@ -142,14 +146,10 @@ class TestLowerBoundPipeline:
         assert not below.found
 
         n_contrast = int(np.ceil(256 * distance**0.25))
-        found = 0
-        for trial in range(10):
-            outcome = lshape_first_find(
-                1 / distance, n_contrast, target, np.random.default_rng(trial),
-                horizon,
-            )
-            found += outcome.found
-        assert found >= 5
+        outcomes = _algorithm1_outcomes(
+            distance, n_contrast, target, horizon, 10, 0
+        )
+        assert int(np.sum(outcomes.found)) >= 5
 
 
 class TestDocstringExample:

@@ -1,11 +1,10 @@
 """Cross-form equivalence: process vs automaton vs vectorized simulators.
 
-The same algorithm exists as pseudocode-style generator, explicit
-automaton and the per-iteration sortie simulator ``lshape_first_find``,
-and the lower-bound colony simulator vectorizes automata; these tests
-check the forms produce statistically indistinguishable behaviour, which
-is the foundation the benchmark sweeps stand on.  The ``batched``
-kernels are checked against the engine in
+The same algorithm exists as pseudocode-style generator and explicit
+automaton, and the lower-bound colony simulator vectorizes automata;
+these tests check the forms produce statistically indistinguishable
+behaviour, which is the foundation the benchmark sweeps stand on.  The
+``batched`` kernels are checked against the engine in
 ``test_backend_equivalence.py``.
 """
 
@@ -20,11 +19,10 @@ from repro.core.automaton import AutomatonAlgorithm
 from repro.core.nonuniform import NonUniformSearch
 from repro.grid.world import GridWorld
 from repro.sim.engine import EngineConfig, SearchEngine
-from repro.sim.fast import lshape_first_find
 from repro.sim.rng import spawn_generators
 
 
-def engine_samples(algorithm, n_agents, target, budget, trials, seed):
+def engine_mean_moves(algorithm, n_agents, target, budget, trials, seed):
     engine = SearchEngine(EngineConfig(move_budget=budget))
     samples = []
     for trial in range(trials):
@@ -33,48 +31,7 @@ def engine_samples(algorithm, n_agents, target, budget, trials, seed):
             algorithm, n_agents, world, rng=np.random.SeedSequence([seed, trial])
         )
         samples.append(outcome.moves_or_budget)
-    return samples
-
-
-def engine_mean_moves(algorithm, n_agents, target, budget, trials, seed):
-    return float(np.mean(engine_samples(
-        algorithm, n_agents, target, budget, trials, seed
-    )))
-
-
-def fast_samples(stop_probability, n_agents, target, budget, trials, generator):
-    return [
-        lshape_first_find(
-            stop_probability, n_agents, target, generator, budget
-        ).moves_or_budget
-        for _ in range(trials)
-    ]
-
-
-class TestProcessVsFast:
-    def test_algorithm1_engine_matches_fast(self, rng_factory):
-        distance, n_agents, target = 8, 2, (5, 3)
-        budget = 500_000
-        trials = 250
-        via_engine = engine_mean_moves(
-            Algorithm1(distance), n_agents, target, budget, trials, 1
-        )
-        via_fast = np.mean(fast_samples(
-            1 / distance, n_agents, target, budget, trials, rng_factory(2)
-        ))
-        assert via_engine == pytest.approx(via_fast, rel=0.2)
-
-    def test_nonuniform_engine_matches_fast(self, rng_factory):
-        distance, n_agents, target = 8, 2, (4, -2)
-        budget = 500_000
-        trials = 250
-        algorithm = NonUniformSearch(distance, 1)
-        via_engine = engine_mean_moves(algorithm, n_agents, target, budget, trials, 3)
-        via_fast = np.mean(fast_samples(
-            algorithm.stop_probability, n_agents, target, budget, trials,
-            rng_factory(4),
-        ))
-        assert via_engine == pytest.approx(via_fast, rel=0.2)
+    return float(np.mean(samples))
 
 
 class TestProcessVsAutomaton:
@@ -136,26 +93,6 @@ class TestProcessVsAutomaton:
             AutomatonAlgorithm(algorithm.automaton()), 2, target, budget, trials, 12
         )
         assert via_process == pytest.approx(via_automaton, rel=0.25)
-
-
-class TestDistributionalEquivalence:
-    def test_fast_and_engine_move_distributions_ks_close(self, rng_factory):
-        """Full-distribution check (KS), stronger than matching means."""
-        from repro.sim.stats import ks_statistic, ks_two_sample_threshold
-
-        distance, n_agents, target = 8, 2, (5, 3)
-        budget = 500_000
-        trials = 400
-
-        distance_ks = ks_statistic(
-            engine_samples(Algorithm1(distance), n_agents, target, budget, trials, 41),
-            fast_samples(
-                1 / distance, n_agents, target, budget, trials, rng_factory(42)
-            ),
-        )
-        # alpha = 0.001: flake-resistant while still sensitive to any
-        # systematic distribution mismatch at these sample sizes.
-        assert distance_ks <= ks_two_sample_threshold(trials, trials, alpha=0.001)
 
 
 class TestColonyVsEngine:

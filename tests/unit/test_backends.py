@@ -402,14 +402,15 @@ class TestBatchedColonies:
     @pytest.mark.parametrize(
         "spec, n_agents, target, min_moves, max_moves",
         [
+            (AlgorithmSpec.algorithm1(8), 4, (2, 1), 3, 10**5),
             (AlgorithmSpec.nonuniform(16, 1), 4, (5, 5), 10, 10**6),
             (AlgorithmSpec.uniform(1, K=2), 4, (2, 2), 4, 10**5),
             (AlgorithmSpec.doubly_uniform(1), 4, (3, 2), 5, 10**7),
             (AlgorithmSpec.random_walk(), 8, (1, 0), 1, 10_000),
             (AlgorithmSpec.feinerman(), 4, (20, -13), 33, 10**7),
         ],
-        ids=["nonuniform", "uniform", "doubly-uniform", "random-walk",
-             "feinerman"],
+        ids=["algorithm1", "nonuniform", "uniform", "doubly-uniform",
+             "random-walk", "feinerman"],
     )
     def test_finds_a_reachable_target(
         self, spec, n_agents, target, min_moves, max_moves
@@ -421,6 +422,7 @@ class TestBatchedColonies:
     @pytest.mark.parametrize(
         "spec, target, move_budget",
         [
+            (AlgorithmSpec.algorithm1(8), (6, 6), 5),
             (AlgorithmSpec.uniform(1, K=2), (50, 50), 20),
             # With max_phase=1 the square side is 2: out of reach.
             (AlgorithmSpec.uniform(1, K=2, max_phase=1), (40, 40), 10**6),
@@ -428,8 +430,8 @@ class TestBatchedColonies:
             (AlgorithmSpec.random_walk(), (90, 90), 50),
             (AlgorithmSpec.feinerman(), (500, 500), 100),
         ],
-        ids=["uniform", "uniform-max-phase", "doubly-uniform", "random-walk",
-             "feinerman"],
+        ids=["algorithm1", "uniform", "uniform-max-phase", "doubly-uniform",
+             "random-walk", "feinerman"],
     )
     def test_unreachable_target_is_not_found(self, spec, target, move_budget):
         assert not _colony(spec, 2, target, move_budget).outcome.found
@@ -437,6 +439,7 @@ class TestBatchedColonies:
     @pytest.mark.parametrize(
         "spec",
         [
+            AlgorithmSpec.algorithm1(8),
             AlgorithmSpec.doubly_uniform(1, K=2),
             AlgorithmSpec.random_walk(),
             AlgorithmSpec.feinerman(),
@@ -474,6 +477,32 @@ class TestBatchedColonies:
         moves = outcomes.m_moves[outcomes.found]
         assert moves.size
         assert ((moves - 3) % 2 == 0).all()
+
+    def test_algorithm1_single_agent_mean_within_theory_envelope(self):
+        """E[M_moves] for one agent at the hardest corner stays inside
+        the proof's explicit ``4D/(1-q)`` envelope (Theorem 3.5)."""
+        from repro.core import theory
+
+        distance = 16
+        outcomes = _colony(
+            AlgorithmSpec.algorithm1(distance), 1, (distance, distance),
+            10**7, n_trials=300, seed=1,
+        ).outcomes
+        assert outcomes.found.all()
+        assert outcomes.m_moves.mean() <= theory.expected_moves_upper_bound(
+            distance, 1
+        )
+
+    def test_algorithm1_more_agents_never_slower(self):
+        distance, target = 32, (20, -13)
+        means = [
+            _colony(
+                AlgorithmSpec.algorithm1(distance), n_agents, target, 10**7,
+                n_trials=150, seed=17,
+            ).moves_or_budget().mean()
+            for n_agents in (1, 8, 64)
+        ]
+        assert means[0] > means[1] > means[2]
 
     def test_random_walk_reproducible_with_same_seed(self):
         first, second = (

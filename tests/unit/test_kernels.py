@@ -27,6 +27,7 @@ import pytest
 from repro.sim import AlgorithmSpec, SimulationRequest
 from repro.sim.kernels import core, numpy_namespace, run_family
 from repro.sim.kernels.core import SENTINEL
+from repro.sim.metrics import FastRunStats
 
 MOVE_BUDGET = 300_000
 SEED = 20140507
@@ -292,7 +293,7 @@ def _legacy_sample_sorties_fused(rng, stop_probability, shape):
 def _legacy_sortie_hits(target, signs_v, lengths_v, signs_h, lengths_h):
     """Dense L-path hit test + moves-at-hit (the kernels' former oracle,
     mirroring :func:`repro.grid.geometry.l_path_hit_moves`); also the
-    hit oracle of ``test_fast.py``'s four-call loops."""
+    hit oracle of the per-colony four-call loop below."""
     x, y = target
     if x != 0:
         hit = signs_v * lengths_v == y
@@ -306,6 +307,50 @@ def _legacy_sortie_hits(target, signs_v, lengths_v, signs_h, lengths_h):
     hit = hit_vertical | hit_horizontal
     moves_at_hit = np.where(hit_vertical, abs(y), lengths_v + abs(x))
     return hit, moves_at_hit
+
+
+def _legacy_lshape_first_find(stop_probability, n_agents, target, rng, move_budget):
+    """One colony of repeated L-sorties, four Generator calls per round:
+    the per-colony simulator E15 ran on before it moved to
+    ``batch_lshape``, kept as its distribution reference.  Returns
+    ``(m_moves, finder, stats)``."""
+    if target == (0, 0):
+        return 0, 0, FastRunStats(0, 0)
+    cumulative = np.zeros(n_agents, dtype=np.int64)
+    agent_ids = np.arange(n_agents)
+    best = best_finder = None
+    expected_len = max(1.0, 2.0 * (1.0 / stop_probability - 1.0))
+    max_rounds = int(200 * (move_budget / expected_len + 1)) + 10_000
+    rounds_executed = iterations_executed = 0
+    for _ in range(max_rounds):
+        if agent_ids.size == 0:
+            break
+        count = agent_ids.size
+        rounds_executed += 1
+        iterations_executed += count
+        sv = rng.integers(0, 2, size=count) * 2 - 1
+        sh = rng.integers(0, 2, size=count) * 2 - 1
+        lv = rng.geometric(stop_probability, size=count) - 1
+        lh = rng.geometric(stop_probability, size=count) - 1
+        hit, moves_at_hit = _legacy_sortie_hits(target, sv, lv, sh, lh)
+        totals = cumulative + moves_at_hit
+        eligible = hit & (totals <= move_budget)
+        if np.any(eligible):
+            candidate_index = int(
+                np.argmin(np.where(eligible, totals, np.iinfo(np.int64).max))
+            )
+            candidate_total = int(totals[candidate_index])
+            if best is None or candidate_total < best:
+                best = candidate_total
+                best_finder = int(agent_ids[candidate_index])
+        survivors = ~hit
+        cumulative = cumulative[survivors] + (lv + lh)[survivors]
+        agent_ids = agent_ids[survivors]
+        limit = move_budget if best is None else min(move_budget, best)
+        keep = cumulative < limit
+        cumulative = cumulative[keep]
+        agent_ids = agent_ids[keep]
+    return best, best_finder, FastRunStats(iterations_executed, rounds_executed)
 
 
 def _legacy_batch_lshape(rng, stop_probability, n_agents, n_trials,
@@ -549,6 +594,106 @@ class TestSortieLegacyTwins:
         current = _with_state(xp, request, kernel)
         monkeypatch.setattr(core, "_sortie_block", _legacy_sortie_block)
         _assert_twins(current, _with_state(xp, request, kernel))
+
+
+# ---------------------------------------------------------------------------
+# Per-trial stop probabilities: ``batch_lshape`` with a length-n_trials
+# array.  An array of one value must be the scalar call bit for bit; a
+# mixed array must give each colony its own probability's distribution.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "move_budget", [100_000, 1 << 24], ids=["float32", "float64"]
+)
+@pytest.mark.parametrize(
+    "spec",
+    [AlgorithmSpec.algorithm1(24), AlgorithmSpec.nonuniform(16, 2)],
+    ids=["algorithm1", "nonuniform"],
+)
+def test_lshape_array_of_one_p_equals_scalar(spec, move_budget):
+    xp = numpy_namespace()
+    n_agents, target, n_trials = 4, (24, -17), 100
+    request = _twin_request(spec, n_agents, target, move_budget, n_trials)
+    p = core.stop_probability_for(request)
+
+    def kernel(stop_probability):
+        return lambda rng: core.batch_lshape(
+            rng, stop_probability, n_agents, n_trials, target, move_budget
+        )
+
+    _assert_twins(
+        _with_state(xp, request, kernel(np.full(n_trials, p))),
+        _with_state(xp, request, kernel(p)),
+    )
+
+
+#: (stop_probability, n_agents, target, move_budget) at which both
+#: halves of a mixed call (p and p / 4) are checked against the
+#: per-colony loop: E15's far corner, a tight budget that leaves most
+#: colonies unfound, on-axis targets (p >= 1/3 takes geometric's search
+#: branch in the loop), one agent, and the origin.
+_MIXED_P_CASES = [
+    (1 / 16, 8, (16, 16), 10**6),
+    (0.05, 19, (-7, 3), 400),
+    (0.4, 3, (0, 2), 10_000),
+    (1 / 3, 5, (0, -1), 1_000),
+    (0.5, 1, (2, 0), 100),
+    (0.2, 4, (0, 0), 10),
+]
+
+
+@pytest.mark.parametrize(
+    "stop_probability, n_agents, target, move_budget", _MIXED_P_CASES,
+    ids=["far-corner", "tight-budget", "x0", "x0-p-third", "one-agent",
+         "origin"],
+)
+def test_lshape_mixed_p_halves_match_per_colony_loop(
+    stop_probability, n_agents, target, move_budget
+):
+    """Even trials run at ``p``, odd trials at ``p / 4``, in one call;
+    each half passes a KS test against the four-call per-colony loop at
+    its own probability."""
+    from repro.sim.stats import ks_statistic, ks_two_sample_threshold
+
+    trials = 200
+    halves = (stop_probability, stop_probability / 4)
+    stops = np.tile(halves, trials)
+    best, *_ = core.batch_lshape(
+        np.random.default_rng(SEED), stops, n_agents, 2 * trials, target,
+        move_budget,
+    )
+    batched = np.where(best == SENTINEL, move_budget, best)
+    for half, p in enumerate(halves):
+        loop_rng = np.random.default_rng(SEED + 1 + half)
+        per_colony = []
+        for _ in range(trials):
+            m_moves, _, _ = _legacy_lshape_first_find(
+                p, n_agents, target, loop_rng, move_budget
+            )
+            per_colony.append(move_budget if m_moves is None else m_moves)
+        distance = ks_statistic(batched[half::2], per_colony)
+        assert distance <= ks_two_sample_threshold(trials, trials, alpha=0.001)
+
+
+def test_lshape_per_trial_p_follows_its_colony():
+    """A colony whose coin almost never stops overshoots an off-axis
+    corner on every sortie, so exactly the odd trials go unfound."""
+    n_trials = 40
+    stops = np.tile([1 / 8, 1e-12], n_trials // 2)
+    best, finder, iterations, _ = core.batch_lshape(
+        np.random.default_rng(SEED), stops, 4, n_trials, (3, 2), 10**5
+    )
+    assert (best[0::2] != SENTINEL).all() and (finder[0::2] >= 0).all()
+    assert (best[1::2] == SENTINEL).all() and (finder[1::2] == -1).all()
+    assert (iterations > 0).all()
+
+
+def test_lshape_p_array_shape_is_checked():
+    with pytest.raises(ValueError, match="shape"):
+        core.batch_lshape(
+            np.random.default_rng(SEED), np.full(3, 0.5), 2, 4, (1, 1), 100
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,24 @@ def _teleporting_automaton():
     return Automaton(np.array([row] * 5), labels, name="teleporting")
 
 
+def test_block_draw_equals_round_by_round_draws():
+    """The NumPy stream equality the blocked colony relies on: one
+    ``random((b, n))`` call gives the values, and leaves the generator
+    state, of ``b`` calls of ``random(n)``."""
+    for seed in range(20):
+        for count in (1, 2, 7, 19):
+            block_rng = np.random.default_rng(seed)
+            round_rng = np.random.default_rng(seed)
+            # An odd count first leaves half a 64-bit word buffered.
+            block_rng.integers(0, 2, size=3)
+            round_rng.integers(0, 2, size=3)
+            assert np.array_equal(
+                block_rng.random((5, count)),
+                np.stack([round_rng.random(count) for _ in range(5)]),
+            )
+            assert block_rng.bit_generator.state == round_rng.bit_generator.state
+
+
 class TestColonyLegacyTwin:
     """The blocked colony is bit-identical to the round-by-round loop:
     same coverage, first find and finder, and the same generator state
