@@ -11,8 +11,9 @@ The automaton form serves three purposes:
 * mechanical ``chi`` accounting (state count -> bits, smallest positive
   transition probability -> ``l``);
 * the Markov-chain analysis of Section 4 (via :meth:`Automaton.to_markov_chain`);
-* an execution form that the equivalence tests compare against the
-  pseudocode-style generator processes.
+* an execution form, :meth:`Automaton.step`: the one sampling rule,
+  which the equivalence tests compare against the pseudocode-style
+  generator processes and :mod:`repro.lowerbound.colony` runs in blocks.
 """
 
 from __future__ import annotations
@@ -83,9 +84,9 @@ class Automaton:
         self._labels: List[Action] = list(labels)
         self._start = start
         self._name = name
-        # Row-wise cumulative sums let step() draw a successor with one
-        # uniform variate + binary search, which the vectorized
-        # multi-agent simulator relies on.
+        # Row-wise running sums: step() moves to the number of the row's
+        # sums at or below one uniform (the inverse CDF), so it never
+        # takes a zero-probability transition, not even at u = 0.0.
         self._cumulative = np.cumsum(self._matrix, axis=1)
         self._cumulative[:, -1] = 1.0
 
@@ -134,53 +135,30 @@ class Automaton:
         u = rng.random()
         return int(np.searchsorted(self._cumulative[state], u, side="right"))
 
-    def step_many(self, rng: np.random.Generator, states: np.ndarray) -> np.ndarray:
-        """Vectorized successor sampling for an array of agent states.
-
-        This is the kernel of the lower-bound colony simulator: ``n``
-        agents advance one synchronous round in O(n log |S|).
-        """
-        u = rng.random(states.shape[0])
-        rows = self._cumulative[states]
-        # searchsorted per row: count thresholds strictly below u.
-        return (rows < u[:, None]).sum(axis=1).astype(np.int64)
-
     def transition_thresholds(self) -> np.ndarray:
-        """The distinct cumulative thresholds :meth:`step_many` compares
-        a uniform against, in increasing order.
+        """The distinct running-sum thresholds :meth:`step` compares a
+        uniform against, in increasing order.
 
         Each row's last threshold is 1.0, which no uniform in ``[0, 1)``
-        exceeds, so it is left out.
+        reaches, so it is left out.
         """
         return np.unique(self._cumulative[:, :-1])
 
     def successor_table(self) -> np.ndarray:
-        """``step_many`` as a lookup on a uniform's threshold count.
+        """:meth:`step` as a lookup on a uniform's threshold count.
 
         Entry ``[s, c]`` of the ``(|S|, len(thresholds) + 1)`` table is
         the successor of state ``s`` for a uniform ``u`` with exactly
-        ``c`` of :meth:`transition_thresholds` strictly below it.  Every
-        entry of row ``s`` is one of those thresholds, so the count of
-        row ``s``'s entries below ``u`` — the state :meth:`step_many`
-        returns — is the count below the ``c``-th threshold (below
-        infinity when ``c`` is the last column): the lookup is exact.
+        ``c`` of :meth:`transition_thresholds` at or below it, that is
+        ``thresholds[c - 1] <= u < thresholds[c]``.  Every entry of row
+        ``s`` is one of those thresholds, so the count of row ``s``'s
+        entries at or below ``u`` — the state :meth:`step` returns — is
+        the count strictly below ``thresholds[c]`` (below infinity when
+        ``c`` is the last column): the lookup is exact.
         """
         bounds = np.append(self.transition_thresholds(), np.inf)
         below = self._cumulative[:, None, :-1] < bounds[None, :, None]
         return below.sum(axis=2).astype(np.int64)
-
-    def walk(self, rng: np.random.Generator, length: int) -> np.ndarray:
-        """Sample a state path of ``length`` steps starting at ``s0``.
-
-        Returns the visited states *after* each step (``length`` entries,
-        excluding ``s0`` itself).
-        """
-        states = np.empty(length, dtype=np.int64)
-        current = self._start
-        for index in range(length):
-            current = self.step(rng, current)
-            states[index] = current
-        return states
 
     def to_markov_chain(self):
         """The underlying Markov chain ``(S, P)`` used by Section 4.

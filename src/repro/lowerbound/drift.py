@@ -10,7 +10,8 @@ line ``r * p_vec(C)`` with
 
 where ``pi_C`` is the class's occupation distribution.  This module
 computes those drift lines exactly and measures simulated deviations
-from them.
+from them, with one agent on the blocked chain ``simulate_colony``
+runs on (:mod:`repro.lowerbound.colony`).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from repro.core.actions import Action
 from repro.core.automaton import Automaton
 from repro.errors import InvalidParameterError
+from repro.lowerbound.colony import _blocked_chain
 from repro.markov.classify import absorbing_probability_classes, classify_states
 from repro.markov.stationary import occupation_distribution
 
@@ -117,6 +119,9 @@ def measure_max_deviation(
     ``rounds ~ Delta``.  ORIGIN teleports reset the reference point, so
     machines that keep returning report deviation relative to the last
     return (matching Corollary 4.5's case split).
+
+    The result and the generator state afterwards are those of calling
+    :meth:`~repro.core.automaton.Automaton.step` once per round.
     """
     if rounds < 1:
         raise InvalidParameterError(f"rounds must be >= 1, got {rounds}")
@@ -126,8 +131,9 @@ def measure_max_deviation(
         burn_in = 4 * automaton.n_states * automaton.n_states
 
     state = automaton.start
-    for _ in range(burn_in):
-        state = automaton.step(rng, state)
+    burn = _blocked_chain(automaton, np.array([state]), burn_in, rng)
+    for _, states, _, _ in burn:
+        state = int(states[-1, 0])
 
     target_class = classification.class_of(state)
     if target_class is None:
@@ -139,21 +145,23 @@ def measure_max_deviation(
     lines = drift_profile(automaton)
     line = next(l for l in lines if l.states == target_class)
 
-    position = np.zeros(2)
-    drift = np.asarray(line.drift)
-    vectors = automaton.move_vectors()
-    labels = automaton.labels
+    drift_x, drift_y = line.drift
+    origin_mask_by_state = automaton.origin_state_mask()
     max_deviation = 0.0
     reference_round = 0
-    for round_index in range(1, rounds + 1):
-        state = automaton.step(rng, state)
-        if labels[state] is Action.ORIGIN:
-            position[:] = 0.0
-            reference_round = round_index
-        else:
-            position += vectors[state]
-        expected = (round_index - reference_round) * drift
-        deviation = float(np.abs(position - expected).max())
-        if deviation > max_deviation:
-            max_deviation = deviation
+    measured = _blocked_chain(automaton, np.array([state]), rounds, rng)
+    for done, states, xs, ys in measured:
+        # Rounds since the latest ORIGIN return (or since the start).
+        round_index = np.arange(done + 1, done + states.shape[0] + 1)
+        reference = np.where(
+            origin_mask_by_state.take(states[:, 0]), round_index, reference_round
+        )
+        np.maximum.accumulate(reference, out=reference)
+        elapsed = round_index - reference
+        deviation = max(
+            np.abs(xs[:, 0] - elapsed * drift_x).max(),
+            np.abs(ys[:, 0] - elapsed * drift_y).max(),
+        )
+        max_deviation = max(max_deviation, float(deviation))
+        reference_round = int(reference[-1])
     return max_deviation, line

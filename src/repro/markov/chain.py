@@ -142,27 +142,6 @@ class MarkovChain:
         u = rng.random()
         return int(np.searchsorted(self._cumulative[state], u, side="right"))
 
-    def step_many(self, rng: np.random.Generator, states: np.ndarray) -> np.ndarray:
-        """Vectorized transition for an array of independent walkers."""
-        u = rng.random(states.shape[0])
-        rows = self._cumulative[states]
-        return (rows < u[:, None]).sum(axis=1).astype(np.int64)
-
-    def sample_path(
-        self, rng: np.random.Generator, length: int, start: Optional[int] = None
-    ) -> np.ndarray:
-        """A state path of ``length`` steps (entries are post-step states)."""
-        if length < 0:
-            raise InvalidParameterError(f"length must be >= 0, got {length}")
-        current = self._start if start is None else start
-        if not 0 <= current < self.n_states:
-            raise InvalidParameterError(f"start state {current} out of range")
-        path = np.empty(length, dtype=np.int64)
-        for index in range(length):
-            current = self.step(rng, current)
-            path[index] = current
-        return path
-
     def restricted_to(self, states: Sequence[int]) -> "MarkovChain":
         """The chain induced on a *closed* subset of states.
 

@@ -8,9 +8,12 @@ scale, and asserts that a named check turns FAIL.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from repro.experiments import e15_robustness
+from repro.experiments import e11_drift, e15_robustness
+from repro.lowerbound import drift
 from repro.sim.kernels import batch_lshape
 
 
@@ -31,3 +34,21 @@ def test_e15_direct_degradation_fails_when_noise_never_reaches_search(
     monkeypatch.setattr(e15_robustness, "batch_lshape", median_stop)
     result = e15_robustness.run("smoke")
     assert not result.checks["eps*D=1.0: direct coin degrades (>= 3x)"]
+
+
+def test_e11_shrinking_deviation_fails_against_a_zero_drift_line(monkeypatch):
+    """E11 mutant: deviations are measured from a line of zero drift,
+    as if the drift vectors were never computed.  The biased walk then
+    strays linearly from that line, so its normalized deviation grows
+    with D instead of shrinking."""
+    true_profile = drift.drift_profile
+
+    def zero_drift_profile(automaton):
+        return [
+            dataclasses.replace(line, drift=(0.0, 0.0))
+            for line in true_profile(automaton)
+        ]
+
+    monkeypatch.setattr(drift, "drift_profile", zero_drift_profile)
+    result = e11_drift.run("smoke")
+    assert not result.checks["biased-walk: normalized deviation shrinks with D"]

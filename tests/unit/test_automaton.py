@@ -8,6 +8,7 @@ import pytest
 from repro.core.actions import ACTION_VECTORS, Action
 from repro.core.automaton import Automaton, AutomatonAlgorithm
 from repro.errors import InvalidParameterError
+from repro.lowerbound.colony import simulate_colony
 
 
 def two_state_machine() -> Automaton:
@@ -16,15 +17,49 @@ def two_state_machine() -> Automaton:
     return Automaton(matrix, [Action.ORIGIN, Action.UP], start=0, name="toy")
 
 
+def thirds_machine(start: int = 0) -> Automaton:
+    """Three states with non-dyadic probabilities, whose running sums
+    round, and a zero-probability transition out of state 0.  ``start``
+    picks the ORIGIN-labeled start state; the other two states step up
+    and right."""
+    matrix = np.array(
+        [[0.0, 1 / 3, 2 / 3], [0.1, 0.2, 0.7], [1 / 3, 1 / 3, 1 / 3]]
+    )
+    labels = [Action.UP, Action.RIGHT]
+    labels.insert(start, Action.ORIGIN)
+    return Automaton(matrix, labels, start=start, name="thirds")
+
+
 class _FixedUniforms:
-    """Stands in for a Generator whose next ``random(n)`` is ``u``."""
+    """Stands in for a Generator that hands out ``values`` in order."""
 
-    def __init__(self, u):
-        self.u = u
+    def __init__(self, values):
+        self._values = list(values)
 
-    def random(self, size):
-        assert size == self.u.size
-        return self.u
+    def random(self, size=None):
+        if size is None:
+            return self._values.pop(0)
+        count = int(np.prod(size))
+        drawn, self._values = self._values[:count], self._values[count:]
+        return np.array(drawn).reshape(size)
+
+
+def _colony_successor(machine: Automaton, u: float) -> int:
+    """The state one agent of ``simulate_colony`` steps to from the
+    start state for the uniform ``u``, read off the cell it visits."""
+    visited = simulate_colony(
+        machine, 1, 1, _FixedUniforms([u]), window_radius=1
+    ).visited
+    visited[1, 1] = False
+    cells = [(x - 1, y - 1) for x, y in np.argwhere(visited)]
+    if not cells:
+        return machine.start  # the only ORIGIN state: back at the origin
+    (cell,) = cells
+    (state,) = [
+        s for s in range(machine.n_states)
+        if ACTION_VECTORS[machine.label(s)] == cell
+    ]
+    return state
 
 
 class TestActions:
@@ -104,46 +139,26 @@ class TestAutomatonBehaviour:
         successors = [machine.step(rng, 0) for _ in range(20_000)]
         assert np.mean(successors) == pytest.approx(0.75, abs=0.02)
 
-    def test_step_many_matches_step_distribution(self, rng):
-        machine = two_state_machine()
-        states = np.zeros(20_000, dtype=np.int64)
-        successors = machine.step_many(rng, states)
-        assert successors.mean() == pytest.approx(0.75, abs=0.02)
-        assert set(np.unique(successors)) <= {0, 1}
-
-    def test_successor_table_matches_step_many(self):
-        """The threshold-count lookup the colony simulator steps with
-        returns exactly the states ``step_many`` draws, including for
-        non-dyadic probabilities whose running sums round."""
-        thirds = Automaton(
-            np.array([[0.0, 1 / 3, 2 / 3], [0.1, 0.2, 0.7], [1 / 3, 1 / 3, 1 / 3]]),
-            [Action.ORIGIN, Action.UP, Action.LEFT],
-        )
-        for machine in (two_state_machine(), thirds):
+    def test_successor_lookup_step_and_colony_agree_on_ties(self, rng):
+        """One sampling rule: the threshold-count lookup the blocked
+        chain steps with, ``step`` and ``simulate_colony`` return the
+        same successor for every uniform, including ``u = 0.0`` and the
+        thresholds themselves, where ties are decided, and none of them
+        takes a transition of probability zero (the ``thirds`` row 0
+        has one, to itself)."""
+        for machine in [two_state_machine()] + [thirds_machine(s) for s in range(3)]:
             thresholds = machine.transition_thresholds()
             table = machine.successor_table()
             assert table.shape == (machine.n_states, thresholds.size + 1)
-            for seed in range(3):
-                states = np.random.default_rng(100 + seed).integers(
-                    0, machine.n_states, size=5000
-                )
-                u = np.random.default_rng(seed).random(5000)
-                expected = machine.step_many(np.random.default_rng(seed), states)
-                counts = (u[:, None] > thresholds).sum(axis=1)
-                assert np.array_equal(table[states, counts], expected)
-            # Uniforms at the thresholds themselves, where ties are decided.
-            u = np.append(thresholds, np.nextafter(thresholds, 1.0))
-            counts = (u[:, None] > thresholds).sum(axis=1)
-            for state in range(machine.n_states):
-                states = np.full(u.size, state)
-                expected = machine.step_many(_FixedUniforms(u), states)
-                assert np.array_equal(table[state, counts], expected)
-
-    def test_walk_length(self, rng):
-        machine = two_state_machine()
-        path = machine.walk(rng, 17)
-        assert path.shape == (17,)
-        assert set(np.unique(path)) <= {0, 1}
+            ties = np.concatenate(
+                ([0.0], thresholds, np.nextafter(thresholds, 1.0))
+            )
+            for u in np.concatenate((ties, rng.random(200))):
+                start = machine.start
+                lookup = table[start, np.count_nonzero(thresholds <= u)]
+                stepped = machine.step(_FixedUniforms([u]), start)
+                assert lookup == stepped == _colony_successor(machine, u)
+                assert machine.matrix[start, stepped] > 0.0
 
     def test_move_vectors_and_origin_mask(self):
         machine = two_state_machine()

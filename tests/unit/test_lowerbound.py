@@ -27,6 +27,7 @@ from repro.lowerbound.theory import (
     speedup_cap_below_threshold,
     tube_width,
 )
+from repro.markov.classify import classify_states
 from repro.markov.random_automata import (
     biased_walk_automaton,
     cycle_automaton,
@@ -212,7 +213,8 @@ class TestColonySimulation:
 def _legacy_simulate_colony(automaton, n_agents, rounds, rng, *, window_radius,
                             target=None):
     """The round-by-round colony loop the blocked simulator replaced,
-    kept verbatim as its bit-identity reference."""
+    kept as its bit-identity reference; every agent steps with
+    ``Automaton.step``, one uniform each, in agent order."""
     side = 2 * window_radius + 1
     visited = np.zeros((side, side), dtype=bool)
     visited[window_radius, window_radius] = True
@@ -228,7 +230,9 @@ def _legacy_simulate_colony(automaton, n_agents, rounds, rng, *, window_radius,
     found_mask = np.zeros(n_agents, dtype=bool)
 
     for round_index in range(1, rounds + 1):
-        states = automaton.step_many(rng, states)
+        states = np.array(
+            [automaton.step(rng, int(state)) for state in states], dtype=np.int64
+        )
         displacements = move_vectors[states]
         positions += displacements
         teleported = origin_mask_by_state[states]
@@ -287,6 +291,38 @@ def test_block_draw_equals_round_by_round_draws():
                 np.stack([round_rng.random(count) for _ in range(5)]),
             )
             assert block_rng.bit_generator.state == round_rng.bit_generator.state
+
+
+def test_blocked_chain_matches_stepping_round_by_round():
+    """The chain both simulators run on: every agent's state and
+    position after every round, across block boundaries, equal one
+    ``Automaton.step`` per agent per round, and so does the generator
+    state afterwards.  The random machines' successors depend on their
+    state, so a state that failed to carry over a boundary shows."""
+    for n_agents in (1, 3):
+        rounds = colony._BLOCK_VALUES // n_agents + 5
+        for seed in range(2):
+            machine = random_bounded_automaton(
+                np.random.default_rng(seed), bits=3, ell=2
+            )
+            chain_rng = np.random.default_rng(seed)
+            step_rng = np.random.default_rng(seed)
+            starts = np.arange(n_agents) % machine.n_states
+            blocks = list(colony._blocked_chain(machine, starts, rounds, chain_rng))
+            _, *parts = zip(*blocks)
+            states, xs, ys = map(np.concatenate, parts)
+
+            current = [int(start) for start in starts]
+            position = np.zeros((n_agents, 2), dtype=np.int64)
+            vectors = machine.move_vectors()
+            for round_index in range(rounds):
+                current = [machine.step(step_rng, state) for state in current]
+                position += vectors[current]
+                position[machine.origin_state_mask()[current]] = 0
+                assert states[round_index].tolist() == current
+                assert xs[round_index].tolist() == position[:, 0].tolist()
+                assert ys[round_index].tolist() == position[:, 1].tolist()
+            assert chain_rng.bit_generator.state == step_rng.bit_generator.state
 
 
 class TestColonyLegacyTwin:
@@ -357,11 +393,119 @@ class TestColonyLegacyTwin:
         n_agents = colony._BLOCK_VALUES + 1
         self._assert_twin(machine, n_agents, 3, 5, 3, target=(0, 2))
 
+    def test_single_agent_across_blocks(self):
+        # One agent takes the recurrence on Python ints.
+        rounds = colony._BLOCK_VALUES + 37
+        self._assert_twin(_teleporting_automaton(), 1, rounds, 2, 6, (2, 3))
+
     def test_without_target(self):
         result = self._assert_twin(
             uniform_walk_automaton(), 6, 500, 11, 10, target=None
         )
         assert not result.found and result.finder is None
+
+
+def _legacy_measure_max_deviation(automaton, rounds, rng, *, burn_in=None):
+    """The per-round ``measure_max_deviation`` the blocked chain
+    replaced, kept verbatim as its bit-identity reference."""
+    if rounds < 1:
+        raise InvalidParameterError(f"rounds must be >= 1, got {rounds}")
+    chain = automaton.to_markov_chain()
+    classification = classify_states(chain)
+    if burn_in is None:
+        burn_in = 4 * automaton.n_states * automaton.n_states
+
+    state = automaton.start
+    for _ in range(burn_in):
+        state = automaton.step(rng, state)
+
+    target_class = classification.class_of(state)
+    if target_class is None:
+        # Extremely unlikely after the burn-in; step until absorbed.
+        while target_class is None:
+            state = automaton.step(rng, state)
+            target_class = classification.class_of(state)
+
+    lines = drift_profile(automaton)
+    line = next(l for l in lines if l.states == target_class)
+
+    position = np.zeros(2)
+    drift = np.asarray(line.drift)
+    vectors = automaton.move_vectors()
+    labels = automaton.labels
+    max_deviation = 0.0
+    reference_round = 0
+    for round_index in range(1, rounds + 1):
+        state = automaton.step(rng, state)
+        if labels[state] is Action.ORIGIN:
+            position[:] = 0.0
+            reference_round = round_index
+        else:
+            position += vectors[state]
+        expected = (round_index - reference_round) * drift
+        deviation = float(np.abs(position - expected).max())
+        if deviation > max_deviation:
+            max_deviation = deviation
+    return max_deviation, line
+
+
+def _fork_automaton():
+    """A transient ORIGIN start that lingers (one step in two) and then
+    settles for good on an up-line or a right-line."""
+    matrix = np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    return Automaton(matrix, [Action.ORIGIN, Action.UP, Action.RIGHT])
+
+
+class TestDriftLegacyTwin:
+    """E11's blocked one-agent chain is bit-identical to the per-round
+    loop: the same deviation, the same drift line and the same
+    generator state afterwards."""
+
+    def _assert_twin(self, automaton, rounds, seed, burn_in=None):
+        legacy_rng = np.random.default_rng(seed)
+        blocked_rng = np.random.default_rng(seed)
+        expected = _legacy_measure_max_deviation(
+            automaton, rounds, legacy_rng, burn_in=burn_in
+        )
+        result = measure_max_deviation(
+            automaton, rounds, blocked_rng, burn_in=burn_in
+        )
+        assert result == expected
+        assert blocked_rng.bit_generator.state == legacy_rng.bit_generator.state
+        return result
+
+    def test_origin_returns_reset_the_line(self):
+        for seed in range(4):
+            deviation, line = self._assert_twin(
+                _teleporting_automaton(), 3000, seed
+            )
+            assert line.has_origin_state and deviation > 0
+
+    def test_horizon_longer_than_one_block(self):
+        # The state, the position and the latest ORIGIN return all
+        # carry across the block boundary.
+        rounds = colony._BLOCK_VALUES + 1234
+        for seed in range(3):
+            self._assert_twin(_teleporting_automaton(), rounds, seed)
+            machine = random_bounded_automaton(
+                np.random.default_rng(seed), bits=3, ell=2
+            )
+            self._assert_twin(machine, rounds, seed)
+
+    def test_step_until_absorbed(self):
+        # burn_in=0 leaves the agent on its transient start state, so
+        # it steps one round at a time until a class absorbs it.
+        drifts = set()
+        for seed in range(8):
+            _, line = self._assert_twin(_fork_automaton(), 500, seed, burn_in=0)
+            drifts.add(line.drift)
+        assert drifts == {(0.0, 1.0), (1.0, 0.0)}
+
+    def test_e11_specimens(self):
+        from repro.experiments.e11_drift import specimens
+
+        for seed, (_, machine) in enumerate(specimens()):
+            self._assert_twin(machine, 2000, seed)
 
 
 class TestCertificate:

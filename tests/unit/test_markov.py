@@ -94,15 +94,6 @@ class TestMarkovChainBasics:
         successors = [chain.step(rng, 0) for _ in range(20_000)]
         assert np.mean(successors) == pytest.approx(0.25, abs=0.02)
 
-    def test_step_many(self, rng):
-        chain = two_state_chain(0.25, 0.75)
-        out = chain.step_many(rng, np.zeros(20_000, dtype=np.int64))
-        assert out.mean() == pytest.approx(0.25, abs=0.02)
-
-    def test_sample_path(self, rng):
-        path = two_state_chain().sample_path(rng, 100)
-        assert path.shape == (100,)
-
     def test_restricted_to_closed_subset(self):
         chain = absorbing_chain()
         sub = chain.restricted_to([1])
