@@ -10,21 +10,28 @@ callers:
 * **requests/sec** — sequential round-trip throughput on a cheap
   introspection route (``GET /v1/health``), the floor for pollers;
 * **remote overhead** — remote ``simulate()`` wall-clock over the
-  in-process call for the standard workload.
+  in-process call for the standard workload, and the median over
+  interleaved pairs of remote minus local latency of a memory-cache
+  replay (what the wire and server add when nothing is simulated).
 
 Gates are deliberately loose (regression tripwires, not precision
 numbers): the serving layer must answer health checks at >= 50 req/s
-and deliver a first event within 2 s on the standard workload.
+and deliver a first event within 2 s on the standard workload.  The
+health floor is not vacuous: with Nagle's algorithm left on in the
+server, keep-alive round trips wait on delayed ACKs and the floor
+fails (``test_health_floor_fails_with_nagle_on``).
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import time
+from typing import List
 
 from bench_sim_backends import update_record
 
-from repro.server.app import SimulationServer
+from repro.server.app import SimulationServer, _Handler
 from repro.server.client import RemoteClient
 from repro.sim import AlgorithmSpec, SimulationRequest, simulate
 
@@ -40,6 +47,8 @@ WORKLOAD = {
 
 _REPEATS = 3
 _HEALTH_ROUNDTRIPS = 100
+_HEALTH_FLOOR = 50  # requests/sec
+_REPLAY_PAIRS = 30
 
 
 def _request(seed: int) -> SimulationRequest:
@@ -72,17 +81,61 @@ def _time_submit_to_first_event(client: RemoteClient, seed: int):
     return first_event, first_shard, total
 
 
+def _health_requests_per_second(client: RemoteClient) -> float:
+    """Sequential round trips per second on the cheapest route."""
+    client.health()  # warm the connection path
+    start = time.perf_counter()
+    for _ in range(_HEALTH_ROUNDTRIPS):
+        client.health()
+    return _HEALTH_ROUNDTRIPS / (time.perf_counter() - start)
+
+
+def _replay_gap_ms(client: RemoteClient, seed: int) -> List[float]:
+    """Remote minus local ms of one memory-cache replay, per pair.
+
+    The in-process server shares this process's result cache, so both
+    sides of a pair are memory hits of the same entry; the order
+    within a pair alternates so neither side always runs second.
+    """
+    request = _request(seed)
+    simulate(request, backend=WORKLOAD["backend"], cache=True)
+
+    def timed(call) -> float:
+        start = time.perf_counter()
+        call(request, backend=WORKLOAD["backend"], cache=True)
+        return (time.perf_counter() - start) * 1e3
+
+    gaps = []
+    for pair in range(_REPLAY_PAIRS):
+        if pair % 2:
+            local_ms = timed(simulate)
+            remote_ms = timed(client.simulate)
+        else:
+            remote_ms = timed(client.simulate)
+            local_ms = timed(simulate)
+        gaps.append(remote_ms - local_ms)
+    return gaps
+
+
+def test_health_floor_fails_with_nagle_on(monkeypatch):
+    """The >= 50 req/s floor catches a server that leaves Nagle on."""
+    monkeypatch.setattr(_Handler, "disable_nagle_algorithm", False)
+    with SimulationServer(port=0, max_jobs=8) as server:
+        client = RemoteClient(server.url)
+        rate = _health_requests_per_second(client)
+        client.close()
+    assert rate < _HEALTH_FLOOR, (
+        f"{rate:.0f} health round-trips/sec with Nagle on; the floor "
+        f"({_HEALTH_FLOOR}) no longer detects it"
+    )
+
+
 def test_serving_layer_record():
     with SimulationServer(port=0, max_jobs=8) as server:
         client = RemoteClient(server.url)
 
         # Requests/sec on the cheapest route, sequential round trips.
-        client.health()  # warm the connection path
-        start = time.perf_counter()
-        for _ in range(_HEALTH_ROUNDTRIPS):
-            client.health()
-        health_elapsed = time.perf_counter() - start
-        requests_per_second = _HEALTH_ROUNDTRIPS / health_elapsed
+        requests_per_second = _health_requests_per_second(client)
 
         # Submit -> first SSE event, best of N (distinct seeds so the
         # result cache can never serve a timing run).
@@ -107,6 +160,9 @@ def test_serving_layer_record():
         remote_seconds = time.perf_counter() - remote_start
         assert len(remote.outcomes) == len(local.outcomes) == WORKLOAD["n_trials"]
 
+        gaps = _replay_gap_ms(client, seed=9998)
+        client.close()
+
     payload = {
         "workload": WORKLOAD,
         "requests_per_second": round(requests_per_second, 1),
@@ -116,6 +172,11 @@ def test_serving_layer_record():
         "local_simulate_seconds": round(local_seconds, 4),
         "remote_simulate_seconds": round(remote_seconds, 4),
         "remote_overhead_ratio": round(remote_seconds / local_seconds, 3),
+        "replay_remote_minus_local_ms": round(statistics.median(gaps), 3),
+        "replay_gap_quartiles_ms": [
+            round(q, 3) for q in statistics.quantiles(gaps, n=4)[::2]
+        ],
+        "replay_pairs": _REPLAY_PAIRS,
         "health_roundtrips": _HEALTH_ROUNDTRIPS,
         "repeats": _REPEATS,
     }
@@ -123,9 +184,9 @@ def test_serving_layer_record():
     print()
     print(json.dumps(record["serving"], indent=2, sort_keys=True))
 
-    assert requests_per_second >= 50, (
+    assert requests_per_second >= _HEALTH_FLOOR, (
         f"serving layer too slow: {requests_per_second:.0f} health "
-        f"round-trips/sec (floor 50)"
+        f"round-trips/sec (floor {_HEALTH_FLOOR})"
     )
     assert first_event <= 2.0, (
         f"submit -> first SSE event took {first_event:.2f}s (ceiling 2s)"

@@ -63,8 +63,6 @@ class MarkovChain:
         self._names = list(state_names) if state_names is not None else [
             f"s{i}" for i in range(n)
         ]
-        self._cumulative = np.cumsum(array, axis=1)
-        self._cumulative[:, -1] = 1.0
 
     @property
     def n_states(self) -> int:
@@ -136,11 +134,6 @@ class MarkovChain:
         for _ in range(steps):
             distribution = distribution @ self._matrix
         return distribution
-
-    def step(self, rng: np.random.Generator, state: int) -> int:
-        """Sample one transition from ``state``."""
-        u = rng.random()
-        return int(np.searchsorted(self._cumulative[state], u, side="right"))
 
     def restricted_to(self, states: Sequence[int]) -> "MarkovChain":
         """The chain induced on a *closed* subset of states.

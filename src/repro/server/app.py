@@ -15,7 +15,8 @@ Routes (all JSON unless noted)::
     GET    /v1/backends            registry coverage, decline reasons, auto picks
     GET    /v1/stats               server, job, cache, and metric counters
     GET    /v1/metrics             Prometheus text exposition (text/plain)
-    POST   /v1/jobs                submit a request; 429 over --max-jobs
+    POST   /v1/jobs                submit a request; 429 over --max-jobs;
+                                   "wait": S inlines the result if done by then
     GET    /v1/jobs                recent jobs (live + ledger records)
     GET    /v1/jobs/{id}           status; falls back to the JSON ledger
     GET    /v1/jobs/{id}/result    full result; ?wait=S long-polls
@@ -52,25 +53,34 @@ template fields (request- or algorithm-level), and the sweep preserves
 the ``derive_seed(seed, *seed_keys, point, trial)`` addressing, so
 remote sweep rows equal local :meth:`Sweep.run` rows.
 
+A submission may also carry ``"wait": S`` (seconds, capped at
+``_MAX_RESULT_WAIT``): when the job is done within that time the 201
+status payload carries the full result under ``"result"``, so a
+blocking remote ``simulate()`` is one HTTP exchange; otherwise the
+answer is the plain 201 and the caller long-polls ``/result``.
+
 Admission control is intentionally simple: at most ``max_jobs``
 non-terminal server-submitted jobs at a time; beyond that ``POST
 /v1/jobs`` answers ``429 Too Many Requests`` with a ``Retry-After``
 header, and :class:`~repro.server.client.RemoteClient` backs off and
-resubmits.
+resubmits.  Admission counts a live set pruned as units finish, so its
+cost does not grow with the server's history.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import re
+import socket
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import asdict, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Union
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import InvalidParameterError, JobCancelledError, ReproError
@@ -93,6 +103,7 @@ from repro.sim.jobs import (
     effective_state,
     find_job_record,
     get_manager,
+    oldest_finished,
     read_job_records,
 )
 from repro.sim.runner import SimulationTrial, Sweep, SweepJob
@@ -107,8 +118,9 @@ RETRY_AFTER_SECONDS = 1
 #: sweeps from the retained final status payloads.
 _MAX_TRACKED = 1024
 
-#: Longest single long-poll on the result route, whatever the client
-#: asks for — bounds how long one handler thread can be parked.
+#: Longest single long-poll on the result route (and longest ``wait``
+#: on a submission), whatever the client asks for — bounds how long one
+#: handler thread can be parked.
 _MAX_RESULT_WAIT = 60.0
 
 _JOB_ROUTE = re.compile(
@@ -128,7 +140,7 @@ _HTTP_REQUESTS = _REGISTRY.counter(
 _HTTP_SECONDS = _REGISTRY.histogram(
     "repro_http_request_seconds",
     "HTTP request handling latency by route pattern (SSE streams count "
-    "their full stream lifetime).",
+    "their full stream lifetime, a submission with wait its wait).",
     ["route"],
 )
 
@@ -190,6 +202,18 @@ class _HTTPFailure(ReproError):
         super().__init__(message)
         self.status = status
         self.headers = headers or {}
+
+
+def _wait_seconds(value: Any) -> Optional[float]:
+    """A client's ``wait``: ``None``, or a finite number of seconds >= 0.
+
+    NaN must not pass: ``min(nan, cap)`` is NaN, and a NaN timeout
+    parks the handler thread past the cap.
+    """
+    seconds = wire.opt_float(value, "wait")
+    if seconds is not None and not (math.isfinite(seconds) and seconds >= 0):
+        raise WireError(f"wait must be a finite number >= 0, got {seconds}")
+    return seconds
 
 
 def _sweep_factory(template: SimulationRequest):
@@ -284,6 +308,13 @@ class SimulationServer:
         self._submit_lock = threading.Lock()
         self._jobs: "OrderedDict[str, SimulationJob]" = OrderedDict()
         self._sweeps: "OrderedDict[str, SweepJob]" = OrderedDict()
+        # Admission units not yet seen finished (job and sweep ids never
+        # collide); _active_units prunes it, so admission asks done()
+        # of live units only, not of the whole tracked history.
+        self._live: Dict[str, Union[SimulationJob, SweepJob]] = {}
+        # Open client connections, shut down on close() so idle
+        # keep-alive handlers do not hold the server open.
+        self._connections: Set[socket.socket] = set()
         # Final status payloads of evicted sweeps (rows are small
         # aggregates); the sweep-side analogue of the jobs ledger.
         self._sweep_records: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
@@ -338,8 +369,17 @@ class SimulationServer:
         self._httpd.serve_forever()
 
     def close(self) -> None:
-        """Stop accepting connections and release the socket."""
+        """Stop accepting connections and release the socket.
+
+        Open keep-alive connections are shut down too, so their idle
+        handler threads exit at once instead of at their read timeout.
+        """
         self._httpd.shutdown()
+        with self._lock:
+            connections = list(self._connections)
+        for connection in connections:
+            with contextlib.suppress(OSError):
+                connection.shutdown(socket.SHUT_RDWR)
         self._httpd.server_close()
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5.0)
@@ -357,18 +397,26 @@ class SimulationServer:
         with self._lock:
             self._requests_total += 1
 
+    def _track_connection(
+        self, connection: socket.socket, opened: bool
+    ) -> None:
+        with self._lock:
+            if opened:
+                self._connections.add(connection)
+            else:
+                self._connections.discard(connection)
+
     def _active_units(self) -> int:
         """Admission units in flight: live jobs plus live sweeps.
 
         A sweep counts as one unit however many grid points it holds —
         its children run through the manager with the sweep's own
-        worker window, so one unit is what it occupies.
+        worker window, so one unit is what it occupies.  Called with
+        ``_lock`` held; drops the units it finds done from the live set.
         """
-        return sum(
-            1 for job in self._jobs.values() if not job.done()
-        ) + sum(
-            1 for sweep in self._sweeps.values() if not sweep.done()
-        )
+        for unit_id in [k for k, unit in self._live.items() if unit.done()]:
+            del self._live[unit_id]
+        return len(self._live)
 
     def _evict_tracked(self) -> None:
         """Bound the handle maps; called with ``_lock`` held.
@@ -380,15 +428,11 @@ class SimulationServer:
         """
         if len(self._jobs) > _MAX_TRACKED:
             overflow = len(self._jobs) - _MAX_TRACKED
-            for key in [
-                k for k, job in self._jobs.items() if job.done()
-            ][:overflow]:
+            for key in oldest_finished(self._jobs, overflow):
                 del self._jobs[key]
         if len(self._sweeps) > _MAX_TRACKED:
             overflow = len(self._sweeps) - _MAX_TRACKED
-            for key in [
-                k for k, sweep in self._sweeps.items() if sweep.done()
-            ][:overflow]:
+            for key in oldest_finished(self._sweeps, overflow):
                 self._sweep_records[key] = self._sweep_status_payload(
                     key, self._sweeps[key]
                 )
@@ -428,6 +472,7 @@ class SimulationServer:
             handle = submit()
             with self._lock:
                 identifier = record(handle)
+                self._live[identifier] = handle
                 self._evict_tracked()
         return identifier, False
 
@@ -476,6 +521,7 @@ class SimulationServer:
         use_plan = payload.get("plan", False)
         if not isinstance(use_plan, bool):
             raise WireError("plan must be true or false")
+        wait = _wait_seconds(payload.get("wait"))
         plan = None
         if use_plan:
             # Resolve the backend and shard layout up front and echo
@@ -506,12 +552,32 @@ class SimulationServer:
             record,
             existing=existing,
         )
+        result = None if wait is None else self._finished_result(job_id, wait)
         status = self.job_status(job_id)
         if replayed:
             status["idempotent_replay"] = True
         elif plan is not None:
             status["plan"] = wire.plan_to_wire(plan)
+        if result is not None:
+            status["result"] = result
         return status
+
+    def _finished_result(
+        self, job_id: str, wait: float
+    ) -> Optional[Dict[str, Any]]:
+        """The wire result if the job is done within ``wait`` seconds.
+
+        ``None`` when it is still running, cancelled or failed: the
+        submitter then asks ``/result``, which reports which.
+        """
+        job = self.get_job(job_id)
+        if job is None:
+            return None
+        try:
+            result = job.result(timeout=min(wait, _MAX_RESULT_WAIT))
+        except Exception:  # noqa: BLE001 — /result maps the failure
+            return None
+        return wire.result_to_wire(result)
 
     def job_status(self, job_id: str) -> Dict[str, Any]:
         """Status of one job: live progress, or the ledger record.
@@ -626,7 +692,7 @@ class SimulationServer:
                 f"(the result cache serves it without resimulation)",
             )
         try:
-            result = job.result(timeout=min(max(wait, 0.0), _MAX_RESULT_WAIT))
+            result = job.result(timeout=min(wait, _MAX_RESULT_WAIT))
         except TimeoutError:
             raise _HTTPFailure(
                 202, f"job {job_id!r} still {job.state.value}"
@@ -861,6 +927,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-ants"
+    #: TCP_NODELAY: a response goes out as two writes (headers, then
+    #: body), and with Nagle's algorithm on a keep-alive connection the
+    #: body waits for the client's delayed ACK of the headers (~40 ms).
+    disable_nagle_algorithm = True
     #: Socket timeout: a client that stalls mid-body (or an idle
     #: keep-alive connection) releases its handler thread instead of
     #: parking it forever.  Long-poll waits park in job.result(), not
@@ -873,6 +943,14 @@ class _Handler(BaseHTTPRequestHandler):
     @property
     def app(self) -> SimulationServer:
         return self.server.app  # type: ignore[attr-defined]
+
+    def setup(self) -> None:
+        super().setup()
+        self.app._track_connection(self.connection, True)
+
+    def finish(self) -> None:
+        self.app._track_connection(self.connection, False)
+        super().finish()
 
     def log_message(self, format: str, *args: object) -> None:
         # Quiet by default — the CLI serve command is the only place
@@ -1052,7 +1130,9 @@ class _Handler(BaseHTTPRequestHandler):
                     wait = float((query.get("wait") or ["0"])[0])
                 except ValueError:
                     raise _HTTPFailure(400, "wait must be a number") from None
-                self._send_json(200, app.job_result(job_id, wait))
+                self._send_json(
+                    200, app.job_result(job_id, _wait_seconds(wait))
+                )
                 return
             if method == "GET" and suffix == "/trace":
                 self._send_json(200, app.job_trace(job_id))

@@ -1,6 +1,6 @@
 """``RemoteClient`` — the ``simulate()`` facade over HTTP.
 
-A dependency-free (stdlib ``urllib``) client for
+A dependency-free (stdlib ``http.client``) client for
 :class:`~repro.server.app.SimulationServer` mirroring the in-process
 facade: :meth:`RemoteClient.simulate` blocks for a full
 :class:`~repro.sim.backends.base.SimulationResult`,
@@ -9,6 +9,14 @@ handle with the same surface as a local
 :class:`~repro.sim.jobs.SimulationJob` — ``iter_results()`` streams
 shard completions over SSE, ``result()`` long-polls, ``progress()``
 snapshots, ``cancel()`` requests cancellation.
+
+JSON calls reuse one keep-alive connection per calling thread, and
+:meth:`RemoteClient.simulate` is one exchange when the job finishes
+within the submission's ``wait`` (the server then answers the ``POST``
+with the result inline); otherwise it long-polls ``/result``.  A kept
+connection the server closed while idle is resent once, silently, on a
+fresh socket.  SSE streams and ``/v1/metrics`` open a short-lived
+connection of their own.
 
 Because the wire schema round-trips requests exactly (seeds included)
 and the server executes through the same job pipeline, a remote
@@ -30,10 +38,10 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
 import uuid
+from urllib.parse import urlsplit
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import InvalidParameterError, JobCancelledError, ReproError
@@ -49,8 +57,14 @@ from repro.server.wire import WIRE_VERSION
 #: Per-request socket timeout nothing else overrides.
 _DEFAULT_TIMEOUT = 30.0
 
-#: How long one result long-poll asks the server to wait.
+#: How long one result long-poll (or a blocking submission) asks the
+#: server to wait.
 _RESULT_WAIT = 30.0
+
+#: Socket timeout margin over a server-side park, so the parked answer
+#: (a 202 or a result-less 201 at t = wait) always beats the client's
+#: own read timeout.
+_WAIT_MARGIN = 15.0
 
 _REGISTRY = get_registry()
 _RETRIES_TOTAL = _REGISTRY.counter(
@@ -145,6 +159,15 @@ class RemoteClient:
                 f"max_attempts must be >= 1, got {max_attempts}"
             )
         self.base_url = base_url.rstrip("/")
+        parts = urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise InvalidParameterError(
+                f"base_url must be http://host[:port], got {base_url!r}"
+            )
+        self._host, self._port = parts.hostname, parts.port
+        self._prefix = parts.path
+        # One keep-alive connection per calling thread.
+        self._local = threading.local()
         self._timeout = timeout
         self._max_attempts = max_attempts
         self._backoff = backoff_seconds
@@ -158,24 +181,93 @@ class RemoteClient:
 
     # -- transport -------------------------------------------------------
 
-    def _open(
+    def _connection(
+        self, timeout: Optional[float]
+    ) -> http.client.HTTPConnection:
+        """This thread's keep-alive connection, its socket timeout set."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(self._host, self._port)
+            self._local.connection = connection
+        connection.timeout = timeout  # applies at the next connect
+        if connection.sock is not None:
+            connection.sock.settimeout(timeout)
+        return connection
+
+    def _exchange(
         self,
         method: str,
         path: str,
-        payload: Optional[Mapping[str, Any]] = None,
-        stream: bool = False,
+        body: Optional[bytes],
+        headers: Mapping[str, str],
+        timeout: Optional[float],
+    ) -> Tuple[http.client.HTTPResponse, bytes]:
+        """One request and its read body over this thread's connection."""
+        connection = self._connection(timeout)
+        reused = connection.sock is not None
+        try:
+            connection.request(method, path, body=body, headers=headers)
+            response = connection.getresponse()
+            return response, response.read()
+        except BaseException as error:
+            connection.close()
+            if reused and isinstance(error, ConnectionError):
+                # The server closed this idle socket (its handler's
+                # read timeout): resend once on a fresh one, which is
+                # not reused, so this never recurses twice.
+                return self._exchange(method, path, body, headers, timeout)
+            raise
+
+    def _short_lived(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes],
+        headers: Mapping[str, str],
+        timeout: Optional[float],
+    ) -> Tuple[http.client.HTTPResponse, None]:
+        """One request on a connection of its own; the response unread.
+
+        ``Connection: close`` makes the response own the socket, which
+        closes with it.
+        """
+        connection = http.client.HTTPConnection(
+            self._host, self._port, timeout=timeout
+        )
+        try:
+            connection.request(
+                method, path, body=body,
+                headers={**headers, "Connection": "close"},
+            )
+            return connection.getresponse(), None
+        except BaseException:
+            connection.close()
+            raise
+
+    def close(self) -> None:
+        """Close the calling thread's keep-alive connection (if any)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
+
+    def _request(
+        self,
+        method: str,
+        path: str,
+        payload: Optional[Mapping[str, Any]],
+        keep_alive: bool,
+        timeout: Optional[float],
         retry: bool = True,
-        timeout: Optional[float] = None,
         idempotent: bool = False,
         extra_headers: Optional[Mapping[str, str]] = None,
-    ):
-        """One HTTP exchange with backoff; returns the open response.
+    ) -> Tuple[http.client.HTTPResponse, Optional[bytes]]:
+        """One HTTP exchange with backoff -> ``(response, body)``.
 
-        ``stream=True`` disables the socket timeout and hands back the
-        live response object (SSE); otherwise callers use
-        :meth:`_call`, which reads and decodes the JSON body.
-        ``timeout`` overrides the client default for this exchange
-        (the result long-poll must outlast its own ``wait``).
+        ``keep_alive=True`` runs it on this thread's keep-alive
+        connection and ``body`` is the read response body; otherwise
+        it opens a short-lived connection and hands back the live
+        response unread (``body`` is ``None``).  ``timeout`` is the
+        socket timeout (``None``: none).
 
         Retry policy: a 429 is always safe to retry (the server
         rejected before admitting).  Connection errors are retried for
@@ -185,7 +277,6 @@ class RemoteClient:
         a POST whose connection dropped after admission replays the
         original unit instead of duplicating it.
         """
-        url = f"{self.base_url}{path}"
         body = None if payload is None else json.dumps(payload).encode("utf-8")
         attempts = self._max_attempts if retry else 1
         retry_connect = retry and (
@@ -200,13 +291,8 @@ class RemoteClient:
         # stitched trace crosses the process boundary.
         if current_context() is not None:
             headers["traceparent"] = traceparent_header()
+        send = self._exchange if keep_alive else self._short_lived
         for attempt in range(attempts):
-            request = urllib.request.Request(
-                url,
-                data=body,
-                method=method,
-                headers=dict(headers),
-            )
             try:
                 # The chaos seam: a "reset" rule here simulates the
                 # connection dropping before (or while) the request is
@@ -214,34 +300,10 @@ class RemoteClient:
                 maybe_inject(
                     "client.http", method=method, path=path, attempt=attempt
                 )
-                return urllib.request.urlopen(
-                    request,
-                    timeout=None if stream else (timeout or self._timeout),
+                response, data = send(
+                    method, self._prefix + path, body, headers, timeout
                 )
-            except urllib.error.HTTPError as error:
-                if error.code == 429 and attempt + 1 < attempts:
-                    # The server is at --max-jobs capacity; honor its
-                    # Retry-After, with a floor of the geometric backoff
-                    # so a herd of clients still spreads out.
-                    retry_after = self._retry_after(error)
-                    error.close()
-                    self.retries_429 += 1
-                    _RETRIES_TOTAL.inc(kind="429")
-                    _RETRY_AFTER_SECONDS.set(retry_after)
-                    self._sleep(
-                        min(
-                            max(retry_after, self._backoff * 2**attempt),
-                            self._backoff_cap,
-                        )
-                    )
-                    continue
-                detail = self._error_detail(error)
-                error.close()
-                raise RemoteServerError(
-                    f"{method} {path} -> {error.code}: {detail}",
-                    status=error.code,
-                ) from None
-            except (urllib.error.URLError, ConnectionResetError) as error:
+            except (OSError, http.client.HTTPException) as error:
                 last_error = error
                 if retry_connect and attempt + 1 < attempts:
                     self.retries_connect += 1
@@ -252,25 +314,72 @@ class RemoteClient:
                     )
                     continue
                 break
+            if 200 <= response.status < 300:
+                return response, data
+            if data is None:
+                with response:
+                    data = response.read()
+            if response.status == 429 and attempt + 1 < attempts:
+                # The server is at --max-jobs capacity; honor its
+                # Retry-After, with a floor of the geometric backoff
+                # so a herd of clients still spreads out.
+                retry_after = self._retry_after(response)
+                self.retries_429 += 1
+                _RETRIES_TOTAL.inc(kind="429")
+                _RETRY_AFTER_SECONDS.set(retry_after)
+                self._sleep(
+                    min(
+                        max(retry_after, self._backoff * 2**attempt),
+                        self._backoff_cap,
+                    )
+                )
+                continue
+            raise RemoteServerError(
+                f"{method} {path} -> {response.status}: "
+                f"{self._error_detail(response, data)}",
+                status=response.status,
+            )
         raise RemoteServerError(
             f"{method} {path} failed after "
             f"{attempt + 1} attempt(s): {last_error}"
         )
 
+    def _open(
+        self,
+        method: str,
+        path: str,
+        payload: Optional[Mapping[str, Any]] = None,
+        stream: bool = False,
+        timeout: Optional[float] = None,
+        extra_headers: Optional[Mapping[str, str]] = None,
+    ) -> http.client.HTTPResponse:
+        """One exchange on a short-lived connection; the open response.
+
+        ``stream=True`` disables the socket timeout (SSE streams stay
+        open for the job's lifetime); otherwise ``timeout`` overrides
+        the client default.
+        """
+        response, _ = self._request(
+            method, path, payload, keep_alive=False,
+            timeout=None if stream else timeout or self._timeout,
+            extra_headers=extra_headers,
+        )
+        return response
+
     @staticmethod
-    def _retry_after(error: urllib.error.HTTPError) -> float:
+    def _retry_after(response: http.client.HTTPResponse) -> float:
         try:
-            return float(error.headers.get("Retry-After", "0"))
+            return float(response.headers.get("Retry-After", "0"))
         except (TypeError, ValueError):
             return 0.0
 
     @staticmethod
-    def _error_detail(error: urllib.error.HTTPError) -> str:
+    def _error_detail(response: http.client.HTTPResponse, data: bytes) -> str:
         try:
-            payload = json.loads(error.read())
+            payload = json.loads(data)
             return str(payload.get("error", payload))
-        except (OSError, ValueError):
-            return error.reason if isinstance(error.reason, str) else "error"
+        except (AttributeError, ValueError):
+            return response.reason or "error"
 
     def _call(
         self,
@@ -281,15 +390,17 @@ class RemoteClient:
         timeout: Optional[float] = None,
         idempotent: bool = False,
     ) -> Tuple[int, Dict[str, Any]]:
-        """JSON request -> (status, decoded body)."""
-        response = self._open(
-            method, path, payload=payload, retry=retry, timeout=timeout,
+        """JSON request over the keep-alive connection -> (status, body).
+
+        ``timeout`` overrides the client default for this exchange (a
+        long-poll must outlast its own ``wait``).
+        """
+        response, data = self._request(
+            method, path, payload, keep_alive=True,
+            timeout=timeout or self._timeout, retry=retry,
             idempotent=idempotent,
         )
-        with response:
-            status = response.status
-            body = json.loads(response.read() or b"{}")
-        return status, body
+        return response.status, json.loads(data or b"{}")
 
     def _stream_events(
         self, path: str
@@ -348,7 +459,9 @@ class RemoteClient:
         """Execute remotely and block for the result.
 
         Mirrors :func:`repro.sim.simulate`: same parameters, same
-        outcome values for a fixed seed on per-trial backends.
+        outcome values for a fixed seed on per-trial backends.  The
+        submission asks the server to wait for the result, so a job
+        that finishes within :data:`_RESULT_WAIT` costs one exchange.
         """
         with span(
             "client.simulate",
@@ -356,7 +469,8 @@ class RemoteClient:
             n_trials=request.n_trials,
         ):
             return self.submit(
-                request, backend=backend, workers=workers, cache=cache
+                request, backend=backend, workers=workers, cache=cache,
+                wait=_RESULT_WAIT,
             ).result()
 
     def simulate_async(
@@ -378,6 +492,7 @@ class RemoteClient:
         workers: int = 1,
         cache: Optional[bool] = None,
         plan: bool = False,
+        wait: Optional[float] = None,
     ) -> "RemoteJob":
         """``POST /v1/jobs`` with 429 backoff; returns a :class:`RemoteJob`.
 
@@ -385,6 +500,11 @@ class RemoteClient:
         layout up front (:func:`repro.sim.selector.plan_request`, with
         ``workers`` as the shard cap) and echo that plan in the
         submission payload (``job.submitted["plan"]``).
+
+        ``wait`` (seconds) asks the server to hold the answer until the
+        job is done, up to that long; a job done by then comes back
+        with its result inline, and the handle's :meth:`RemoteJob.result`
+        returns it without another request.
 
         Every submission carries a fresh idempotency key, so a POST
         whose connection dropped is retried safely: if the first
@@ -401,7 +521,9 @@ class RemoteClient:
         }
         if plan:
             payload["plan"] = True
-        # The span is live *during* the POST so _open propagates its
+        if wait is not None:
+            payload["wait"] = wait
+        # The span is live *during* the POST so _request propagates its
         # context as the traceparent — the server's request/job spans
         # become children of client.submit in the stitched trace.
         with span(
@@ -410,11 +532,16 @@ class RemoteClient:
             n_trials=request.n_trials,
         ) as sp:
             _, body = self._call(
-                "POST", "/v1/jobs", payload=payload, idempotent=True
+                "POST", "/v1/jobs", payload=payload, idempotent=True,
+                timeout=None if wait is None else wait + _WAIT_MARGIN,
             )
             if sp is not None:
                 sp.set_attribute("job_id", body["job_id"])
-        return RemoteJob(self, body["job_id"], submitted=body)
+        inline = body.pop("result", None)
+        return RemoteJob(
+            self, body["job_id"], submitted=body,
+            result=None if inline is None else wire.result_from_wire(inline),
+        )
 
     def submit_sweep(
         self,
@@ -480,11 +607,14 @@ class RemoteJob:
         client: RemoteClient,
         job_id: str,
         submitted: Optional[Dict[str, Any]] = None,
+        result: Optional[SimulationResult] = None,
     ) -> None:
         self._client = client
         self.job_id = job_id
         #: The submission response (initial status), for convenience.
         self.submitted = submitted
+        # The result the submission carried inline, if it did.
+        self._result = result
 
     def status(self) -> Dict[str, Any]:
         """``GET /v1/jobs/{id}`` — the raw status payload."""
@@ -551,7 +681,12 @@ class RemoteJob:
             )
 
     def result(self, timeout: Optional[float] = None) -> SimulationResult:
-        """Long-poll ``/result`` until terminal; decode the full result."""
+        """Long-poll ``/result`` until terminal; decode the full result.
+
+        A result that came inline with the submission is returned as is.
+        """
+        if self._result is not None:
+            return self._result
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             wait = _RESULT_WAIT
@@ -563,13 +698,10 @@ class RemoteJob:
                         f"{timeout}s"
                     )
             try:
-                # Socket timeout strictly above the server-side park so
-                # the long-poll answer (a 202 at t = wait) always beats
-                # the client's own read timeout.
                 status, body = self._client._call(
                     "GET",
                     f"/v1/jobs/{self.job_id}/result?wait={wait:g}",
-                    timeout=wait + 15.0,
+                    timeout=wait + _WAIT_MARGIN,
                 )
             except RemoteServerError as error:
                 if error.status == 410:

@@ -55,8 +55,11 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.errors import (
     DeadlineExceededError,
@@ -802,6 +805,18 @@ def prune_job_records(max_records: int = _MAX_LEDGER_RECORDS) -> int:
     return removed
 
 
+def oldest_finished(handles: Mapping[str, Any], limit: int) -> List[str]:
+    """The first ``limit`` keys, in insertion order, whose handle is done.
+
+    Stops at the ``limit``-th finished handle instead of asking every
+    one, so trimming a registry whose oldest entries are finished (the
+    usual case) costs about ``limit`` ``done()`` calls, not one per
+    tracked handle.
+    """
+    finished = (key for key, handle in handles.items() if handle.done())
+    return list(islice(finished, limit))
+
+
 class JobManager:
     """Owns job execution: driver threads, the process pool, the ledger.
 
@@ -871,10 +886,7 @@ class JobManager:
             self._jobs[job.job_id] = job
             if len(self._jobs) > self.MAX_RETAINED_JOBS:
                 overflow = len(self._jobs) - self.MAX_RETAINED_JOBS
-                for stale_id in [
-                    job_id for job_id, stale in self._jobs.items()
-                    if stale.done()
-                ][:overflow]:
+                for stale_id in oldest_finished(self._jobs, overflow):
                     del self._jobs[stale_id]
             prune_now = not self._ledger_pruned
             self._ledger_pruned = True

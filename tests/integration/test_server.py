@@ -10,6 +10,9 @@ Pins the ISSUE's acceptance criteria:
   trial ranges tiling the full request;
 * **429 + backoff** — submissions beyond ``max_jobs`` receive 429 with
   ``Retry-After``, and a backing-off client completes anyway;
+* **one round trip on one connection** — ``simulate()`` is a single
+  ``POST`` on a kept-alive socket, a server-closed idle socket is
+  resent transparently, and admission does not scan finished history;
 
 plus status fallback to the JSON ledger for jobs evicted from the
 in-process registry, cancellation, sweeps, and the stats/backends
@@ -18,6 +21,8 @@ routes.
 
 from __future__ import annotations
 
+import statistics
+import threading
 import time
 from dataclasses import replace
 
@@ -109,7 +114,9 @@ def server():
 
 @pytest.fixture
 def client(server):
-    return RemoteClient(server.url, backoff_seconds=0.05)
+    client = RemoteClient(server.url, backoff_seconds=0.05)
+    yield client
+    client.close()
 
 
 class TestRemoteLocalEquivalence:
@@ -571,3 +578,146 @@ class TestIntrospectionRoutes:
             assert json_module.loads(second.read())["status"] == "ok"
         finally:
             connection.close()
+
+
+class TestTransport:
+    @staticmethod
+    def _socket_name(client):
+        return client._local.connection.sock.getsockname()
+
+    @staticmethod
+    def _record_calls(client, monkeypatch):
+        """(method, path without query) of every JSON call made."""
+        calls = []
+        original = client._call
+
+        def spy(method, path, *args, **kwargs):
+            calls.append((method, path.split("?")[0]))
+            return original(method, path, *args, **kwargs)
+
+        monkeypatch.setattr(client, "_call", spy)
+        return calls
+
+    def test_simulate_calls_share_one_connection(self, client):
+        names = set()
+        for seed in range(5):
+            client.simulate(
+                _request(seed=6000 + seed, n_trials=2),
+                backend="reference", cache=False,
+            )
+            names.add(self._socket_name(client))
+        assert len(names) == 1
+
+    def test_simulate_is_one_post(self, client, monkeypatch):
+        calls = self._record_calls(client, monkeypatch)
+        request = _request(seed=6100, n_trials=2)
+        remote = client.simulate(request, backend="reference", cache=False)
+        assert calls == [("POST", "/v1/jobs")]
+        local = simulate(request, backend="reference", cache=False)
+        assert remote.outcomes == local.outcomes
+
+    def test_keep_alive_health_round_trip_is_fast(self, client):
+        """Fails if the server leaves Nagle's algorithm on: each
+        two-write response then waits ~40 ms for a delayed ACK."""
+        client.health()
+        latencies = []
+        for _ in range(40):
+            start = time.perf_counter()
+            client.health()
+            latencies.append(time.perf_counter() - start)
+        assert statistics.median(latencies) < 0.020
+
+    def test_idle_close_is_resent_transparently(self, client, monkeypatch):
+        from repro.server.app import _Handler
+
+        # Read per connection at handler setup: the client's first
+        # call opens a connection whose handler drops it after 0.2 s.
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        client.health()
+        first = self._socket_name(client)
+        time.sleep(0.6)
+        request = _request(seed=6200, n_trials=2)
+        remote = client.simulate(request, backend="reference", cache=False)
+        assert self._socket_name(client) != first
+        assert client.retries_connect == 0
+        local = simulate(request, backend="reference", cache=False)
+        assert remote.outcomes == local.outcomes
+
+    def test_server_ignoring_wait_still_returns_the_result(
+        self, client, monkeypatch
+    ):
+        from repro.server.app import SimulationServer
+
+        monkeypatch.setattr(
+            SimulationServer, "_finished_result",
+            lambda self, job_id, wait: None,
+        )
+        calls = self._record_calls(client, monkeypatch)
+        request = _request(seed=6300, n_trials=3)
+        remote = client.simulate(request, backend="reference", cache=False)
+        local = simulate(request, backend="reference", cache=False)
+        assert remote.outcomes == local.outcomes
+        assert any(path.endswith("/result") for _, path in calls)
+
+    @pytest.mark.parametrize("wait", [-1, "x", True, float("nan")])
+    def test_invalid_wait_is_a_400(self, client, wait):
+        from repro.server.wire import WIRE_VERSION, request_to_wire
+
+        before = client.stats()["jobs_submitted"]
+        payload = {
+            "wire": WIRE_VERSION,
+            "request": request_to_wire(_request(n_trials=1)),
+            "wait": wait,
+        }
+        with pytest.raises(RemoteServerError) as excinfo:
+            client._call("POST", "/v1/jobs", payload=payload)
+        assert excinfo.value.status == 400
+        assert "wait" in str(excinfo.value)
+        assert client.stats()["jobs_submitted"] == before
+
+
+    @pytest.mark.parametrize("wait", ["nan", "inf", "-1"])
+    def test_invalid_result_wait_is_a_400(self, client, wait):
+        """A NaN wait would park the handler past the 60 s cap."""
+        job = client.submit(_request(seed=6500, n_trials=1), cache=False)
+        with pytest.raises(RemoteServerError) as excinfo:
+            client._call("GET", f"/v1/jobs/{job.job_id}/result?wait={wait}")
+        assert excinfo.value.status == 400
+        assert job.result(timeout=30) is not None
+
+
+class TestAdmissionCost:
+    def test_submission_asks_done_of_live_jobs_only(self, monkeypatch):
+        """With 1,000 finished jobs tracked, admitting one more makes a
+        constant number of done() calls (the scan over every tracked
+        handle made 1,257 here: 1,000 server-side, 257 in the
+        manager's retention trim)."""
+        from repro.server.app import SimulationServer
+        from repro.server.wire import WIRE_VERSION, request_to_wire
+        from repro.sim.jobs import JobManager, SimulationJob
+
+        payload = {
+            "wire": WIRE_VERSION,
+            "request": request_to_wire(_request(seed=6400, n_trials=1)),
+            "backend": "reference",
+            "cache": True,
+            "wait": 30,
+        }
+        with SimulationServer(
+            port=0, max_jobs=4, manager=JobManager()
+        ) as server:
+            for _ in range(1000):
+                assert "result" in server.submit_job(payload)
+            submitter = threading.get_ident()
+            calls = []
+            done = SimulationJob.done
+
+            def counting(job):
+                if threading.get_ident() == submitter:
+                    calls.append(job.job_id)
+                return done(job)
+
+            monkeypatch.setattr(SimulationJob, "done", counting)
+            server.submit_job(payload)
+            assert len(server._jobs) == 1001
+        assert len(calls) <= 4, calls

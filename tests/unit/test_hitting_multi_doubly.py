@@ -82,7 +82,7 @@ class TestHittingTimes:
             state = 0
             steps = 0
             while state != 2:
-                state = chain.step(rng, state)
+                state = rng.choice(chain.n_states, p=chain.matrix[state])
                 steps += 1
             samples.append(steps)
         assert np.mean(samples) == pytest.approx(times[0], rel=0.08)
