@@ -16,11 +16,13 @@ The compiled path does four things:
 2. **dedup** — exact repeats (same request, same cache backend) collapse
    to one :class:`ProgramPoint`, and points the content-addressed cache
    already holds are marked and never re-executed;
-3. **run** — :func:`execute_program` submits the remaining points
+3. **run** — :func:`execute_program` runs the remaining points
    through :meth:`repro.sim.jobs.JobManager.run_many`, one job per point
    with ``workers=1`` — the layout :class:`~repro.sim.runner.SweepJob`
    uses — so every outcome stream and cache entry is the uncompiled
-   one by construction;
+   one by construction.  With one worker the points run one after
+   another on the calling thread; with more, ``2 x workers`` of them
+   are in flight on the shared process pool;
 4. **finalize** — every experiment's ``analyze`` runs over
    :func:`execute_spec`, whose sweep lookups now hit the warmed cache
    with zero re-simulation, in a worker process per experiment when
@@ -352,8 +354,7 @@ def execute_program(
                 backend=backend,
                 run_in_pool=workers > 1,
                 pool_size=workers,
-                max_in_flight=max(2 * workers, 2),
-                ledger=False,
+                max_in_flight=2 * workers,
             )
         executed = len(to_run)
     warm_seconds = time.perf_counter() - started

@@ -335,6 +335,11 @@ class SimulationServer:
         self._httpd.daemon_threads = True
         self._httpd.app = self  # type: ignore[attr-defined]
         self._serve_thread: Optional[threading.Thread] = None
+        # Set once serving begins (start() or serve_forever(), which
+        # the CLI calls on its own thread): socketserver's shutdown()
+        # waits for serve_forever() to exit, so before it ran it would
+        # block forever.
+        self._serving = False
 
     # -- lifecycle -------------------------------------------------------
 
@@ -356,6 +361,7 @@ class SimulationServer:
     def start(self) -> "SimulationServer":
         """Serve on a background daemon thread; returns ``self``."""
         if self._serve_thread is None:
+            self._serving = True
             self._serve_thread = threading.Thread(
                 target=self._httpd.serve_forever,
                 name="repro-server",
@@ -366,6 +372,7 @@ class SimulationServer:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`close`."""
+        self._serving = True
         self._httpd.serve_forever()
 
     def close(self) -> None:
@@ -373,8 +380,10 @@ class SimulationServer:
 
         Open keep-alive connections are shut down too, so their idle
         handler threads exit at once instead of at their read timeout.
+        A server that never served just releases its socket.
         """
-        self._httpd.shutdown()
+        if self._serving:
+            self._httpd.shutdown()
         with self._lock:
             connections = list(self._connections)
         for connection in connections:

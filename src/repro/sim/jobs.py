@@ -1,15 +1,15 @@
-"""The asynchronous job layer: one execution core under sync and async.
+"""The job layer: one execution core under sync and async.
 
-Since PR 3 every simulation — blocking or not — runs through this
-module.  :meth:`JobManager.submit` turns a
+Every simulation — blocking or not — runs through this module.
+:meth:`JobManager.submit` turns a
 :class:`~repro.sim.backends.base.SimulationRequest` into a
 :class:`SimulationJob` executing the canonical pipeline::
 
     resolve backend -> cache lookup -> shard trials -> run -> store
 
-and :func:`repro.sim.simulate` is nothing but
-``submit(...).result()``.  The async view adds three things on top of
-the same core:
+on a driver thread; :meth:`JobManager.run` drives the same job on the
+calling thread, as the blocking :func:`repro.sim.simulate` does.  The
+async view adds three things on top of the same core:
 
 * **states and progress** — a job moves ``PENDING -> RUNNING ->
   DONE/FAILED/CANCELLED``; :meth:`SimulationJob.progress` reports
@@ -31,12 +31,14 @@ also what makes shard-level cache entries composable into the full
 result.
 
 The :class:`JobManager` owns the worker :class:`ProcessPoolExecutor`
-(created lazily, grown on demand, shared across jobs) and mirrors
-every job's state into a small JSON ledger under the cache directory
+(created lazily, grown on demand, shared across jobs) and mirrors job
+states into a small JSON ledger under the cache directory
 (``<cache>/jobs/<job_id>.json``), which is what ``repro-ants jobs
 list|status|cancel`` reads — including from a different process, where
 cancellation is requested through a ``<job_id>.cancel`` marker file
-the driver polls at shard boundaries.
+the driver polls at shard boundaries.  The ledger rule: jobs handed
+out by :meth:`~JobManager.submit` write records; jobs driven by
+:meth:`~JobManager.run` or :meth:`~JobManager.run_many` never do.
 """
 
 from __future__ import annotations
@@ -214,7 +216,6 @@ class JobState(str, Enum):
 TERMINAL_STATES = frozenset(
     {JobState.DONE, JobState.FAILED, JobState.CANCELLED}
 )
-_TERMINAL_STATES = TERMINAL_STATES
 
 
 @dataclass(frozen=True)
@@ -339,11 +340,11 @@ def _run_shard_task(
 class SimulationJob:
     """Handle for one submitted simulation request.
 
-    Created by :meth:`JobManager.submit`; never constructed directly.
-    The job executes on a background driver thread owned by the
-    manager; this handle is the thread-safe view — poll
-    :meth:`progress`, stream :meth:`iter_results`, block on
-    :meth:`result`, or :meth:`cancel`.
+    Created by :class:`JobManager`; never constructed directly.  A
+    submitted job executes on a driver thread owned by the manager;
+    this handle is the thread-safe view — poll :meth:`progress`,
+    stream :meth:`iter_results`, block on :meth:`result`, or
+    :meth:`cancel`.
     """
 
     def __init__(
@@ -354,7 +355,6 @@ class SimulationJob:
         shards: List[Optional[range]],
         use_cache: bool,
         pool_workers: int,
-        ledger: bool = True,
     ) -> None:
         self.job_id = job_id
         self.request = request
@@ -386,15 +386,8 @@ class SimulationJob:
         )
         # Resilience bookkeeping: shard retries performed.
         self._retries = 0
-        # Jobs served entirely from the result cache skip the ledger —
-        # no disk I/O for replays that simulated nothing.
-        self._served_from_cache = False
-        # The blocking facade submits with ledger=False: its jobs are
-        # settled before the caller could ever inspect them, so the
-        # per-call disk writes would be pure overhead.
-        self._ledger_enabled = ledger
-        # Trace parentage captured at submit time (the driver thread
-        # cannot inherit the submitter's contextvars).
+        # The module docstring's ledger rule: only submit() sets it.
+        self._ledger_enabled = False
         self._trace_ctx: Optional[SpanContext] = None
 
     # -- read side -------------------------------------------------------
@@ -407,7 +400,7 @@ class SimulationJob:
 
     def done(self) -> bool:
         """Whether the job reached a terminal state."""
-        return self.state in _TERMINAL_STATES
+        return self.state in TERMINAL_STATES
 
     def cancel_requested(self) -> bool:
         """Whether cancellation has been requested (state may lag)."""
@@ -504,7 +497,7 @@ class SimulationJob:
         which the job settles in ``CANCELLED``.
         """
         with self._lock:
-            if self._state in _TERMINAL_STATES:
+            if self._state in TERMINAL_STATES:
                 return False
         self._cancel_event.set()
         return True
@@ -553,7 +546,7 @@ class SimulationJob:
         manager writes the terminal ledger record, so a reader right
         after ``result()`` sees the final state."""
         with self._condition:
-            if self._state in _TERMINAL_STATES:
+            if self._state in TERMINAL_STATES:
                 return
             self._state = state
             self._error = error
@@ -569,7 +562,6 @@ class SimulationJob:
         """Full-request cache hit: collapse to one cached shard, DONE."""
         _SHARDS_TOTAL.inc(source="cache")
         with self._condition:
-            self._served_from_cache = True
             self._shards = [None]
             self._shard_outcomes = [outcomes]
             self._cached_shards = 1
@@ -604,7 +596,7 @@ def _cancel_marker(job_id: str) -> Path:
 
 
 _TERMINAL_RECORD_STATES = frozenset(
-    state.value for state in _TERMINAL_STATES
+    state.value for state in TERMINAL_STATES
 )
 
 
@@ -820,10 +812,10 @@ def oldest_finished(handles: Mapping[str, Any], limit: int) -> List[str]:
 class JobManager:
     """Owns job execution: driver threads, the process pool, the ledger.
 
-    One manager per process (see :func:`get_manager`).  ``submit``
-    validates and resolves synchronously — bad parameters and
-    unsupported backends fail at the call site — then hands the job to
-    a daemon driver thread so the caller gets the handle immediately.
+    One manager per process (see :func:`get_manager`).  ``submit`` and
+    ``run`` validate and resolve synchronously — bad parameters and
+    unsupported backends fail at the call site — then ``submit`` drives
+    the job on a daemon thread and ``run`` on the calling thread.
     """
 
     #: In-process registry bound: terminal jobs beyond this are evicted
@@ -847,18 +839,48 @@ class JobManager:
         cache: Optional[bool] = None,
         run_in_pool: bool = False,
         pool_size: Optional[int] = None,
-        ledger: bool = True,
     ) -> SimulationJob:
-        """Start a simulation job and return its handle.
+        """Start a simulation job on a driver thread and return its handle.
 
         Parameters mirror :func:`repro.sim.simulate`; additionally
         ``run_in_pool`` forces even a single-shard job onto the shared
         process pool (sized ``pool_size``) instead of the driver
         thread — the sweep executor uses this to run whole grid points
-        in parallel worker processes — and ``ledger=False`` keeps the
-        job out of the persistent jobs ledger (used by the blocking
-        facade, whose jobs settle before anyone could observe them).
+        in parallel worker processes.
         """
+        job, chosen = self._register(
+            request, backend, workers, cache, run_in_pool, pool_size
+        )
+        job._ledger_enabled = True
+        return self._spawn(job, chosen)
+
+    def run(
+        self,
+        request: SimulationRequest,
+        backend: str = AUTO,
+        workers: int = 1,
+        cache: Optional[bool] = None,
+    ) -> SimulationResult:
+        """Run a simulation job on the calling thread; return its result.
+
+        The same job :meth:`submit` builds — span, metrics, cache, shard
+        retries, deadline, the pool when ``workers > 1`` — with no
+        driver thread and no ledger record.
+        """
+        job, chosen = self._register(request, backend, workers, cache)
+        self._drive(job, chosen)
+        return job.result()
+
+    def _register(
+        self,
+        request: SimulationRequest,
+        backend: str,
+        workers: int,
+        cache: Optional[bool],
+        run_in_pool: bool = False,
+        pool_size: Optional[int] = None,
+    ) -> Tuple[SimulationJob, SimulationBackend]:
+        """Validate, build and register a job that has not started yet."""
         if workers < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {workers}")
         chosen = resolve_backend(request, backend)
@@ -874,9 +896,8 @@ class JobManager:
             shards=shards,
             use_cache=use_cache,
             pool_workers=(pool_size or workers) if (run_in_pool or len(shards) > 1) else 0,
-            ledger=ledger,
         )
-        # The driver thread cannot see the submitter's contextvars, so
+        # A driver thread cannot see the submitter's contextvars, so
         # the ambient span (a client request, an experiment program, a
         # server route) is captured here and re-attached in _drive —
         # that is what parents the job span under its caller.
@@ -894,13 +915,18 @@ class JobManager:
             # Bound ledger growth: once per process, drop old terminal
             # records and orphaned cancel markers.
             prune_job_records()
-        thread = threading.Thread(
+        return job, chosen
+
+    def _spawn(
+        self, job: SimulationJob, backend: SimulationBackend
+    ) -> SimulationJob:
+        """Drive a registered job on a new daemon thread."""
+        threading.Thread(
             target=self._drive,
-            args=(job, chosen),
+            args=(job, backend),
             name=f"repro-job-{job.job_id}",
             daemon=True,
-        )
-        thread.start()
+        ).start()
         return job
 
     def run_many(
@@ -910,41 +936,30 @@ class JobManager:
         run_in_pool: bool = False,
         pool_size: Optional[int] = None,
         max_in_flight: int = 1,
-        ledger: bool = True,
         cache: Optional[bool] = None,
     ) -> List[SimulationResult]:
-        """Submit many requests with bounded concurrency; collect in order.
+        """Run many single-shard requests; collect results in order.
 
-        The experiment compiler uses this to execute a whole program:
-        at most ``max_in_flight`` single-shard jobs are live at once
-        (window 1 degenerates to strictly sequential execution).
-        Results come back in request order; the first failure cancels
-        the not-yet-collected tail and re-raises.
+        The experiment compiler uses this to execute a whole program.
+        In-process points run one after another through :meth:`run`;
+        with ``run_in_pool`` at most ``max_in_flight`` points are live
+        on the shared pool at once, and the first failure cancels the
+        not-yet-collected tail and re-raises.
         """
         if max_in_flight < 1:
             raise InvalidParameterError(
                 f"max_in_flight must be >= 1, got {max_in_flight}"
             )
+        if not run_in_pool:
+            return [self.run(r, backend=backend, cache=cache) for r in requests]
         jobs: List[SimulationJob] = []
         results: List[SimulationResult] = []
-        submitted = 0
         try:
             while len(results) < len(requests):
-                while (
-                    submitted < len(requests)
-                    and submitted < len(results) + max_in_flight
-                ):
-                    jobs.append(
-                        self.submit(
-                            requests[submitted],
-                            backend=backend,
-                            cache=cache,
-                            run_in_pool=run_in_pool,
-                            pool_size=pool_size,
-                            ledger=ledger,
-                        )
-                    )
-                    submitted += 1
+                while len(jobs) < min(len(requests), len(results) + max_in_flight):
+                    jobs.append(self._spawn(*self._register(
+                        requests[len(jobs)], backend, 1, cache, True, pool_size
+                    )))
                 results.append(jobs[len(results)].result())
         except BaseException:
             for job in jobs[len(results):]:
@@ -961,11 +976,6 @@ class JobManager:
         """All jobs submitted through this manager, oldest first."""
         with self._lock:
             return list(self._jobs.values())
-
-    def cancel(self, job_id: str) -> bool:
-        """Cancel an in-process job by id."""
-        job = self.get(job_id)
-        return job.cancel() if job is not None else False
 
     def close(self) -> None:
         """Shut the process pool down (idempotent)."""
@@ -1020,7 +1030,7 @@ class JobManager:
         return False
 
     def _drive(self, job: SimulationJob, backend: SimulationBackend) -> None:
-        """Driver-thread body: the job span around the pipeline."""
+        """The job span around the pipeline, on the driving thread."""
         with span(
             "job",
             context=job._trace_ctx,
@@ -1029,7 +1039,10 @@ class JobManager:
             algorithm=job.request.algorithm.name,
             n_trials=job.request.n_trials,
         ) as sp:
-            self._drive_pipeline(job, backend)
+            try:
+                self._execute(job, backend)
+            except BaseException as error:  # noqa: BLE001 — surfaced via result()
+                job._finish(JobState.FAILED, error, self._write_terminal_record)
             state = job.state
             _JOBS_COMPLETED.inc(state=state.value)
             if job._finished_at is not None:
@@ -1044,15 +1057,6 @@ class JobManager:
                     sp.set_attribute("retries", job._retries)
                 if state is JobState.FAILED:
                     sp.set_status("error")
-
-    def _drive_pipeline(
-        self, job: SimulationJob, backend: SimulationBackend
-    ) -> None:
-        """The canonical pipeline and its failure."""
-        try:
-            self._execute(job, backend)
-        except BaseException as error:  # noqa: BLE001 — surfaced via result()
-            job._finish(JobState.FAILED, error, self._write_terminal_record)
 
     def _write_terminal_record(self, job: SimulationJob) -> None:
         self._write_ledger(job)
@@ -1114,9 +1118,8 @@ class JobManager:
         self._check_deadline(job)
 
         if pending and job._pool_workers == 0:
-            # Single shard, no pool requested: run inline on this
-            # driver thread — the same in-process execution the
-            # blocking facade always had.
+            # Single shard, no pool requested: run inline on the
+            # thread driving the job.
             outcomes, elapsed = self._run_inline(job, backend, pending[0])
             _count_backend_runs(1)
             _count_execution(
@@ -1145,7 +1148,7 @@ class JobManager:
     def _run_inline(
         self, job: SimulationJob, backend: SimulationBackend, shard_index: int
     ) -> Tuple[OutcomeBatch, float]:
-        """Run the whole request on the driver thread, with retries."""
+        """Run the whole request on the driving thread, with retries."""
         request = job.request
         attempt = 0
         while True:
@@ -1363,8 +1366,7 @@ def simulate_async(
     Returns immediately with a :class:`SimulationJob`; stream shards
     with :meth:`~SimulationJob.iter_results`, poll
     :meth:`~SimulationJob.progress`, or block on
-    :meth:`~SimulationJob.result` — which is exactly what the blocking
-    :func:`repro.sim.simulate` facade does.
+    :meth:`~SimulationJob.result`.  The job writes ledger records.
     """
     return get_manager().submit(
         request, backend=backend, workers=workers, cache=cache
@@ -1456,7 +1458,7 @@ def simulate_adaptive(
     consumed the assembled full-request entry is stored too — so
     adaptive runs, fixed runs, and resumed jobs all share one cache
     population.  Batches execute inline via ``backend.run(request,
-    trial_indices=...)`` (the driver-thread path), each counted once in
+    trial_indices=...)`` on the calling thread, each counted once in
     :func:`backend_run_count` unless served from cache.
 
     ``backend`` is resolved like everywhere else

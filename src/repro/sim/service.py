@@ -10,17 +10,17 @@ backends the outcomes are bit-identical whatever ``workers`` is; the
 batched backend re-anchors its pooled stream per shard and is equal in
 distribution instead.
 
-Since PR 3 the facade owns no execution logic: the resolve -> cache ->
-shard -> run -> store pipeline lives in :mod:`repro.sim.jobs`, and
-:func:`simulate` is literally ``submit(...).result()`` on the
-process-wide :class:`~repro.sim.jobs.JobManager`.  :func:`simulate_async`
-is the same submission without the blocking wait — it returns the
-:class:`~repro.sim.jobs.SimulationJob` handle for progress polling,
-incremental shard streaming, and cancellation.  Both views share the
-content-addressed result cache (full-request and per-shard entries),
-and :func:`backend_run_count` still counts the backend executions this
-process actually performed — how the tests prove cached re-runs and
-resumed jobs simulate nothing.
+The facade owns no execution logic: the resolve -> cache -> shard ->
+run -> store pipeline lives in :mod:`repro.sim.jobs`, and
+:func:`simulate` is :meth:`~repro.sim.jobs.JobManager.run` — the job
+driven on the calling thread, with no ledger record.
+:func:`simulate_async` submits the same job to a driver thread and
+returns the :class:`~repro.sim.jobs.SimulationJob` handle for progress
+polling, incremental shard streaming, and cancellation.  Both views
+share the content-addressed result cache (full-request and per-shard
+entries), and :func:`backend_run_count` still counts the backend
+executions this process actually performed — how the tests prove
+cached re-runs and resumed jobs simulate nothing.
 """
 
 from __future__ import annotations
@@ -57,9 +57,10 @@ def simulate(
 ) -> SimulationResult:
     """Execute a simulation request on the best (or named) backend.
 
-    A thin blocking view over the job layer: submits to the
-    process-wide :class:`~repro.sim.jobs.JobManager` and waits for the
-    result.  Use :func:`simulate_async` for the non-blocking handle.
+    A thin blocking view over the job layer: runs the job on the
+    calling thread through the process-wide
+    :class:`~repro.sim.jobs.JobManager`.  Use :func:`simulate_async`
+    for the non-blocking handle.
 
     Parameters
     ----------
@@ -80,17 +81,13 @@ def simulate(
         version)`` — ``workers`` is an execution detail and does not
         participate.
     """
-    # ledger=False: a blocking job is settled before the caller could
-    # inspect it through the jobs CLI, so skip the per-call disk writes.
     # The "simulate" span is the root of a local trace (or a child of
-    # whatever ambient span the caller holds); submit() captures it as
-    # the job span's parent.
+    # whatever ambient span the caller holds) and the job span's parent.
     with span(
         "simulate",
         algorithm=request.algorithm.name,
         n_trials=request.n_trials,
     ):
-        return get_manager().submit(
-            request, backend=backend, workers=workers, cache=cache,
-            ledger=False,
-        ).result()
+        return get_manager().run(
+            request, backend=backend, workers=workers, cache=cache
+        )

@@ -721,3 +721,36 @@ class TestAdmissionCost:
             server.submit_job(payload)
             assert len(server._jobs) == 1001
         assert len(calls) <= 4, calls
+
+
+class TestLifecycle:
+    def test_close_returns_on_a_server_that_never_served(self):
+        """socketserver's shutdown() waits for serve_forever() to exit,
+        so on a server that never served close() must not call it."""
+        from repro.server.app import SimulationServer
+
+        server = SimulationServer(port=0)
+        closer = threading.Thread(target=server.close, daemon=True)
+        closer.start()
+        closer.join(timeout=5.0)
+        assert not closer.is_alive()
+
+    def test_close_stops_serve_forever_on_another_thread(self):
+        """The CLI serves with serve_forever() on its own thread, not
+        start(): close() must still stop that loop."""
+        from repro.server.app import SimulationServer
+
+        server = SimulationServer(port=0)
+        serving = threading.Thread(target=server.serve_forever, daemon=True)
+        serving.start()
+        client = RemoteClient(server.url)
+        try:
+            assert client.health()["status"] == "ok"
+        finally:
+            client.close()
+        closer = threading.Thread(target=server.close, daemon=True)
+        closer.start()
+        closer.join(timeout=5.0)
+        serving.join(timeout=5.0)
+        assert not closer.is_alive()
+        assert not serving.is_alive()

@@ -7,6 +7,9 @@ The contracts under test:
   pre-refactor behavior) for the per-trial backends;
 * ``simulate_async().iter_results()`` streams completed trial shards
   incrementally, including cache-served ones;
+* blocking calls (``simulate()``, ``run_many()``) drive their jobs on
+  the calling thread and write no ledger record; submitted jobs run on
+  a driver thread and do;
 * every finished shard is written through to the cache, so a killed or
   cancelled job/sweep resumes from cache with **zero** backend runs for
   the work already done — proven with ``backend_run_count()``;
@@ -17,6 +20,7 @@ The contracts under test:
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -217,6 +221,73 @@ class TestJobLifecycle:
         record = find_job_record(job.job_id)
         assert record is not None
         assert record["state"] == ("failed" if fails else "done")
+
+
+class TestBlockingCallsRunOnTheCaller:
+    """simulate() and in-process run_many() points drive their jobs on
+    the calling thread and never write a ledger record; a submitted
+    job keeps its driver thread and its record."""
+
+    @staticmethod
+    def _backend_threads(monkeypatch):
+        """Thread idents of every reference ``backend.run`` call."""
+        backend = get_backend("reference")
+        original = backend.run
+        threads = []
+
+        def spy(request, trial_indices=None):
+            threads.append(threading.get_ident())
+            return original(request, trial_indices=trial_indices)
+
+        monkeypatch.setattr(backend, "run", spy)
+        return threads
+
+    @staticmethod
+    def _records_of(requests):
+        """Ledger files of the jobs that ran exactly these requests."""
+        jobs = [
+            job for job in get_manager().jobs()
+            if any(job.request is request for request in requests)
+        ]
+        assert len(jobs) == len(requests)
+        paths = [ledger_dir() / f"{job.job_id}.json" for job in jobs]
+        return [path for path in paths if path.exists()]
+
+    def test_simulate_runs_on_the_calling_thread_with_no_record(
+        self, fresh_cache, monkeypatch
+    ):
+        threads = self._backend_threads(monkeypatch)
+        request = _request(seed=31)
+        result = simulate(request, backend="reference", cache=False)
+        assert len(result.outcomes) == request.n_trials
+        assert threads == [threading.get_ident()]
+        assert self._records_of([request]) == []
+
+    @pytest.mark.parametrize("run_in_pool", [False, True])
+    def test_run_many_points_write_no_record(
+        self, fresh_cache, monkeypatch, run_in_pool
+    ):
+        threads = self._backend_threads(monkeypatch)
+        requests = [_request(seed=seed) for seed in (32, 33, 34)]
+        results = get_manager().run_many(
+            requests, backend="reference", run_in_pool=run_in_pool,
+            pool_size=2, cache=False,
+        )
+        assert [r.request for r in results] == requests
+        if not run_in_pool:
+            assert threads == [threading.get_ident()] * len(requests)
+        assert self._records_of(requests) == []
+
+    def test_submitted_job_keeps_its_driver_thread_and_record(
+        self, fresh_cache, monkeypatch
+    ):
+        threads = self._backend_threads(monkeypatch)
+        job = simulate_async(
+            _request(seed=35), backend="reference", cache=False
+        )
+        job.result(timeout=60)
+        assert len(threads) == 1 and threads[0] != threading.get_ident()
+        assert find_job_record(job.job_id)["state"] == "done"
 
 
 class TestResumeFromCache:
