@@ -25,6 +25,13 @@ its kernel draws per colony (float uniforms, step bytes, phase coins
 and center coordinates alike, counted by a forwarding RNG on one
 untimed run) times its colonies/sec.
 
+Every rate is the median of ``REPEATS`` timed calls after one untimed
+warm-up, and a kernel racing a legacy twin alternates with it call by
+call (new first, then legacy first), so host drift lands on both sides
+of a ratio alike.  The quartiles of each rate are recorded and printed
+beside it, so a change can be read against the spread of its own
+calls.
+
 Numbers land in the ``kernels`` section of ``BENCH_sim_backends.json``
 (and the dated ``BENCH_history.jsonl`` trail).  Running with
 ``--check`` additionally compares each family against the committed
@@ -94,7 +101,8 @@ FAMILY_WORKLOADS = {
 
 N_AGENTS = 8
 SEED = 20140507
-REPEATS = 2
+#: Timed calls per rate, after one untimed warm-up.
+REPEATS = 7
 
 
 def _family_request(family: str) -> SimulationRequest:
@@ -105,16 +113,35 @@ def _family_request(family: str) -> SimulationRequest:
     )
 
 
-def _rate(request: SimulationRequest) -> float:
-    """Best-of-N colonies/sec through the batched backend, cache off."""
-    best = 0.0
+def _interleaved_seconds(*calls) -> list:
+    """Per-call seconds of each thunk: one untimed warm-up each, then
+    ``REPEATS`` rounds that run every thunk once, the order reversing
+    from round to round."""
+    for call in calls:
+        call()
+    seconds = [[] for _ in calls]
+    order = list(range(len(calls)))
     for _ in range(REPEATS):
-        start = time.perf_counter()
+        for index in order:
+            start = time.perf_counter()
+            calls[index]()
+            seconds[index].append(time.perf_counter() - start)
+        order.reverse()
+    return seconds
+
+
+def _rate_quartiles(n_trials: int, seconds) -> list:
+    """Colonies/sec at the 25th, 50th and 75th percentile of the calls."""
+    rates = n_trials / np.asarray(seconds)
+    return [round(float(q), 2) for q in np.percentile(rates, (25, 50, 75))]
+
+
+def _simulate_call(request: SimulationRequest):
+    """One timed call: the batched backend through the facade, cache off."""
+    def call():
         result = simulate(request, backend="batched", cache=False)
-        elapsed = time.perf_counter() - start
         assert len(result.outcomes) == request.n_trials
-        best = max(best, request.n_trials / elapsed)
-    return best
+    return call
 
 
 class _DrawCounter:
@@ -425,13 +452,14 @@ def _legacy_batch_random_walk(n_agents, n_trials, target, rng, move_budget):
     return best, best_finder, trial_iterations, trial_rounds
 
 
-def _legacy_family_rate(family: str) -> float:
-    """Best-of-N colonies/sec for a family's verbatim legacy kernel."""
+def _legacy_family_call(family: str):
+    """One timed call of a family's verbatim legacy kernel."""
+    if family not in LEGACY_FAMILIES:
+        raise ValueError(f"no legacy kernel for family {family!r}")
     spec, n_trials, move_budget, target = FAMILY_WORKLOADS[family]
-    best = 0.0
-    for _ in range(REPEATS):
+
+    def call():
         rng = np.random.default_rng(SEED)
-        start = time.perf_counter()
         if family == "uniform":
             _legacy_batch_uniform(
                 N_AGENTS, spec.ell or 1, spec.K, n_trials, target, rng,
@@ -442,40 +470,30 @@ def _legacy_family_rate(family: str) -> float:
                 N_AGENTS, spec.ell or 1, spec.K, n_trials, target, rng,
                 move_budget,
             )
-        elif family == "random-walk":
+        else:
             _legacy_batch_random_walk(
                 N_AGENTS, n_trials, target, rng, move_budget
             )
-        else:
-            raise ValueError(f"no legacy kernel for family {family!r}")
-        elapsed = time.perf_counter() - start
-        best = max(best, n_trials / elapsed)
-    return best
+    return call
 
 
-def _legacy_long_tail_rate() -> float:
-    best = 0.0
-    for _ in range(REPEATS):
-        rng = np.random.default_rng(SEED)
-        start = time.perf_counter()
+def _legacy_long_tail_call():
+    def call():
         _legacy_batch_lshape(
             1.0 / LONG_TAIL["distance"], LONG_TAIL["n_agents"],
-            LONG_TAIL["n_trials"], LONG_TAIL["target"], rng,
-            LONG_TAIL["move_budget"],
+            LONG_TAIL["n_trials"], LONG_TAIL["target"],
+            np.random.default_rng(SEED), LONG_TAIL["move_budget"],
         )
-        elapsed = time.perf_counter() - start
-        best = max(best, LONG_TAIL["n_trials"] / elapsed)
-    return best
+    return call
 
 
-def _long_tail_rate() -> float:
-    request = SimulationRequest(
+def _long_tail_request() -> SimulationRequest:
+    return SimulationRequest(
         algorithm=AlgorithmSpec.algorithm1(LONG_TAIL["distance"]),
         n_agents=LONG_TAIL["n_agents"], target=LONG_TAIL["target"],
         move_budget=LONG_TAIL["move_budget"], n_trials=LONG_TAIL["n_trials"],
         seed=SEED,
     )
-    return _rate(request)
 
 
 def measure(families=None) -> dict:
@@ -496,26 +514,35 @@ def measure(families=None) -> dict:
                 f"choose from {sorted(FAMILY_WORKLOADS)}"
             )
         families = sorted(set(families))
-    per_family = {
-        family: round(_rate(_family_request(family)), 2)
-        for family in families
-    }
+    quartiles, legacy_quartiles = {}, {}
+    for family in families:
+        request = _family_request(family)
+        calls = [_simulate_call(request)]
+        if family in LEGACY_FAMILIES:
+            calls.append(_legacy_family_call(family))
+        seconds = _interleaved_seconds(*calls)
+        quartiles[family] = _rate_quartiles(request.n_trials, seconds[0])
+        if family in LEGACY_FAMILIES:
+            legacy_quartiles[family] = _rate_quartiles(
+                request.n_trials, seconds[1]
+            )
+    per_family = {family: q[1] for family, q in quartiles.items()}
+    legacy_family = {family: q[1] for family, q in legacy_quartiles.items()}
     per_colony = {
         family: round(_uniforms_per_colony(_family_request(family)), 1)
         for family in families
     }
-    legacy_family = {
-        family: round(_legacy_family_rate(family), 2)
-        for family in LEGACY_FAMILIES if family in families
-    }
     payload = {
+        "repeats": REPEATS,
         "colonies_per_second": per_family,
+        "colonies_per_second_quartiles": quartiles,
         "uniforms_per_colony": per_colony,
         "uniforms_per_second": {
             family: round(per_family[family] * per_colony[family])
             for family in families
         },
         "legacy_colonies_per_second": legacy_family,
+        "legacy_colonies_per_second_quartiles": legacy_quartiles,
         "speedup_vs_legacy": {
             family: round(per_family[family] / rate, 2)
             for family, rate in legacy_family.items()
@@ -524,16 +551,22 @@ def measure(families=None) -> dict:
         "family_speedup_floor": FAMILY_SPEEDUP_FLOOR,
     }
     if "algorithm1" in families:
-        long_tail = _long_tail_rate()
-        legacy = _legacy_long_tail_rate()
+        n_trials = LONG_TAIL["n_trials"]
+        seconds = _interleaved_seconds(
+            _simulate_call(_long_tail_request()), _legacy_long_tail_call()
+        )
+        long_tail = _rate_quartiles(n_trials, seconds[0])
+        legacy = _rate_quartiles(n_trials, seconds[1])
         payload.update({
             "long_tail_workload": {
                 key: list(value) if isinstance(value, tuple) else value
                 for key, value in LONG_TAIL.items()
             },
-            "long_tail_colonies_per_second": round(long_tail, 2),
-            "legacy_long_tail_colonies_per_second": round(legacy, 2),
-            "speedup_vs_legacy_long_tail": round(long_tail / legacy, 2),
+            "long_tail_colonies_per_second": long_tail[1],
+            "long_tail_colonies_per_second_quartiles": long_tail,
+            "legacy_long_tail_colonies_per_second": legacy[1],
+            "legacy_long_tail_colonies_per_second_quartiles": legacy,
+            "speedup_vs_legacy_long_tail": round(long_tail[1] / legacy[1], 2),
         })
     return payload
 
@@ -550,6 +583,35 @@ def assert_gates(payload: dict) -> None:
             f"{family}: blocked kernel must beat its in-file legacy twin "
             f"by >= {FAMILY_SPEEDUP_FLOOR}x, got {speedup}x"
         )
+
+
+def quartile_lines(payload: dict) -> list:
+    """One line per timed kernel: colonies/sec quartiles (q1 / median /
+    q3 over ``REPEATS`` calls) and, beside a legacy twin, its own."""
+    lines = []
+    legacy = payload.get("legacy_colonies_per_second_quartiles", {})
+    rows = sorted(payload["colonies_per_second_quartiles"].items())
+    if "long_tail_colonies_per_second_quartiles" in payload:
+        rows.append(
+            ("long-tail", payload["long_tail_colonies_per_second_quartiles"])
+        )
+        legacy = dict(
+            legacy,
+            **{"long-tail":
+               payload["legacy_long_tail_colonies_per_second_quartiles"]},
+        )
+    for name, (q1, median, q3) in rows:
+        line = f"{name:>15}: {q1:>10.1f} / {median:>10.1f} / {q3:>10.1f}"
+        if name in legacy:
+            l1, l_median, l3 = legacy[name]
+            line += (
+                f"   legacy {l1:.1f} / {l_median:.1f} / {l3:.1f}"
+                f"   x{median / l_median:.2f}"
+            )
+        lines.append(line)
+    return [
+        f"colonies/sec, q1 / median / q3 of {payload['repeats']} calls:"
+    ] + lines
 
 
 def check_against_record(payload: dict, recorded: dict) -> list:
@@ -579,6 +641,7 @@ def test_kernel_throughput_record():
     record = update_record("kernels", payload)
     print()
     print(json.dumps(record.get("kernels", {}), indent=2, sort_keys=True))
+    print("\n".join(quartile_lines(payload)))
     assert_gates(payload)
     failures = check_against_record(payload, recorded)
     assert not failures, "kernel throughput regressed: " + "; ".join(failures)
@@ -609,6 +672,7 @@ def main(argv=None) -> int:
     if args.families is None:
         update_record("kernels", payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
+    print("\n".join(quartile_lines(payload)))
     if not args.check:
         return 0
     try:

@@ -1,10 +1,29 @@
-"""Shim for legacy editable installs (offline environments without `wheel`).
+"""Packaging for ``repro`` (src layout).
 
-All metadata lives in pyproject.toml; this file only enables
-``pip install -e . --no-build-isolation`` on toolchains that lack the
-``wheel`` package needed for PEP-660 editable installs.
+Declares the ``repro`` package, its one runtime dependency and the
+``repro-ants`` command for ``pip install .``.  Running from a checkout
+needs no install: ``PYTHONPATH=src python -m repro``.
+
+NumPy 2.0 is the floor: the random-walk kernel counts steps with
+``np.bitwise_count``, which NumPy 1.x lacks.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
+
+setup(
+    name="repro-ants",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy>=2.0"],
+    entry_points={"console_scripts": ["repro-ants = repro.cli:main"]},
+)

@@ -10,10 +10,11 @@ Every family kernel runs through ``run_family``, asserting:
 The legacy twins at the end pin the NumPy path bit for bit: in-file
 copies of the prefix-sum sortie kernels (``batch_lshape`` and the phase
 families' ``_blocked_phase_rounds``) as they stood before the sparse
-first-hit scan, run on the same seeds as the current kernels.  The
-exact-output pins at the very end hash every family's outputs and final
-generator state against digests recorded before the kernels dropped
-their array-namespace wrappers.
+first-hit scan, and of the byte-table random-walk kernel as it stood
+before the popcount chunk scan, run on the same seeds as the current
+kernels.  The exact-output pins at the very end hash every family's
+outputs and final generator state against digests recorded before the
+kernels dropped their array-namespace wrappers.
 """
 
 from __future__ import annotations
@@ -597,6 +598,254 @@ class TestSortieLegacyTwins:
 
 
 # ---------------------------------------------------------------------------
+# Random-walk legacy twin: the byte-table kernel as it stood before the
+# popcount chunk scan, kept verbatim (docstrings trimmed, its tables
+# renamed) as the bit-identity reference.  Shared helpers (_batch_state,
+# _score_hits, the block schedule) come from the current core.
+# ---------------------------------------------------------------------------
+
+
+def _legacy_walk_tables():
+    """Per byte, the u/v displacements after its first ``k + 1`` steps."""
+    pre_u, pre_v = [], []
+    for byte in range(256):
+        cu = cv = 0
+        row_u, row_v = [], []
+        for k in range(4):
+            code = (byte >> (2 * k)) & 3
+            cu += 2 * (code & 1) - 1
+            cv += (code & 2) - 1
+            row_u.append(cu)
+            row_v.append(cv)
+        pre_u.append(row_u)
+        pre_v.append(row_v)
+    return pre_u, pre_v
+
+
+_LEGACY_PRE_U, _LEGACY_PRE_V = _legacy_walk_tables()
+
+
+def _legacy_batch_random_walk(
+    rng: np.random.Generator,
+    n_agents: int,
+    n_trials: int,
+    target,
+    move_budget: int,
+):
+    if target == (0, 0):
+        return core._origin_batch(n_trials)
+    (pair_trial, pair_agent, best, best_finder,
+     trial_iterations, trial_rounds) = core._batch_state(n_trials, n_agents)
+    pairs0 = n_trials * n_agents
+    pos_u = np.zeros(pairs0, dtype=np.int64)
+    pos_v = np.zeros(pairs0, dtype=np.int64)
+    target_u = target[0] + target[1]
+    target_v = target[0] - target[1]
+    pre_u = np.asarray(_LEGACY_PRE_U, dtype=np.int8)
+    pre_v = np.asarray(_LEGACY_PRE_V, dtype=np.int8)
+    sum_u = pre_u[:, 3]
+    sum_v = pre_v[:, 3]
+    moves_done = 0
+    while moves_done < move_budget and pair_trial.size:
+        pairs = pair_trial.size
+        # Scratch is word-granular (a fraction of a byte per step), but
+        # itemsize stays 2 — the bit-sliced formulation's footprint —
+        # so block boundaries, and with them the realized outcomes per
+        # seed, match the goldens.  Longer blocks measured < 2% faster.
+        block = core._block_len(
+            pairs, 2, move_budget - moves_done, core._MAX_WALK_BLOCK
+        )
+        core._count_round(
+            trial_iterations, trial_rounds, pair_trial, n_trials, weight=block
+        )
+        # Four 2-bit steps ride in every drawn byte; the byte tables
+        # fold each one into its per-axis displacement in one gather.
+        # ``rem`` is how many fields of the final word the block uses.
+        n_words = (block + 3) // 4
+        rem = block - (n_words - 1) * 4
+        raw = rng.integers(0, 256, size=(pairs, n_words), dtype=np.uint8)
+        bu = sum_u[raw]
+        bv = sum_v[raw]
+        if rem != 4:
+            bu[:, -1] = pre_u[:, rem - 1][raw[:, -1]]
+            bv[:, -1] = pre_v[:, rem - 1][raw[:, -1]]
+        rel_u = target_u - pos_u
+        rel_v = target_v - pos_v
+        near = (np.abs(rel_u) <= block) & (np.abs(rel_v) <= block)
+        if not np.any(near):
+            pos_u += np.sum(bu, axis=1).astype(np.int64)
+            pos_v += np.sum(bv, axis=1).astype(np.int64)
+            moves_done += block
+            continue
+        split = int(np.sum(near.astype(np.int64))) != pairs
+        if split:
+            far = ~near
+            pos_u[far] += np.sum(bu[far], axis=1).astype(np.int64)
+            pos_v[far] += np.sum(bv[far], axis=1).astype(np.int64)
+            bu = bu[near]
+            bv = bv[near]
+            raw = raw[near]
+            scan_trial = pair_trial[near]
+            scan_agent = pair_agent[near]
+            rel_u = rel_u[near]
+            rel_v = rel_v[near]
+        else:
+            scan_trial = pair_trial
+            scan_agent = pair_agent
+        cum_u = np.cumsum(bu, axis=1, dtype=np.int16)  # cum at word ends
+        cum_v = np.cumsum(bv, axis=1, dtype=np.int16)
+        # Remaining displacement at the *start* of each word.  The
+        # int16 casts are exact (|rel| <= block <= _MAX_WALK_BLOCK);
+        # the one overflowable difference, |rel| + |cum| = 2 * block =
+        # 32768, wraps to -32768 and still fails the +-4 window.
+        diff_u = rel_u.astype(np.int16)[:, None] - (cum_u - bu)
+        diff_v = rel_v.astype(np.int16)[:, None] - (cum_v - bv)
+        cand = (np.abs(diff_u) <= 4) & (np.abs(diff_v) <= 4)
+        if np.any(cand):
+            scanned = rel_u.size
+            k_pre_u = pre_u[raw[cand]]        # (m, 4) in-byte
+            k_pre_v = pre_v[raw[cand]]
+            hit_k = k_pre_u == diff_u[cand].astype(np.int8)[:, None]
+            hit_k &= k_pre_v == diff_v[cand].astype(np.int8)[:, None]
+            hit_words = np.zeros((scanned, n_words), dtype=np.bool_)
+            hit_words[cand] = np.sum(hit_k, axis=1).astype(np.bool_)
+            first_k = np.zeros((scanned, n_words), dtype=np.int64)
+            first_k[cand] = np.argmax(hit_k, axis=1)
+            if rem != 4:
+                # Fields past the block end in the final word are
+                # undrawn steps; a first match there is no match.
+                hit_words[:, -1] &= first_k[:, -1] < rem
+            pair_hit = np.sum(hit_words, axis=1).astype(np.bool_)
+            if np.any(pair_hit):
+                first_word = np.argmax(hit_words, axis=1)
+                in_word = np.take_along_axis(
+                    first_k, first_word[:, None], axis=1
+                )[:, 0]
+                step_of_hit = np.where(
+                    pair_hit, first_word * 4 + in_word, block
+                )
+                totals = moves_done + step_of_hit + 1
+                core._score_hits(
+                    best, best_finder, scan_trial, scan_agent, totals, pair_hit
+                )
+        if split:
+            pos_u[near] += cum_u[:, -1].astype(np.int64)
+            pos_v[near] += cum_v[:, -1].astype(np.int64)
+        else:
+            pos_u += cum_u[:, -1].astype(np.int64)
+            pos_v += cum_v[:, -1].astype(np.int64)
+        moves_done += block
+        # Lockstep: any later find is later in time, so finished
+        # colonies retire wholesale.
+        keep = best[pair_trial] == SENTINEL
+        pos_u = pos_u[keep]
+        pos_v = pos_v[keep]
+        pair_trial = pair_trial[keep]
+        pair_agent = pair_agent[keep]
+    return best, best_finder, trial_iterations, trial_rounds
+
+
+#: (id, n_agents, n_trials, target, move_budget).  Pools of 1001, 1000
+#: and 1600 pairs cut blocks of 261, 262 and 163 steps (``block % 4`` of
+#: 1, 2, 3: a partial final word); budgets below 4 and below, at and
+#: one word past a 32-step chunk (31 and 32 fill whole chunks with and
+#: without a partial word); targets one step out, on both axes and on
+#: both diagonals (one rotated coordinate zero); 9000 pairs on 29-step
+#: blocks with a target 34 rotated steps out, beyond every pair's first
+#: block and then within some pairs' reach but not others'; one pair
+#: at the ``_MAX_WALK_BLOCK`` cap; and perfbench's 8-agent shape at
+#: n = 1, 16 and 200.
+_WALK_TWIN_CASES = [
+    ("block-rem-1", 7, 143, (6, 5), 5_000),
+    ("block-rem-2", 8, 125, (6, 5), 5_000),
+    ("block-rem-3", 8, 200, (6, 5), 5_000),
+    ("budget-1", 8, 256, (1, 0), 1),
+    ("budget-2", 8, 128, (1, 1), 2),
+    ("budget-3", 4, 200, (0, -1), 3),
+    ("budget-31", 4, 200, (2, -3), 31),
+    ("budget-32", 4, 200, (-3, 2), 32),
+    ("budget-36", 4, 200, (4, 3), 36),
+    ("one-step-y", 2, 50, (0, 1), 10_000),
+    ("one-step-x", 1, 40, (-1, 0), 1_000),
+    ("x-axis", 4, 40, (-9, 0), 50_000),
+    ("y-axis", 4, 40, (0, 12), 50_000),
+    ("diagonal", 4, 40, (7, 7), 50_000),
+    ("anti-diagonal", 4, 40, (-6, 6), 50_000),
+    ("mixed-reach", 9, 1000, (20, 14), 5_000),
+    ("single-pair-cap", 1, 1, (30, -50), 100_000),
+    ("perfbench-n1", 8, 1, (24, 17), 100_000),
+    ("perfbench-n16", 8, 16, (-17, 24), 100_000),
+    ("perfbench-n200", 8, 200, (24, -17), 100_000),
+]
+
+
+@pytest.mark.parametrize("seed", [SEED, SEED + 1])
+@pytest.mark.parametrize(
+    "n_agents, n_trials, target, move_budget",
+    [case[1:] for case in _WALK_TWIN_CASES],
+    ids=[case[0] for case in _WALK_TWIN_CASES],
+)
+def test_random_walk_matches_byte_table_kernel(
+    seed, n_agents, n_trials, target, move_budget
+):
+    """The popcount chunk scan is bit-identical to the byte-table
+    kernel: same best, finder, diagnostics and final generator state."""
+    xp = numpy_namespace()
+    request = SimulationRequest(
+        algorithm=AlgorithmSpec.random_walk(), n_agents=n_agents,
+        target=target, move_budget=move_budget, n_trials=n_trials,
+        seed=seed,
+    )
+    args = (n_agents, n_trials, target, move_budget)
+    current = _with_state(
+        xp, request, lambda rng: core.batch_random_walk(rng, *args)
+    )
+    _assert_twins(
+        current,
+        _with_state(
+            xp, request, lambda rng: _legacy_batch_random_walk(rng, *args)
+        ),
+    )
+
+
+class _ConstantBytes:
+    """A stand-in generator whose every drawn byte is ``value``."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def integers(self, low, high, size, dtype):
+        return np.full(size, self.value, dtype=dtype)
+
+
+@pytest.mark.parametrize(
+    "distance, budget_slack",
+    [
+        (distance, slack)
+        for distance in (1, 3, 4, 5, 28, 29, 31, 32, 33, 60, 64)
+        for slack in (-1, 0, 1_000)
+        if distance + slack >= 1
+    ],
+)
+def test_random_walk_straight_line_hits_at_its_distance(
+    distance, budget_slack
+):
+    """Every byte 0xFF moves both rotated coordinates +1 per step: a
+    straight walk along +x that reaches ``(d, 0)`` at step ``d`` and
+    never returns.  At d = 32 and 64 the hit is a chunk's last step, a
+    full chunk's reach from the chunk start on both axes, which no
+    random stream will reach in practice; with no slack it is the
+    block's last step, a partial final word when ``d % 4 != 0``.  Both
+    kernels must report it exactly, and nothing one move short."""
+    args = (2, 3, (distance, 0), distance + budget_slack)
+    found = budget_slack >= 0
+    for kernel in (core.batch_random_walk, _legacy_batch_random_walk):
+        best, finder, _, _ = kernel(_ConstantBytes(0xFF), *args)
+        assert best.tolist() == [distance if found else SENTINEL] * 3
+        assert finder.tolist() == [0 if found else -1] * 3
+
+
+# ---------------------------------------------------------------------------
 # Per-trial stop probabilities: ``batch_lshape`` with a length-n_trials
 # array.  An array of one value must be the scalar call bit for bit; a
 # mixed array must give each colony its own probability's distribution.
@@ -698,10 +947,9 @@ def test_lshape_p_array_shape_is_checked():
 
 # ---------------------------------------------------------------------------
 # Exact-output pins: every family's outputs and final generator state,
-# hashed.  The legacy twins share every helper but the sortie block
-# body with the current core, and random-walk and feinerman have no
-# twin at all, so these digests are what holds the whole kernel to its
-# recorded streams.
+# hashed.  The legacy twins share every helper but the per-block body
+# with the current core, and feinerman has no twin at all, so these
+# digests are what holds the whole kernel to its recorded streams.
 # ---------------------------------------------------------------------------
 
 #: (n_agents, target, move_budget, n_trials): an off-axis target on the
