@@ -6,19 +6,20 @@ Times the two ways to regenerate the full smoke-scale report
 * **sequential** — the historical loop: each experiment's ``run()``
   one after another, single process;
 * **compiled** — ``compile_program`` + ``execute_program``: declared
-  grid points bound to requests and dedup'd across experiments, run
-  through the job layer one job per point, experiments finalized in
-  parallel worker processes.
+  grid points bound to requests and dedup'd across experiments, then
+  every experiment run whole in one pool of worker processes, slowest
+  first.
 
 Each side executes against its own fresh cache directory, so neither
 borrows the other's results, and the compiled results are asserted
 equal to the sequential ones — the speedup is never bought with a
 different answer.
 
-The two sides run in ``PAIRS`` interleaved pairs (the order alternates
-within a pair), and the gated speedup is the median of the per-pair
-ratios.  A single pair spread too widely to gate on: two runs of the
-same tree read 1.449x and 1.923x against the 1.3x floor on 2 cores.
+The two sides run in ``PAIRS`` interleaved pairs (the side that goes
+first alternates from pair to pair), and the gated speedup is the
+median of the per-pair ratios.  A single pair spread too widely to
+gate on: two runs of the same tree read 1.449x and 1.923x against the
+1.3x floor on 2 cores, and three pairs still straddled the floor.
 Every ratio and the quartile spread are printed and recorded.
 
 Gates (``--check``, run in CI) are tiered by core count, because the
@@ -60,6 +61,7 @@ from repro.experiments.base import DEFAULT_SEED
 from repro.experiments.compiler import compile_program, execute_program
 from repro.sim.cache import configure_cache, get_cache
 from repro.sim.jobs import backend_run_count
+from repro.sim.selector import usable_cores
 
 SCALE = "smoke"
 
@@ -67,7 +69,7 @@ SCALE = "smoke"
 SPEEDUP_TIERS = ((4, 2.0), (2, 1.3), (1, 0.8))
 
 #: Interleaved (sequential, compiled) pairs behind the median speedup.
-PAIRS = 3
+PAIRS = 7
 
 
 def required_speedup(cpu_count: int) -> float:
@@ -169,7 +171,7 @@ def measure(workers: int) -> dict:
         "scale": SCALE,
         "seed": DEFAULT_SEED,
         "experiments": len(REGISTRY),
-        "cpu_count": os.cpu_count() or 1,
+        "cpu_count": usable_cores(),
         "workers": workers,
         "pairs": PAIRS,
         "sequential_seconds": median_of(0, "seconds"),
@@ -179,7 +181,7 @@ def measure(workers: int) -> dict:
         "speedup_x": round(statistics.median(ratios), 3),
         "speedup_ratios": [round(ratio, 3) for ratio in ratios],
         "speedup_quartiles": [round(q1, 3), round(q3, 3)],
-        "required_speedup_x": required_speedup(os.cpu_count() or 1),
+        "required_speedup_x": required_speedup(usable_cores()),
         "speedup_tiers": [list(tier) for tier in SPEEDUP_TIERS],
         "declared_points": stats.declared_points,
         "unique_points": stats.unique_points,
@@ -243,11 +245,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=0,
-        help="compiled-path worker processes (default: cpu count)",
+        help="compiled-path worker processes (default: the usable cores)",
     )
     args = parser.parse_args(argv)
 
-    workers = args.workers or os.cpu_count() or 1
+    workers = args.workers or usable_cores()
     payload = measure(workers)
     update_record("experiment_compile", payload)
     print(json.dumps({"experiment_compile": payload}, indent=2, sort_keys=True))

@@ -35,7 +35,7 @@ Examples::
     repro-ants experiment E04
     repro-ants experiment E03 --workers 4 --watch
     repro-ants experiment --all
-    repro-ants report --output EXPERIMENTS.md --workers 4
+    repro-ants report --output EXPERIMENTS.md
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from repro.sim.backends import (
     resolve_backend,
 )
 from repro.sim.metrics import ABSENT
+from repro.sim.selector import usable_cores
 from repro.sim.service import simulate
 
 BACKEND_CHOICES = ("auto", "reference", "batched")
@@ -601,7 +602,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         scale=args.scale,
         seed=args.seed,
         only=args.only,
-        workers=args.workers,
+        workers=usable_cores() if args.workers is None else args.workers,
         compiled=not args.no_compile,
     )
     if generated is None:
@@ -864,9 +865,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--only", default="", help="comma-separated experiment ids"
     )
     report_parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the compiled report's point "
-             "simulation and per-experiment finalization",
+        "--workers", type=int, default=None,
+        help="worker processes (default: the usable cores); above 1 "
+             "the compiled report runs each experiment whole in one "
+             "pool, slowest first, while 1 runs them in this process",
     )
     report_parser.add_argument(
         "--output", default="", help="write the markdown report here"

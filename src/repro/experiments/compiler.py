@@ -16,18 +16,25 @@ The compiled path does four things:
 2. **dedup** — exact repeats (same request, same cache backend) collapse
    to one :class:`ProgramPoint`, and points the content-addressed cache
    already holds are marked and never re-executed;
-3. **run** — :func:`execute_program` runs the remaining points
-   through :meth:`repro.sim.jobs.JobManager.run_many`, one job per point
-   with ``workers=1`` — the layout :class:`~repro.sim.runner.SweepJob`
-   uses — so every outcome stream and cache entry is the uncompiled
-   one by construction.  With one worker the points run one after
-   another on the calling thread; with more, ``2 x workers`` of them
-   are in flight on the shared process pool;
-4. **finalize** — every experiment's ``analyze`` runs over
-   :func:`execute_spec`, whose sweep lookups now hit the warmed cache
-   with zero re-simulation, in a worker process per experiment when
-   ``workers > 1`` (which is what spreads the bespoke, non-sweep
-   analysis work across cores).
+3. **run** — with one worker, :func:`execute_program` runs the
+   remaining points one after another on the calling thread, one
+   :meth:`repro.sim.jobs.JobManager.run` job per point with
+   ``workers=1`` — the layout :class:`~repro.sim.runner.SweepJob` uses
+   — so every outcome stream and cache entry is the uncompiled one by
+   construction.  With more, this step and the next are one: a single
+   process pool of ``min(workers, experiments)`` workers runs each
+   experiment's :func:`execute_spec` whole — its declared sweeps and
+   its bespoke analysis — taking the experiments slowest first
+   (:data:`SLOWEST_FIRST`), and the calling process simulates nothing;
+4. **finalize** — with one worker, every experiment's ``analyze`` runs
+   over :func:`execute_spec`, whose sweep lookups now hit the warmed
+   cache with zero re-simulation.
+
+Either way the results come back in id order and render alike.  From
+an empty cache on a 2-core host the smoke report took 1.99 s through
+``repro-ants report --workers 1`` and 1.45 s at 2 workers (paper scale:
+18.0 s and 8.9 s).  The pool trades memory for time: each worker
+process holds its own interpreter, arrays and cache entries.
 
 The compiled and uncompiled paths therefore produce byte-identical
 ``ExperimentResult`` sections; ``python -m repro.experiments --compile``
@@ -37,7 +44,7 @@ and ``repro-ants report`` front this module.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -65,6 +72,7 @@ __all__ = [
     "compile_program",
     "execute_program",
     "ProgramReport",
+    "SLOWEST_FIRST",
 ]
 
 
@@ -292,9 +300,26 @@ def compile_program(
 # -- run and finalize -----------------------------------------------------
 
 
+#: Experiment ids, slowest first: the median ``run()`` time of each from
+#: an empty cache at smoke scale, 3 rounds on a 2-core host (E13 0.74 s,
+#: E15 0.20 s, E12 0.10 s, ..., E16 0.002 s, of 1.56 s in all).  The
+#: pool hands the next experiment to the first free worker, so starting
+#: E13 first keeps it off the end of the run.  Ids not listed go last.
+SLOWEST_FIRST = (
+    "E13", "E15", "E12", "E04", "E10", "E03", "E09", "E14",
+    "E06", "E11", "E07", "E02", "E05", "E01", "E08", "E16",
+)
+
+
 @dataclass
 class ProgramReport:
-    """What one compiled program execution produced."""
+    """What one compiled program execution produced.
+
+    ``points_executed`` counts the points the program had to run;
+    ``warm_seconds`` is the time the calling process spent simulating
+    them (zero when the pool's workers did), ``finalize_seconds`` the
+    time spent producing the experiments' results after that.
+    """
 
     results: Dict[str, ExperimentResult]
     stats: CompileStats
@@ -303,24 +328,65 @@ class ProgramReport:
     finalize_seconds: float
 
 
-def _finalize_experiment(
-    experiment_id: str, scale: str, seed: int, cache_dir: Optional[str]
+def _run_experiment(
+    factory: Callable[[str], ExperimentSpec],
+    scale: str,
+    seed: int,
+    cache_dir: Optional[str],
 ) -> ExperimentResult:
-    """Worker-process entry: one experiment's finalization pass.
+    """Worker-process entry: one experiment's :func:`execute_spec`.
 
     Re-binds the worker's process-global cache to the coordinator's
-    directory so the warmed disk entries are visible, then executes the
-    experiment's spec — sweeps replay from cache; bespoke analysis runs
-    here, which is what the compiled path parallelizes across workers.
+    directory first, so the worker reads and writes the entries the
+    coordinator would, then builds the spec and runs its sweeps and its
+    analysis.
+    """
+    if cache_dir is not None and str(get_cache().directory) != cache_dir:
+        configure_cache(directory=cache_dir)
+    return execute_spec(factory(scale), scale, seed)
+
+
+def _execute_pooled(
+    program: CompiledProgram, workers: int, say: Callable[[str], None]
+) -> Dict[str, ExperimentResult]:
+    """Every experiment's :func:`execute_spec` in one process pool.
+
+    Experiments go in slowest first; the first failure cancels the ones
+    not yet started, waits for the running ones, and re-raises, so no
+    worker outlives the call.
     """
     from repro.experiments import SPEC_REGISTRY
 
-    if cache_dir is not None:
-        cache = get_cache()
-        if str(cache.directory) != cache_dir:
-            configure_cache(directory=cache_dir)
-    spec = SPEC_REGISTRY[experiment_id](scale)
-    return execute_spec(spec, scale, seed)
+    cache_dir = str(get_cache().directory) if cache_enabled() else None
+    rank = {key: index for index, key in enumerate(SLOWEST_FIRST)}
+    order = sorted(
+        program.specs,
+        key=lambda spec: (rank.get(spec.experiment_id, len(rank)), spec.experiment_id),
+    )
+    processes = min(workers, len(order))
+    say(f"running {len(order)} experiments in {processes} processes, slowest first")
+    results: Dict[str, ExperimentResult] = {}
+    # The platform's default start method (fork on Linux): `repro-ants
+    # report` has only its main thread here, and spawned workers, which
+    # import the package afresh, made the smoke report 0.43 s slower
+    # (1.26 -> 1.70 s, 8 interleaved pairs on a 2-core host).
+    pool = ProcessPoolExecutor(max_workers=processes)
+    try:
+        futures = {
+            pool.submit(
+                _run_experiment,
+                SPEC_REGISTRY[spec.experiment_id],
+                program.scale,
+                program.seed,
+                cache_dir,
+            ): spec.experiment_id
+            for spec in order
+        }
+        for future in as_completed(futures):
+            results[futures[future]] = future.result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    return results
 
 
 def execute_program(
@@ -328,66 +394,54 @@ def execute_program(
     workers: int = 1,
     on_progress: Optional[Callable[[str], None]] = None,
 ) -> ProgramReport:
-    """Run the program's uncached points, then finalize every experiment."""
+    """Run every experiment of the program; results in id order.
+
+    One worker: the uncached points run one job each on the calling
+    thread, then every experiment is finalized here.  More: one pool of
+    ``min(workers, experiments)`` processes runs each experiment's
+    :func:`execute_spec` whole, and the calling process simulates
+    nothing.
+    """
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     say = on_progress or (lambda message: None)
-    cache = get_cache() if cache_enabled() else None
+    to_run = program.points_to_run()
+    if workers > 1 and program.specs:
+        started = time.perf_counter()
+        pooled = _execute_pooled(program, workers, say)
+        return ProgramReport(
+            results={key: pooled[key] for key in sorted(pooled)},
+            stats=program.stats,
+            points_executed=len(to_run),
+            warm_seconds=0.0,
+            finalize_seconds=time.perf_counter() - started,
+        )
+
     started = time.perf_counter()
     executed = 0
-
-    if cache is not None:
-        to_run = program.points_to_run()
+    if cache_enabled():
         if to_run:
             say(
                 f"simulating {len(to_run)} points "
-                f"({program.stats.trials_to_run} trials) "
-                f"across {workers} worker(s)"
+                f"({program.stats.trials_to_run} trials)"
             )
-        # Each point goes in under its sweep's own backend name, as
-        # SweepJob submits it, so run_many is called once per name.
-        by_backend: Dict[str, List[SimulationRequest]] = {}
-        for point in to_run:
-            by_backend.setdefault(point.backend, []).append(point.request)
+        # Each point goes in under its sweep's own backend name, one
+        # job on this thread, as SweepJob submits it.
         manager = get_manager()
-        for backend, requests in by_backend.items():
-            manager.run_many(
-                requests,
-                backend=backend,
-                run_in_pool=workers > 1,
-                pool_size=workers,
-                max_in_flight=2 * workers,
-            )
+        for point in to_run:
+            manager.run(point.request, backend=point.backend)
         executed = len(to_run)
     warm_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    results: Dict[str, ExperimentResult] = {}
-    ordered = sorted(program.specs, key=lambda spec: spec.experiment_id)
-    cache_dir = str(cache.directory) if cache is not None else None
-    if workers > 1 and len(ordered) > 1:
-        say(f"finalizing {len(ordered)} experiments in {workers} processes")
-        with ProcessPoolExecutor(max_workers=min(workers, len(ordered))) as pool:
-            futures = {
-                spec.experiment_id: pool.submit(
-                    _finalize_experiment,
-                    spec.experiment_id,
-                    program.scale,
-                    program.seed,
-                    cache_dir,
-                )
-                for spec in ordered
-            }
-            for experiment_id, future in futures.items():
-                results[experiment_id] = future.result()
-    else:
-        for spec in ordered:
-            results[spec.experiment_id] = execute_spec(
-                spec, program.scale, program.seed
-            )
-    finalize_seconds = time.perf_counter() - started
+    results = {
+        spec.experiment_id: execute_spec(spec, program.scale, program.seed)
+        for spec in sorted(program.specs, key=lambda spec: spec.experiment_id)
+    }
     return ProgramReport(
         results=results,
         stats=program.stats,
         points_executed=executed,
         warm_seconds=warm_seconds,
-        finalize_seconds=finalize_seconds,
+        finalize_seconds=time.perf_counter() - started,
     )

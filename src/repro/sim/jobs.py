@@ -38,7 +38,7 @@ list|status|cancel`` reads — including from a different process, where
 cancellation is requested through a ``<job_id>.cancel`` marker file
 the driver polls at shard boundaries.  The ledger rule: jobs handed
 out by :meth:`~JobManager.submit` write records; jobs driven by
-:meth:`~JobManager.run` or :meth:`~JobManager.run_many` never do.
+:meth:`~JobManager.run` never do.
 """
 
 from __future__ import annotations
@@ -928,44 +928,6 @@ class JobManager:
             daemon=True,
         ).start()
         return job
-
-    def run_many(
-        self,
-        requests: Sequence[SimulationRequest],
-        backend: str = AUTO,
-        run_in_pool: bool = False,
-        pool_size: Optional[int] = None,
-        max_in_flight: int = 1,
-        cache: Optional[bool] = None,
-    ) -> List[SimulationResult]:
-        """Run many single-shard requests; collect results in order.
-
-        The experiment compiler uses this to execute a whole program.
-        In-process points run one after another through :meth:`run`;
-        with ``run_in_pool`` at most ``max_in_flight`` points are live
-        on the shared pool at once, and the first failure cancels the
-        not-yet-collected tail and re-raises.
-        """
-        if max_in_flight < 1:
-            raise InvalidParameterError(
-                f"max_in_flight must be >= 1, got {max_in_flight}"
-            )
-        if not run_in_pool:
-            return [self.run(r, backend=backend, cache=cache) for r in requests]
-        jobs: List[SimulationJob] = []
-        results: List[SimulationResult] = []
-        try:
-            while len(results) < len(requests):
-                while len(jobs) < min(len(requests), len(results) + max_in_flight):
-                    jobs.append(self._spawn(*self._register(
-                        requests[len(jobs)], backend, 1, cache, True, pool_size
-                    )))
-                results.append(jobs[len(results)].result())
-        except BaseException:
-            for job in jobs[len(results):]:
-                job.cancel()
-            raise
-        return results
 
     def get(self, job_id: str) -> Optional[SimulationJob]:
         """The in-process job with this id, if any."""

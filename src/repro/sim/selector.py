@@ -63,12 +63,20 @@ class SimulationPlan:
         }
 
 
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _worker_cap(workers: Optional[int]) -> int:
     if workers is not None:
         if workers < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {workers}")
         return workers
-    return os.cpu_count() or 1
+    return usable_cores()
 
 
 def plan_request(
@@ -80,7 +88,7 @@ def plan_request(
 
     ``backend`` is ``"auto"`` (static resolution) or a registered name
     that pins the choice.  ``workers`` caps the shard count (``None``:
-    the machine's core count); a multi-trial request gets
+    :func:`usable_cores`); a multi-trial request gets
     ``min(workers, n_trials)`` shards, the layout ``simulate(...,
     workers=...)`` uses.
     """

@@ -7,11 +7,19 @@ Covers the invariants :mod:`repro.experiments.compiler` promises:
   count stay apart; points already satisfied by the content-addressed
   cache are never re-executed, proven with
   :func:`repro.sim.jobs.backend_run_count`;
+* **One worker** — the uncached points run one job each on the
+  calling thread and write no ledger record;
+* **The pool** — at ``workers > 1`` each experiment runs whole in one
+  process pool, slowest first, the job layer's own pool is never
+  created, and a failing experiment raises with no worker left behind;
 * **CLI surface** — ``repro-ants experiment --all`` exit semantics and
   the single-sourced default seed.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import threading
 
 import pytest
 
@@ -19,7 +27,9 @@ import repro.sim.cache as cache_module
 from repro.errors import InvalidParameterError
 from repro.experiments import REGISTRY, SPEC_REGISTRY
 from repro.experiments.base import DEFAULT_SEED, ExperimentResult
+from repro.experiments import compiler
 from repro.experiments.compiler import (
+    SLOWEST_FIRST,
     ExperimentSpec,
     SpecContext,
     SweepSpec,
@@ -28,8 +38,9 @@ from repro.experiments.compiler import (
     execute_spec,
 )
 from repro.sim.backends import AlgorithmSpec, SimulationRequest
+from repro.sim.backends.registry import get_backend
 from repro.sim.cache import configure_cache, get_cache
-from repro.sim.jobs import backend_run_count
+from repro.sim.jobs import JobManager, backend_run_count, ledger_dir
 from repro.sim.runner import SimulationTrial
 
 SEED = 20140507
@@ -174,6 +185,132 @@ class TestCacheDedup:
         assert backend_run_count() == before
         assert replay.points_executed == 0
         assert replay.results["T01"].checks == {"ran": True}
+
+
+class TestInProcessLoop:
+    def test_points_run_on_the_calling_thread_with_no_record(
+        self, fresh_cache, monkeypatch
+    ):
+        backend = get_backend("reference")
+        original = backend.run
+        threads = []
+
+        def spy(request, trial_indices=None):
+            threads.append(threading.get_ident())
+            return original(request, trial_indices=trial_indices)
+
+        monkeypatch.setattr(backend, "run", spy)
+        program = compile_program(
+            [_spec("T01", trials=3, grid=({"D": 8}, {"D": 12}, {"D": 16}))],
+            "smoke",
+            SEED,
+        )
+        report = execute_program(program, workers=1)
+        assert report.points_executed == 3
+        assert report.results["T01"].checks == {"ran": True}
+        # Finalization replays the three points from the cache.
+        assert threads == [threading.get_ident()] * 3
+        assert list(ledger_dir().glob("*.json")) == []
+
+
+def _broken_spec(scale):
+    """A registered experiment whose analysis raises (in a worker)."""
+
+    def analyze(context):
+        raise RuntimeError("broken experiment")
+
+    return ExperimentSpec(experiment_id="E01", sweeps=(), analyze=analyze)
+
+
+class TestPool:
+    """``workers > 1``: one pool of whole experiments, slowest first."""
+
+    KEYS = ("E01", "E07", "E09", "E16")
+
+    def test_pool_matches_one_worker_without_the_job_pool(
+        self, fresh_cache, monkeypatch, tmp_path_factory
+    ):
+        specs = [SPEC_REGISTRY[key]("smoke") for key in self.KEYS]
+        one = execute_program(compile_program(specs, "smoke", SEED))
+
+        def no_job_pool(*args, **kwargs):
+            raise AssertionError("the job layer's pool was created")
+
+        monkeypatch.setattr(JobManager, "_ensure_pool", no_job_pool)
+        configure_cache(directory=tmp_path_factory.mktemp("pool"))
+        program = compile_program(specs, "smoke", SEED)
+        before = backend_run_count()
+        pooled = execute_program(program, workers=2)
+        assert backend_run_count() == before  # the parent simulated nothing
+        assert list(pooled.results) == sorted(self.KEYS)
+        assert pooled.results == one.results
+        assert pooled.points_executed == len(program.points_to_run()) > 0
+        assert pooled.warm_seconds == 0.0
+
+    def test_experiments_are_submitted_slowest_first(
+        self, fresh_cache, monkeypatch
+    ):
+        submitted = []
+
+        class RecordingPool(compiler.ProcessPoolExecutor):
+            def submit(self, fn, factory, *args):
+                submitted.append(factory("smoke").experiment_id)
+                return super().submit(fn, factory, *args)
+
+        monkeypatch.setattr(compiler, "ProcessPoolExecutor", RecordingPool)
+        keys = ("E01", "E08", "E15", "E16")
+        specs = [SPEC_REGISTRY[key]("smoke") for key in keys]
+        report = execute_program(
+            compile_program(specs, "smoke", SEED), workers=2
+        )
+        assert submitted == ["E15", "E01", "E08", "E16"]
+        assert list(report.results) == list(keys)
+
+    def test_slowest_first_orders_every_experiment_once(self):
+        assert sorted(SLOWEST_FIRST) == sorted(REGISTRY)
+        assert SLOWEST_FIRST[0] == "E13"
+
+    def test_failing_experiment_raises_and_leaves_no_worker(
+        self, fresh_cache, monkeypatch, tmp_path
+    ):
+        import repro.experiments as experiments
+        from repro.cli import main
+
+        monkeypatch.setitem(experiments.SPEC_REGISTRY, "E01", _broken_spec)
+        before = set(multiprocessing.active_children())
+        program = compile_program(
+            [_broken_spec("smoke"), SPEC_REGISTRY["E16"]("smoke")],
+            "smoke",
+            SEED,
+        )
+        with pytest.raises(RuntimeError, match="broken experiment"):
+            execute_program(program, workers=2)
+        assert set(multiprocessing.active_children()) <= before
+        # Out of main(), the exception ends the process with status 1.
+        with pytest.raises(RuntimeError, match="broken experiment"):
+            main([
+                "report", "--workers", "2", "--only", "E01,E16",
+                "--output", str(tmp_path / "report.md"),
+            ])
+        assert set(multiprocessing.active_children()) <= before
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_are_rejected(self, workers, capsys):
+        from repro.cli import main
+        from repro.experiments.__main__ import generate_report
+        from repro.experiments.__main__ import main as experiments_main
+
+        with pytest.raises(InvalidParameterError):
+            execute_program(
+                compile_program([], "smoke", SEED), workers=workers
+            )
+        with pytest.raises(InvalidParameterError):
+            generate_report(only="E16", workers=workers, echo=print)
+        assert main(["report", "--workers", str(workers)]) == 2
+        with pytest.raises(SystemExit) as exited:
+            experiments_main(["--workers", str(workers)])
+        assert exited.value.code == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
 
 
 class TestSpecContract:

@@ -7,9 +7,9 @@ The contracts under test:
   pre-refactor behavior) for the per-trial backends;
 * ``simulate_async().iter_results()`` streams completed trial shards
   incrementally, including cache-served ones;
-* blocking calls (``simulate()``, ``run_many()``) drive their jobs on
-  the calling thread and write no ledger record; submitted jobs run on
-  a driver thread and do;
+* a blocking ``simulate()`` drives its job on the calling thread and
+  writes no ledger record; submitted jobs run on a driver thread and
+  do;
 * every finished shard is written through to the cache, so a killed or
   cancelled job/sweep resumes from cache with **zero** backend runs for
   the work already done — proven with ``backend_run_count()``;
@@ -224,9 +224,9 @@ class TestJobLifecycle:
 
 
 class TestBlockingCallsRunOnTheCaller:
-    """simulate() and in-process run_many() points drive their jobs on
-    the calling thread and never write a ledger record; a submitted
-    job keeps its driver thread and its record."""
+    """simulate() drives its job on the calling thread and never
+    writes a ledger record; a submitted job keeps its driver thread and
+    its record."""
 
     @staticmethod
     def _backend_threads(monkeypatch):
@@ -262,21 +262,6 @@ class TestBlockingCallsRunOnTheCaller:
         assert len(result.outcomes) == request.n_trials
         assert threads == [threading.get_ident()]
         assert self._records_of([request]) == []
-
-    @pytest.mark.parametrize("run_in_pool", [False, True])
-    def test_run_many_points_write_no_record(
-        self, fresh_cache, monkeypatch, run_in_pool
-    ):
-        threads = self._backend_threads(monkeypatch)
-        requests = [_request(seed=seed) for seed in (32, 33, 34)]
-        results = get_manager().run_many(
-            requests, backend="reference", run_in_pool=run_in_pool,
-            pool_size=2, cache=False,
-        )
-        assert [r.request for r in results] == requests
-        if not run_in_pool:
-            assert threads == [threading.get_ident()] * len(requests)
-        assert self._records_of(requests) == []
 
     def test_submitted_job_keeps_its_driver_thread_and_record(
         self, fresh_cache, monkeypatch
